@@ -19,14 +19,14 @@ from .chain import CA40, TrapConfig
 from .config import (build_addressing, build_machine, build_noise, build_trap,
                      config_digest, load_config)
 from .errors import IonTrapBenchError
-from .fitting import (Dataset, fit_decay, fit_fringe, fit_gaussian,
+from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
                       fit_linear, fit_power_law)
-from .results import RunManifest, write_points_csv, write_results, write_shot_records
+from .results import RunManifest, write_json, write_results, write_shot_records
 
 
 def _common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="shot worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="no effect on results")
     parser.add_argument("--out", default=None, help="output file or directory")
 
 
@@ -74,24 +74,19 @@ def _build_parser():
     return p
 
 
-def _load_merged_config(*paths):
-    cfg = load_config(None)
-    for path in paths:
-        if path:
-            overlay = load_config(path)
-            # load_config fills defaults; apply only keys present in the file
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            for line in text.splitlines():
-                line = line.split("#", 1)[0].strip()
-                if line and "=" in line:
-                    key = line.split("=", 1)[0].strip()
-                    cfg[key] = overlay[key]
-    return cfg
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _emit(text: str, path: str = None) -> int:
+    """Write text to path, creating its directory, or to stdout."""
+    if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def cmd_chain(args) -> int:
@@ -100,77 +95,51 @@ def cmd_chain(args) -> int:
     lines = ["ion_index,position_um"]
     lines += [f"{i},{_fmt(z)}" for i, z in enumerate(chain.positions)]
     lines.append("mode_index,freq_hz,direction")
-    ax = chain_mod.axial_mode_spectrum(chain)
-    for i, w in enumerate(ax.frequencies):
-        lines.append(f"{i},{_fmt(w / (2 * math.pi))},axial")
-    rad = chain_mod.radial_mode_spectrum(chain)
-    for i, w in enumerate(rad.frequencies):
-        lines.append(f"{i},{_fmt(w / (2 * math.pi))},radial")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    for direction, modes in (("axial", chain_mod.axial_mode_spectrum(chain)),
+                             ("radial", chain_mod.radial_mode_spectrum(chain))):
+        lines += [f"{i},{_fmt(w / (2 * math.pi))},{direction}"
+                  for i, w in enumerate(modes.frequencies)]
+    return _emit("\n".join(lines) + "\n", args.out)
+
+
+def _compile_file(path: str, machine) -> comp.PulseSchedule:
+    with open(path, encoding="utf-8") as fh:
+        return comp.compile_circuit(comp.parse_circuit(fh.read()), machine)
 
 
 def cmd_compile(args) -> int:
-    cfg = _load_merged_config(args.machine)
-    machine = build_machine(cfg)
-    with open(args.circuit, encoding="utf-8") as fh:
-        circuit = comp.parse_circuit(fh.read())
-    schedule = comp.compile_circuit(circuit, machine)
-    text = schedule.to_json() + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    schedule = _compile_file(args.circuit, build_machine(load_config(args.machine)))
+    return _emit(schedule.to_json() + "\n", args.out)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_merged_config(args.config)
+    cfg = load_config(args.config)
     machine = build_machine(cfg)
-    noise = build_noise(cfg)
-    with open(args.circuit, encoding="utf-8") as fh:
-        circuit = comp.parse_circuit(fh.read())
-    schedule = comp.compile_circuit(circuit, machine)
-    records = eng.run_schedule(schedule, machine, noise, args.shots,
-                               seed=args.seed, threads=args.threads)
+    records = eng.run_schedule(_compile_file(args.circuit, machine), machine,
+                               build_noise(cfg), args.shots, seed=args.seed,
+                               threads=args.threads)
+    bits = eng.valid_bits(records)
+    m = len(bits)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     write_shot_records(os.path.join(out, "shots.csv"), records)
-    n = machine.n_qubits
-    valid = [r for r in records if r.valid]
-    pops = []
-    for q in range(n):
-        k = sum(r.bits[q] for r in valid)
-        m = len(valid)
-        pops.append({"qubit": q, "p_bright": k / m,
-                     "stderr": float(np.sqrt(max(k, 0.5) * (m - min(k, m - 0.5)) / m**3))})
+    pops = [{"qubit": q, "p_bright": k / m, "stderr": float(binomial_se(k, m))}
+            for q, k in enumerate(bits.sum(axis=0).tolist())]
     summary = {
         "shots": args.shots,
-        "valid_shots": len(valid),
+        "valid_shots": m,
         "populations": pops,
         "provenance": {"seed": args.seed, "config_digest": config_digest(cfg)},
     }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "summary.json"), summary)
     manifest = RunManifest(args.seed, cfg, inputs=(args.circuit,),
                            outputs=("shots.csv", "summary.json"))
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "manifest.json"), manifest.to_dict())
     return 0
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_merged_config(args.config, args.noise)
+    cfg = load_config(args.config, args.noise)
     machine = build_machine(cfg)
     noise = build_noise(cfg)
     unit = build_addressing(cfg)
@@ -227,14 +196,7 @@ def cmd_fit(args) -> int:
                  np.atleast_1d(rows["yerr"]))
     fit = _FIT_DISPATCH[args.model](ds, args)
     text = json.dumps({"fit": fit.as_dict()}, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out and os.path.join(args.out, "summary.json"))
 
 
 def main(argv=None) -> int:

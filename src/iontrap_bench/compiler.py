@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import GridViolation, UnknownLabel, UnsupportedTarget
 
@@ -94,6 +96,9 @@ class CircuitIR:
                     raise UnknownLabel(f"branch references unknown label {ins.label!r}")
                 if _depth + 1 > max_branch_depth:
                     raise ValueError("branch nesting exceeds configured cap")
+                for q, want in ins.predicate:
+                    if not 0 <= q < n_qubits or want not in ("bright", "dark"):
+                        raise ValueError(f"bad branch predicate q{q}={want}")
                 CircuitIR(ins.body).validate(n_qubits, max_branch_depth, _depth + 1)
         return self
 
@@ -157,6 +162,7 @@ class Event:
     label: str = ""
     predicate: tuple = ()
     body: tuple = ()  # compiled continuation events (start-relative), branch_point only
+    frames: tuple = ()  # per-qubit virtual frames a bichromatic gate runs in, if any is nonzero
 
     @property
     def end(self) -> int:
@@ -184,6 +190,8 @@ class Event:
             d["predicate"] = [[q, s] for q, s in self.predicate]
         if self.kind == "branch_point":
             d["body"] = [e.to_dict() for e in self.body]
+        if self.frames:
+            d["frames"] = list(self.frames)
         return d
 
 
@@ -284,11 +292,13 @@ class _Compiler:
             targets = _expand_targets(ins.targets, m.n_qubits)
             dur = m.grid_ns(m.t_ms_us * 1000.0)
             # Tones are symbolic sideband offsets +-(nu + delta); the dynamics
-            # engine resolves them against its calibration.
+            # engine resolves them against its calibration.  MS does not
+            # commute with Z, so the gate carries the frames it runs in.
             self.emit(Event(
                 channel=GLOBAL_CHANNEL, start=self.cursor, duration=dur,
                 kind="bichromatic", amplitude=1.0, tones=(+1.0, -1.0),
                 targets=targets, angle=ins.chi, bus=ins.bus,
+                frames=tuple(self.frames) if any(self.frames) else (),
             ))
             return
         if isinstance(ins, Delay):
@@ -368,15 +378,13 @@ def validate(schedule: PulseSchedule, machine: MachineConfig) -> list:
     return out
 
 
-def predicate_matches(predicate, outcome_bits) -> bool:
-    """Conjunction of per-qubit bright/dark tests against measured bits."""
+def predicate_matches(predicate, outcome_bits):
+    """Per-qubit bright/dark conjunction, per shot if bits have a shot axis."""
+    bits = np.asarray(outcome_bits)
+    ok = np.ones(bits.shape[:-1], dtype=bool)
     for q, want in predicate:
-        bit = outcome_bits[q]
-        if want == "bright" and bit != 1:
-            return False
-        if want == "dark" and bit != 0:
-            return False
-    return True
+        ok &= bits[..., q] == (1 if want == "bright" else 0)
+    return ok
 
 
 def resolve_branch(schedule: PulseSchedule, outcome_bits, label: str = None) -> list:
@@ -410,6 +418,8 @@ def resolve_branch(schedule: PulseSchedule, outcome_bits, label: str = None) -> 
 #   BRANCH m0 q0=bright { R 3.1415927 0.0 0 }
 
 _BRANCH_RE = re.compile(r"^BRANCH\s+(\S+)\s+(.*?)\s*\{(.*)\}\s*$")
+_PREDICATE_RE = re.compile(r"^q?(\d+)=(bright|dark)$")
+_OPERANDS = {"PREPARE": 0, "R": 3, "RZ": 2, "MS": 2, "DELAY": 1, "MEASURE": 1}
 
 
 def _parse_targets(tok: str):
@@ -419,8 +429,20 @@ def _parse_targets(tok: str):
 
 
 def _parse_line(line: str):
+    m = _BRANCH_RE.match(line)
+    if m:
+        label, preds, body = m.groups()
+        predicate = [_PREDICATE_RE.match(p) for p in preds.split()]
+        if not all(predicate):
+            raise ValueError(f"bad BRANCH predicate in {preds!r}, expected q<i>=bright|dark")
+        return Branch(label, tuple((int(p[1]), p[2]) for p in predicate),
+                      tuple(_parse_line(s.strip()) for s in body.split(";") if s.strip()))
     parts = line.split()
     op = parts[0].upper()
+    if op not in _OPERANDS:
+        raise ValueError(f"unknown instruction line: {line!r}")
+    if len(parts) <= _OPERANDS[op]:
+        raise ValueError(f"{op} needs {_OPERANDS[op]} operands: {line!r}")
     if op == "PREPARE":
         return PrepareAll()
     if op == "R":
@@ -432,27 +454,17 @@ def _parse_line(line: str):
         return MS(float(parts[1]), _parse_targets(parts[2]), bus)
     if op == "DELAY":
         return Delay(float(parts[1]))
-    if op == "MEASURE":
-        return MeasureAll(parts[1])
-    raise ValueError(f"unknown instruction line: {line!r}")
+    return MeasureAll(parts[1])
 
 
 def parse_circuit(text: str) -> CircuitIR:
-    """Parse the line-oriented circuit format."""
+    """Parse the line-oriented circuit format; errors name the 1-based line."""
     instructions = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _BRANCH_RE.match(line)
-        if m:
-            label, preds, body = m.groups()
-            predicate = []
-            for p in preds.split():
-                qtok, want = p.split("=")
-                predicate.append((int(qtok.lstrip("q")), want))
-            body_ins = tuple(_parse_line(s.strip()) for s in body.split(";") if s.strip())
-            instructions.append(Branch(label, tuple(predicate), body_ins))
-        else:
-            instructions.append(_parse_line(line))
+        if line:
+            try:
+                instructions.append(_parse_line(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return CircuitIR(tuple(instructions))

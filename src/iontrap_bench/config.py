@@ -79,8 +79,9 @@ def default_config() -> dict:
     return {k: d for k, (_, d) in SCHEMA.items()}
 
 
-def parse_config(text: str) -> dict:
-    cfg = default_config()
+def _parse_lines(text: str) -> dict:
+    """The keys a config text sets explicitly, parsed against SCHEMA."""
+    out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,16 +91,23 @@ def parse_config(text: str) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in SCHEMA:
             raise SchemaError(f"unknown key {key!r}")
-        cfg[key] = _parse_value(key, value)
+        out[key] = _parse_value(key, value)
+    return out
+
+
+def parse_config(text: str) -> dict:
+    """All keys: the defaults, overlaid with the ones the text sets."""
+    return {**default_config(), **_parse_lines(text)}
+
+
+def load_config(*paths) -> dict:
+    """Defaults overlaid with the keys each file sets, in order (None skipped)."""
+    cfg = default_config()
+    for path in paths:
+        if path:
+            with open(path, encoding="utf-8") as fh:
+                cfg.update(_parse_lines(fh.read()))
     return cfg
-
-
-def load_config(path: str = None) -> dict:
-    """Load a config file onto the defaults; path=None gives all defaults."""
-    if path is None:
-        return default_config()
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def dump_config(cfg: dict) -> str:

@@ -1,13 +1,15 @@
 """State-vector dynamics with an optional truncated phonon mode.
 
-Noise enters through stochastic trajectories on the state vector; each
-shot owns its RegisterState and random stream.  Basis convention: qubit 0
-is the least significant bit of the amplitude index; bit 1 is the bright
-S ground state, bit 0 the dark D excited state.
+Noise enters through Monte-Carlo wave-function trajectories (Dalibard,
+Castin & Moelmer, PRL 68, 580 (1992)) on one state or on a batch of shots;
+operators act on the last two axes and draw one random number per shot.
+Basis convention: qubit 0 is the least significant bit of the amplitude
+index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -16,10 +18,8 @@ import numpy as np
 from scipy.stats import poisson
 
 from .compiler import PulseSchedule, MachineConfig, predicate_matches
-from .errors import FockLeakage, StepTooCoarse
+from .errors import FockLeakage, NoValidShots, StepTooCoarse
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,54 +130,73 @@ class PhononMode:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
-    def sample_thermal(self, rng: np.random.Generator) -> int:
-        """Fock number drawn from the truncated thermal distribution."""
+    def sample_thermal(self, rng: np.random.Generator, size=None):
+        """Fock number(s) drawn from the truncated thermal distribution."""
         if self.nbar <= 0:
-            return 0
+            return 0 if size is None else np.zeros(size, dtype=int)
         r = self.nbar / (1.0 + self.nbar)
         p = (1 - r) * r ** np.arange(self.n_max + 1)
         p /= p.sum()
-        return int(rng.choice(self.n_max + 1, p=p))
+        n = rng.choice(self.n_max + 1, p=p, size=size)
+        return int(n) if size is None else n
 
 
 class RegisterState:
     """N-qubit state vector with optional phonon mode attached.
 
-    psi has shape (fock_dim, 2**n); fock_dim == 1 when no phonon.
+    psi has shape (fock_dim, 2**n), or (shots, fock_dim, 2**n) when shots
+    is given; fock_dim == 1 when no phonon.  fock_index may be per shot.
+    The density-matrix helpers take a single state.
     """
 
-    def __init__(self, n_qubits: int, phonon: PhononMode = None, fock_index: int = 0,
-                 max_bytes: int = 1 << 30):
+    def __init__(self, n_qubits: int, phonon: PhononMode = None, fock_index=0,
+                 max_bytes: int = 1 << 30, shots: int = None):
         self.n = n_qubits
         self.phonon = phonon
         fock_dim = (phonon.n_max + 1) if phonon else 1
-        if fock_dim * 2**n_qubits * 16 > max_bytes:
+        shape = (() if shots is None else (shots,)) + (fock_dim, 2**n_qubits)
+        if math.prod(shape) * 16 > max_bytes:
             raise MemoryError("state exceeds configured memory cap")
-        self.psi = np.zeros((fock_dim, 2**n_qubits), dtype=complex)
-        self.psi[fock_index, 2**n_qubits - 1] = 1.0  # all-bright |S...S>
+        self.psi = np.zeros(shape, dtype=complex)
+        flat = self.psi.reshape(-1, fock_dim, 2**n_qubits)
+        flat[np.arange(len(flat)), fock_index, -1] = 1.0  # all-bright |S...S>
 
     @property
     def fock_dim(self) -> int:
-        return self.psi.shape[0]
+        return self.psi.shape[-2]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi))
+    @property
+    def batch_shape(self) -> tuple:
+        """() for a single state, (shots,) for a batch."""
+        return self.psi.shape[:-2]
+
+    def norm(self):
+        """Norm of the state; an array of per-shot norms for a batch."""
+        if self.psi.ndim == 2:
+            return float(np.linalg.norm(self.psi))
+        return np.linalg.norm(self.psi.reshape(len(self.psi), -1).view(float), axis=1)
 
     def renormalize(self):
-        self.psi /= np.linalg.norm(self.psi)
+        self.psi /= np.expand_dims(self.norm(), (-2, -1))
+
+    def subset(self, mask) -> "RegisterState":
+        """A batched state holding a copy of the shots that mask selects."""
+        sub = copy.copy(self)
+        sub.psi = self.psi[mask]
+        return sub
 
     def set_bits(self, bits):
-        """Reset to a computational basis state (bit 1 = S)."""
+        """Reset every shot to a computational basis state (bit 1 = S)."""
         self.psi[:] = 0.0
         idx = sum(int(b) << q for q, b in enumerate(bits))
-        self.psi[0, idx] = 1.0
+        self.psi[..., 0, idx] = 1.0
 
     def probabilities(self) -> np.ndarray:
-        return (np.abs(self.psi) ** 2).sum(axis=0)
+        return (np.abs(self.psi) ** 2).sum(axis=-2)
 
     def qubit_view(self, q: int) -> np.ndarray:
         """View of psi with qubit q isolated on its own axis."""
-        return self.psi.reshape(self.fock_dim, 2 ** (self.n - q - 1), 2, 2**q)
+        return self.psi.reshape(self.psi.shape[:-1] + (2 ** (self.n - q - 1), 2, 2**q))
 
     def spin_density(self) -> np.ndarray:
         """Reduced spin density matrix (traces out the phonon)."""
@@ -191,9 +210,28 @@ class RegisterState:
         return float(np.dot(np.arange(self.fock_dim), p))
 
 
-def _apply_single(state: RegisterState, q: int, m: np.ndarray):
-    v = state.qubit_view(q)
-    state.psi = np.einsum("ab,fxbq->fxaq", m, v).reshape(state.fock_dim, 2**state.n)
+def _flat(state: RegisterState) -> np.ndarray:
+    """psi as (shots, fock_dim, 2**n); a single state is one shot."""
+    return state.psi.reshape((-1,) + state.psi.shape[-2:])
+
+
+def _apply_1q(psi: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix m on qubit q of every state in psi."""
+    v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
+    return np.einsum("ab,fxbq->fxaq", m, v).reshape(psi.shape)
+
+
+_DENSE_QUBITS = 3
+
+
+def _linear(psi: np.ndarray, n: int, op) -> np.ndarray:
+    """op(psi) for a linear map op on the last axis.  A batch of states of
+    at most _DENSE_QUBITS qubits, where numpy's per-qubit passes would run
+    short inner loops, gets op's matrix (op of the basis) as one product."""
+    if psi.ndim == 2 or n > _DENSE_QUBITS:
+        return op(psi)
+    u = op(np.eye(2**n, dtype=complex))
+    return (psi.reshape(-1, 2**n) @ u).reshape(psi.shape)
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
@@ -208,32 +246,33 @@ def rz_matrix(theta: float) -> np.ndarray:
                      [0.0, np.exp(1j * theta / 2.0)]], dtype=complex)
 
 
+def _checked_targets(state: RegisterState, targets, angle: float) -> list:
+    targets = list(targets)
+    if not math.isfinite(angle) or not all(0 <= q < state.n for q in targets):
+        raise ValueError(f"need a finite angle and targets in [0, {state.n}): "
+                         f"got {angle} on {targets}")
+    return targets
+
+
+def _apply_scaled(state, targets, theta, scale, matrix):
+    """Apply matrix(theta * s) to each target; s = 0 skips the target."""
+    targets = _checked_targets(state, targets, theta)
+    for q, s in zip(targets, [1.0] * len(targets) if scale is None else scale):
+        if s != 0.0:
+            m = matrix(theta * s)
+            state.psi = _linear(state.psi, state.n, lambda p: _apply_1q(p, state.n, q, m))
+    return state
+
+
 def apply_rotation(state: RegisterState, targets, theta: float, phi: float,
                    rabi_scale=None):
     """Resonant carrier rotation; rabi_scale rescales theta per target."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    targets = list(targets)
-    if rabi_scale is None:
-        rabi_scale = [1.0] * len(targets)
-    for q, s in zip(targets, rabi_scale):
-        if not 0 <= q < state.n:
-            raise ValueError(f"target {q} out of range")
-        if s == 0.0:
-            continue
-        _apply_single(state, q, rotation_matrix(theta * s, phi))
-    return state
+    return _apply_scaled(state, targets, theta, rabi_scale,
+                         lambda angle: rotation_matrix(angle, phi))
 
 
 def apply_rz(state: RegisterState, targets, theta: float, scale=None):
-    targets = list(targets)
-    if scale is None:
-        scale = [1.0] * len(targets)
-    for q, s in zip(targets, scale):
-        if s == 0.0:
-            continue
-        _apply_single(state, q, rz_matrix(theta * s))
-    return state
+    return _apply_scaled(state, targets, theta, scale, rz_matrix)
 
 
 def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
@@ -243,29 +282,42 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
     matrix (cos chi diagonal, -i sin chi anti-diagonal).  Weights model
     unequal illumination (crosstalk on spectators).
     """
-    targets = list(targets)
+    targets = _checked_targets(state, targets, chi)
     if len(set(targets)) != len(targets) or len(targets) < 2:
         raise ValueError("MS needs >= 2 distinct targets")
-    if weights is None:
-        weights = [1.0] * len(targets)
-    weights = np.asarray(weights, dtype=float)
-    for q in targets:
-        _apply_single(state, q, _HADAMARD)
+    weights = np.ones(len(targets)) if weights is None else np.asarray(weights, dtype=float)
     idx = np.arange(2**state.n)
     m = np.zeros(2**state.n)
     for q, w in zip(targets, weights):
         bit = (idx >> q) & 1
         m = m + w * np.where(bit == 0, 1.0, -1.0)
     phase = np.exp(-1j * (chi / 2.0) * (m**2 - float(np.sum(weights**2))))
-    state.psi = state.psi * phase[None, :]
-    for q in targets:
-        _apply_single(state, q, _HADAMARD)
+    # Hadamards on the targets, as unnormalized butterflies: the two layers'
+    # factor 2**-k scales the phase exactly.
+    phase *= 2.0 ** -len(targets)
+
+    def ms(p):
+        p = _butterflies(p, state.n, targets)
+        p *= phase
+        return _butterflies(p, state.n, targets)
+
+    state.psi = _linear(state.psi, state.n, ms)
     return state
+
+
+def _butterflies(psi: np.ndarray, n: int, qubits) -> np.ndarray:
+    """sqrt(2) H on each of the qubits of every state in psi, in place."""
+    for q in qubits:
+        v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
+        total = v[:, :, 0] + v[:, :, 1]
+        np.subtract(v[:, :, 0], v[:, :, 1], out=v[:, :, 1])
+        v[:, :, 0] = total
+    return psi
 
 
 def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
                     rng: np.random.Generator, detuning_hz=None):
-    """Per-shot stochastic Z kick; the shot ensemble dephases as exp(-dt/T2).
+    """Stochastic Z kick per shot; the shot ensemble dephases as exp(-dt/T2).
 
     detuning_hz adds a deterministic per-target phase ramp (field gradients).
     """
@@ -273,30 +325,41 @@ def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
         raise ValueError("dt must be >= 0")
     if dt == 0:
         return state
-    targets = list(targets)
     sigma = math.sqrt(2.0 * dt / t2) if t2 > 0 and math.isfinite(t2) else 0.0
     for i, q in enumerate(targets):
-        phase = rng.normal(0.0, sigma) if sigma > 0 else 0.0
+        phase = rng.normal(0.0, sigma, size=state.batch_shape) if sigma > 0 else 0.0
         if detuning_hz is not None:
-            phase += 2.0 * math.pi * detuning_hz[i] * dt
-        if phase != 0.0:
+            phase = phase + 2.0 * math.pi * detuning_hz[i] * dt
+        if np.any(phase != 0.0):
             v = state.qubit_view(q)
-            v[:, :, 1, :] *= np.exp(1j * phase)
+            v[..., 1, :] *= np.expand_dims(np.exp(1j * phase), (-3, -2, -1))
     return state
 
 
-_PAULIS = [np.eye(2, dtype=complex), _SIGMA_X,
-           np.array([[0.0, -1j], [1j, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]])]
+_PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]],
+                    [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
 
 
 def apply_depolarizing(state: RegisterState, targets, eps: float,
                        rng: np.random.Generator):
-    """With probability eps apply a uniformly random Pauli (incl. identity)."""
+    """With probability eps per shot apply a uniformly random Pauli string
+    (identity included): one uniform per shot, then one integer in
+    [0, 4**k) per hit shot whose base-4 digit i picks the Pauli on targets[i]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if eps > 0.0 and rng.random() < eps:
-        for q in targets:
-            _apply_single(state, q, _PAULIS[rng.integers(4)])
+    if eps == 0.0:
+        return state
+    targets = list(targets)
+    hit = np.flatnonzero(rng.random(state.batch_shape) < eps)
+    if hit.size:
+        which = rng.integers(4 ** len(targets), size=hit.size)
+        psi = _flat(state)
+        sub = psi[hit]
+        for i, q in enumerate(targets):
+            v = sub.reshape(hit.size, -1, 2, 2**q)
+            sub = np.einsum("sab,sxbq->sxaq", _PAULIS[which // 4**i % 4], v)
+        psi[hit] = sub.reshape(-1, *psi.shape[1:])
+        state.psi = psi.reshape(state.psi.shape)
     return state
 
 
@@ -310,13 +373,14 @@ def apply_t1_decay(state: RegisterState, targets, dt: float,
     p = 1.0 - math.exp(-dt / t1)
     for q in targets:
         v = state.qubit_view(q)
-        p_dark = float(np.sum(np.abs(v[:, :, 0, :]) ** 2))
-        if rng.random() < p * p_dark:
-            # Jump: D collapses to S.
-            v[:, :, 1, :] = v[:, :, 0, :]
-            v[:, :, 0, :] = 0.0
+        p_dark = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
+        jump = rng.random(state.batch_shape) < p * p_dark
+        if np.any(jump):  # jump: D collapses to S
+            jump = np.expand_dims(jump, (-3, -2, -1))
+            v[..., 1, :] = np.where(jump, v[..., 0, :], v[..., 1, :])
+            v[..., 0, :] = np.where(jump, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
         else:
-            v[:, :, 0, :] *= math.sqrt(1.0 - p)
+            v[..., 0, :] *= math.sqrt(1.0 - p)
         state.renormalize()
     return state
 
@@ -325,38 +389,35 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
                           rng: np.random.Generator, max_jump_prob: float = 0.02):
     """Heating as a jump unraveling of L_up = sqrt(rate) a†, L_dn = sqrt(rate) a.
 
-    The ensemble mean occupation grows linearly: d<n>/dt = rate.
+    The ensemble mean occupation grows linearly: d<n>/dt = rate.  All shots
+    of a batch share the step, sized for the shot with the highest jump rate.
     """
     if state.phonon is None or rate <= 0.0 or dt <= 0.0:
         return state
-    nmax = state.phonon.n_max
-    ns = np.arange(nmax + 1, dtype=float)
+    ns = np.arange(state.fock_dim, dtype=float)
+    ladder = np.sqrt(ns[1:])[:, None]
     t = 0.0
     while t < dt:
-        p = (np.abs(state.psi) ** 2).sum(axis=1)
-        n_mean = float(np.dot(ns, p))
+        n_mean = np.dot((np.abs(state.psi) ** 2).sum(axis=-1), ns)
         total_rate = rate * (2.0 * n_mean + 1.0)
-        step = min(dt - t, max_jump_prob / total_rate)
+        step = min(dt - t, max_jump_prob / float(np.max(total_rate)))
         p_up = rate * step * (n_mean + 1.0)
         p_dn = rate * step * n_mean
-        u = rng.random()
-        if u < p_up:
-            amp = np.sqrt(ns + 1.0)
-            psi = np.zeros_like(state.psi)
-            psi[1:] = state.psi[:-1] * amp[:-1, None]
-            state.psi = psi
-            state.renormalize()
-        elif u < p_up + p_dn:
-            amp = np.sqrt(ns)
-            psi = np.zeros_like(state.psi)
-            psi[:-1] = state.psi[1:] * amp[1:, None]
-            state.psi = psi
-            state.renormalize()
-        else:
-            # No-jump evolution under the effective non-Hermitian Hamiltonian.
-            decay = np.exp(-0.5 * rate * step * (2.0 * ns + 1.0))
-            state.psi = state.psi * decay[:, None]
-            state.renormalize()
+        u = rng.random(state.batch_shape)
+        up = np.flatnonzero(u < p_up)
+        dn = np.flatnonzero((u >= p_up) & (u < p_up + p_dn))
+        psi = _flat(state)
+        # A shot held wholly in the top level has no level to jump up to.
+        up = up[(np.abs(psi[up, :-1]) ** 2).sum(axis=(1, 2)) > 0.0]
+        raised, lowered = psi[up, :-1] * ladder, psi[dn, 1:] * ladder
+        # No-jump evolution under the effective non-Hermitian Hamiltonian.
+        psi *= np.exp(-0.5 * rate * step * (2.0 * ns + 1.0))[:, None]
+        psi[up] = 0.0
+        psi[up, 1:] = raised
+        psi[dn] = 0.0
+        psi[dn, :-1] = lowered
+        state.psi = psi.reshape(state.psi.shape)
+        state.renormalize()
         t += step
     return state
 
@@ -366,21 +427,38 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
 # ---------------------------------------------------------------------------
 
 def project_bits(state: RegisterState, rng: np.random.Generator) -> np.ndarray:
-    """Projective computational-basis measurement; collapses the state."""
+    """Projective computational-basis measurement of every shot; collapses
+    the state.  Returns bits of shape batch_shape + (n,)."""
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(probs), p=probs))
-    fp = np.abs(state.psi[:, idx]) ** 2
-    keep = state.psi[:, idx].copy()
-    state.psi[:] = 0.0
-    state.psi[:, idx] = keep / math.sqrt(float(fp.sum()))
-    return np.array([(idx >> q) & 1 for q in range(state.n)], dtype=np.int8)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    # Inverse-CDF draw, as Generator.choice(p=probs) makes it.
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(state.batch_shape)
+    idx = np.sum(cdf <= np.expand_dims(u, -1), axis=-1)
+    psi = _flat(state)
+    rows, cols = np.arange(len(psi)), idx.reshape(-1)
+    keep = psi[rows, :, cols]
+    fp = (np.abs(keep) ** 2).sum(axis=-1)
+    psi[:] = 0.0
+    psi[rows, :, cols] = keep / np.sqrt(fp)[:, None]
+    state.psi = psi.reshape(state.psi.shape)
+    return ((np.expand_dims(idx, -1) >> np.arange(state.n)) & 1).astype(np.int8)
+
+
+def detect(state: RegisterState, detection: DetectionModel,
+           rng: np.random.Generator):
+    """Project every shot and read it out through the detection model;
+    returns (detected_bits, counts), each of shape batch_shape + (n,)."""
+    counts = detection.sample_counts(project_bits(state, rng), rng)
+    return detection.classify(counts), counts
 
 
 def measure(state: RegisterState, shots: int, detection: DetectionModel,
             rng: np.random.Generator):
-    """Sample shots from the state's basis distribution, then run each
-    projected bit pattern through the Poisson-threshold detection model.
+    """Sample shots from a single state's basis distribution without
+    collapsing it, then run each projected bit pattern through the
+    Poisson-threshold detection model.
 
     Returns (detected_bits, counts), both of shape (shots, n).
     """
@@ -568,6 +646,24 @@ class ShotRecord:
     valid: bool
 
 
+def valid_bits(records) -> np.ndarray:
+    """Bits of the shots no collision invalidated, shape (valid shots, n)."""
+    bits = [r.bits for r in records if r.valid]
+    if not bits:
+        raise NoValidShots(f"no valid shots: collisions invalidated all {len(records)}")
+    return np.array(bits)
+
+
+def _apply_ms_event(state, e, targets, weights=None):
+    """Ideal MS of a bichromatic event run in the virtual frames f of its
+    qubits: RZ(-f) MS RZ(f), the rule that shifts carrier phases by -f."""
+    if e.frames:
+        apply_rz(state, range(len(e.frames)), 1.0, scale=e.frames)
+    apply_ms_ideal(state, targets, e.angle, weights=weights)
+    if e.frames:
+        apply_rz(state, range(len(e.frames)), -1.0, scale=e.frames)
+
+
 def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
     if dt_s <= 0:
         return
@@ -579,59 +675,64 @@ def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
         evolve_phonon_heating(state, dt_s, noise.heating_rate(state.phonon.frequency), rng)
 
 
-def _run_events(events, state, machine, noise, rng, crosstalk, qubit_kind,
+def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 detunings_hz, t_now, last):
-    """Apply events in time order; `last` accumulates (bits, counts)."""
+    """Apply events in time order to every shot of the batched state;
+    `last` holds the latest detected bits and counts per shot."""
+    def idle(st, dt_s):
+        _noise_interval(st, dt_s, noise, rng, qubit_kind, detunings_hz)
+
     for e in sorted(events, key=lambda ev: (ev.start, ev.kind != "frame_advance")):
-        gap = (e.start - t_now) * 1e-9
-        _noise_interval(state, gap, noise, rng, qubit_kind, detunings_hz)
-        dur_s = e.duration * 1e-9
-        if e.kind in ("carrier", "ac_stark"):
-            _noise_interval(state, dur_s / 2, noise, rng, qubit_kind, detunings_hz)
-            theta = e.angle
-            if e.channel == "g" or crosstalk is None:
-                if e.kind == "carrier":
-                    apply_rotation(state, e.targets, theta, e.phase)
-                else:
-                    apply_rz(state, e.targets, theta)
+        idle(state, (e.start - t_now) * 1e-9)
+        half = e.duration * 1e-9 / 2
+        if e.kind in ("carrier", "ac_stark", "bichromatic"):
+            idle(state, half)
+            if e.kind == "bichromatic":
+                targets, weights = e.targets, None
+                if crosstalk is not None and e.bus == "radial":
+                    weights = np.max(crosstalk[:, list(e.targets)], axis=1)
+                    weights[list(e.targets)] = 1.0
+                    targets = range(state.n)
+                _apply_ms_event(state, e, targets, weights)
+                apply_depolarizing(state, e.targets, noise.eps_2q, rng)
             else:
-                q = e.targets[0]
-                col = crosstalk[:, q]
-                scales = col if e.kind == "carrier" else col**2
+                targets, scale = e.targets, None
+                if e.channel != "g" and crosstalk is not None:
+                    col = crosstalk[:, e.targets[0]]
+                    targets, scale = range(state.n), (col if e.kind == "carrier" else col**2)
                 if e.kind == "carrier":
-                    apply_rotation(state, range(state.n), theta, e.phase,
-                                   rabi_scale=scales)
+                    apply_rotation(state, targets, e.angle, e.phase, rabi_scale=scale)
                 else:
-                    apply_rz(state, range(state.n), theta, scale=scales)
-            apply_depolarizing(state, e.targets,
-                               noise.eps_1q * abs(theta) / (math.pi / 2), rng)
-            _noise_interval(state, dur_s / 2, noise, rng, qubit_kind, detunings_hz)
-        elif e.kind == "bichromatic":
-            _noise_interval(state, dur_s / 2, noise, rng, qubit_kind, detunings_hz)
-            weights = None
-            if crosstalk is not None and e.bus == "radial":
-                w = np.max(crosstalk[:, list(e.targets)], axis=1)
-                w[list(e.targets)] = 1.0
-                targets, weights = list(range(state.n)), w
-            else:
-                targets = list(e.targets)
-            apply_ms_ideal(state, targets, e.angle, weights=weights)
-            apply_depolarizing(state, e.targets, noise.eps_2q, rng)
-            _noise_interval(state, dur_s / 2, noise, rng, qubit_kind, detunings_hz)
+                    apply_rz(state, targets, e.angle, scale=scale)
+                eps = noise.eps_1q * abs(e.angle) / (math.pi / 2)
+                apply_depolarizing(state, e.targets, eps, rng)
+            idle(state, half)
         elif e.kind == "measure":
-            bits = project_bits(state, rng)
-            counts = noise.detection.sample_counts(bits, rng)
-            det_bits = noise.detection.classify(counts)
-            last["bits"], last["counts"] = det_bits, counts
+            last["bits"], last["counts"] = detect(state, noise.detection, rng)
         elif e.kind == "branch_point":
-            if last["bits"] is not None and predicate_matches(e.predicate, last["bits"]):
-                from dataclasses import replace as _rep
-                body = [_rep(b, start=b.start + e.start) for b in e.body]
-                t_now = _run_events(body, state, machine, noise, rng, crosstalk,
-                                    qubit_kind, detunings_hz, e.start, last)
+            fire = predicate_matches(e.predicate, last["bits"])
+            if fire.any():
+                body = [replace(b, start=b.start + e.start) for b in e.body]
+                sub = state.subset(fire)
+                sub_last = {k: v[fire] for k, v in last.items()}
+                t_end = _run_events(body, sub, noise, rng, crosstalk, qubit_kind,
+                                    detunings_hz, e.start, sub_last)
+                state.psi[fire] = sub.psi
+                for k, v in sub_last.items():
+                    last[k][fire] = v
+                if not fire.all():
+                    # The other shots idle through the slot the body takes.
+                    rest = state.subset(~fire)
+                    idle(rest, (t_end - e.start) * 1e-9)
+                    state.psi[~fire] = rest.psi
+                t_now = t_end
                 continue
         t_now = max(t_now, e.end)
     return t_now
+
+
+# State bytes of one batched pass; bounds memory whatever the shot count.
+_CHUNK_BYTES = 8 << 20
 
 
 def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
@@ -639,73 +740,54 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
                  crosstalk: np.ndarray = None, qubit_kind: str = "optical",
                  positions_um: np.ndarray = None, phonon: PhononMode = None,
                  threads: int = 1) -> list:
-    """Execute a validated schedule shot by shot.
+    """Execute a validated schedule, all shots as batched trajectories.
 
-    Deterministic given (schedule, seed): each shot draws from its own
-    random stream keyed by (seed, shot), so results do not depend on the
-    worker count.  Bichromatic events are applied as calibrated ideal
-    gates plus the configured depolarizing channel; use
-    apply_ms_bichromatic directly for pulse-level gate studies.
+    Each chunk of at most _CHUNK_BYTES of state is one batched state with
+    its own random stream keyed by (seed, chunk index); `threads` has no
+    effect.  A BRANCH runs its body on the shots whose detected bits match.
+    MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
     """
     n = machine.n_qubits
-    if positions_um is not None:
-        grad = noise.gradient_for(qubit_kind)
-        detunings = np.asarray(positions_um, dtype=float) * grad
-    else:
-        detunings = np.zeros(n)
-    total_s = schedule.duration_ns * 1e-9
-
-    def one_shot(shot):
-        rng = np.random.default_rng([seed, shot])
-        state = RegisterState(n, phonon=replace(phonon) if phonon else None)
-        if phonon is not None and phonon.nbar > 0:
-            state = RegisterState(n, phonon=replace(phonon),
-                                  fock_index=state.phonon.sample_thermal(rng))
+    detunings = (np.zeros(n) if positions_um is None else
+                 np.asarray(positions_um, dtype=float) * noise.gradient_for(qubit_kind))
+    lam = noise.collision_rate * n * (schedule.duration_ns * 1e-9)
+    fock_dim = phonon.n_max + 1 if phonon is not None else 1
+    chunk = max(1, _CHUNK_BYTES // (fock_dim * 2**n * 16))
+    bits, counts, valid = [], [], []
+    for c, start in enumerate(range(0, shots, chunk)):
+        size, rng = min(chunk, shots - start), np.random.default_rng([seed, c])
+        fock = phonon.sample_thermal(rng, size=size) if phonon is not None else 0
+        state = RegisterState(n, phonon=phonon, fock_index=fock, shots=size)
         if noise.spam_prep > 0:
-            flips = rng.random(n) < noise.spam_prep
-            if flips.any():
-                bits = np.ones(n, dtype=int)
-                bits[flips] = 0
-                state.set_bits(bits)
+            basis = np.where(rng.random((size, n)) < noise.spam_prep, 0, 1 << np.arange(n))
+            state.psi[:] = 0.0
+            state.psi[np.arange(size), fock, basis.sum(axis=1)] = 1.0
         last = {"bits": None, "counts": None}
-        _run_events(schedule.events, state, machine, noise, rng, crosstalk,
-                    qubit_kind, detunings, 0, last)
+        _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
+                    detunings, 0, last)
         if last["bits"] is None:
-            bits, counts = measure(state, 1, noise.detection, rng)
-            last["bits"], last["counts"] = bits[0], counts[0]
-        n_coll = rng.poisson(noise.collision_rate * n * total_s)
-        return ShotRecord(shot, tuple(int(b) for b in last["bits"]),
-                          tuple(int(c) for c in last["counts"]), n_coll == 0)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            records = list(ex.map(one_shot, range(shots)))
-    else:
-        records = [one_shot(s) for s in range(shots)]
-    return records
+            last["bits"], last["counts"] = detect(state, noise.detection, rng)
+        bits += last["bits"].tolist()
+        counts += last["counts"].tolist()
+        valid += (rng.poisson(lam, size=size) == 0).tolist()
+    return [ShotRecord(s, tuple(b), tuple(k), v)
+            for s, (b, k, v) in enumerate(zip(bits, counts, valid))]
 
 
 def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.ndarray:
     """Noise-free state vector of a branch-free schedule, including the
     residual virtual frames applied as trailing Z rotations."""
     state = RegisterState(machine.n_qubits)
-    quiet = NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf,
-                        collision_rate=0.0)
-    rng = np.random.default_rng(0)
     for e in sorted(schedule.events, key=lambda ev: ev.start):
         if e.kind == "carrier":
             apply_rotation(state, e.targets, e.angle, e.phase)
         elif e.kind == "ac_stark":
             apply_rz(state, e.targets, e.angle)
         elif e.kind == "bichromatic":
-            apply_ms_ideal(state, e.targets, e.angle)
+            _apply_ms_event(state, e, e.targets)
         elif e.kind in ("measure", "branch_point"):
             raise ValueError("statevector mode supports branch-free, measure-free schedules")
-    del quiet, rng
-    for q, f in enumerate(schedule.frames):
-        if f != 0.0:
-            apply_rz(state, [q], f)
+    apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)
     return state.psi[0]
 
 

@@ -58,3 +58,7 @@ class FitFailure(IonTrapBenchError):
 
 class SchemaError(IonTrapBenchError):
     """Configuration file violates the documented key schema."""
+
+
+class NoValidShots(IonTrapBenchError):
+    """Every shot of a run was invalidated, so no statistic can be formed."""

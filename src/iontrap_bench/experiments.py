@@ -2,13 +2,16 @@
 benchmarking, sideband thermometry, heating, GHZ witnesses, gate decay,
 and addressing scans.
 
-Every run_* function is deterministic given (spec, seed): shots draw from
-per-shot-seeded streams and aggregation is ordered, so results do not
-depend on worker count.
+Simulated shots run on the engine: ramsey and gradient through
+run_schedule, RB and gate decay as batched states under the engine's gate,
+depolarizing and readout operators.  Every run_* function is deterministic
+given (spec, seed): each point draws from its own stream keyed by the seed
+and the point index, and aggregation is ordered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +34,6 @@ class ExperimentSpec:
     machine: comp.MachineConfig = field(default_factory=comp.MachineConfig)
     noise: eng.NoiseConfig = field(default_factory=eng.NoiseConfig)
     addressing: AddressingUnit = None
-    sweep: tuple = ()
     shots: int = 100
     seed: int = 0
 
@@ -64,12 +66,12 @@ def _ramsey_circuit(wait_us: float, second_phase: float) -> comp.CircuitIR:
     ))
 
 
-def _dark_fraction(records) -> tuple:
-    """(P_dark of qubit 0, standard error) over valid shots."""
-    bits = np.array([r.bits[0] for r in records if r.valid])
+def _contrast(records) -> tuple:
+    """Contrast 2 P_dark - 1 of qubit 0 over valid shots, and its error."""
+    bits = eng.valid_bits(records)[:, 0]
     k = int(np.sum(bits == 0))
     n = len(bits)
-    return k / n, float(binomial_se(k, n))
+    return 2.0 * (k / n) - 1.0, 2.0 * float(binomial_se(k, n))
 
 
 def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
@@ -88,9 +90,9 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
         recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
                                 seed=spec.seed + i, qubit_kind=qubit_kind,
                                 positions_um=positions_um)
-        p_dark, se = _dark_fraction(recs)
-        y.append(2.0 * p_dark - 1.0)
-        yerr.append(2.0 * se)
+        c, se = _contrast(recs)
+        y.append(c)
+        yerr.append(se)
     ds = Dataset(waits, np.array(y), np.array(yerr),
                  meta={"label": f"ramsey_{qubit_kind}", "ylabel": "contrast"})
     fit = fit_decay(ds, form="exp")
@@ -115,8 +117,7 @@ def run_gradient_scan(spec: ExperimentSpec, positions_um,
             recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
                                     seed=spec.seed + 2 * i + j,
                                     qubit_kind="ground", positions_um=[z])
-            p_dark, se = _dark_fraction(recs)
-            quadratures.append((2.0 * p_dark - 1.0, 2.0 * se))
+            quadratures.append(_contrast(recs))
         (c, se_c), (s, se_s) = quadratures
         f = math.atan2(s, c) / (2.0 * math.pi * wait_s)
         r2 = max(c**2 + s**2, 1e-6)
@@ -168,16 +169,13 @@ CLIFFORD_PULSES = _clifford_table()
 CLIFFORD_AVG_COST = sum(len(s) for s in CLIFFORD_PULSES) / len(CLIFFORD_PULSES)
 
 
-def _pulse_unitaries(seq):
-    return [eng.rotation_matrix(t, p) for t, p in seq]
+def _product(unitaries) -> np.ndarray:
+    """Product of 2x2 unitaries applied in iteration order."""
+    return functools.reduce(lambda u, m: m @ u, unitaries, np.eye(2, dtype=complex))
 
 
-CLIFFORD_UNITARIES = []
-for _seq in CLIFFORD_PULSES:
-    _u = np.eye(2, dtype=complex)
-    for _m in _pulse_unitaries(_seq):
-        _u = _m @ _u
-    CLIFFORD_UNITARIES.append(_u)
+CLIFFORD_UNITARIES = [_product(eng.rotation_matrix(t, p) for t, p in seq)
+                      for seq in CLIFFORD_PULSES]
 
 
 def _inverse_clifford(u: np.ndarray) -> int:
@@ -188,39 +186,16 @@ def _inverse_clifford(u: np.ndarray) -> int:
     raise RuntimeError("Clifford table is not closed under inversion")
 
 
-_PAULI_1Q = [np.eye(2, dtype=complex),
-             np.array([[0, 1], [1, 0]], dtype=complex),
-             np.array([[0, -1j], [1j, 0]], dtype=complex),
-             np.array([[1, 0], [0, -1]], dtype=complex)]
-
-
 def _run_rb_sequence(cliffords, eps, shots, rng):
-    """Survival counts for one sequence; all shots propagate together,
-    depolarizing errors drawn per shot per pulse slot."""
-    pulses = []
-    for k in cliffords:
-        pulses.extend(_pulse_unitaries(CLIFFORD_PULSES[k]))
-    u_ideal = np.eye(2, dtype=complex)
-    for k in cliffords:
-        u_ideal = CLIFFORD_UNITARIES[k] @ u_ideal
-    inv = _inverse_clifford(u_ideal)
-    pulses.extend(_pulse_unitaries(CLIFFORD_PULSES[inv]))
-
-    psi = np.zeros((shots, 2), dtype=complex)
-    psi[:, 1] = 1.0  # |S> bright
-    for m in pulses:
-        psi = psi @ m.T
-        if eps > 0:
-            hit = rng.random(shots) < eps
-            if hit.any():
-                which = rng.integers(4, size=int(hit.sum()))
-                idx = np.flatnonzero(hit)
-                for pk in range(4):
-                    sel = idx[which == pk]
-                    if len(sel):
-                        psi[sel] = psi[sel] @ _PAULI_1Q[pk].T
-    p_bright = np.abs(psi[:, 1]) ** 2
-    return int(np.sum(rng.random(shots) < p_bright))
+    """Survival count of one sequence: all shots propagate as one batched
+    state, with a depolarizing draw per shot per pulse slot."""
+    inverse = _inverse_clifford(_product(CLIFFORD_UNITARIES[k] for k in cliffords))
+    state = eng.RegisterState(1, shots=shots)
+    for k in [*cliffords, inverse]:
+        for theta, phi in CLIFFORD_PULSES[k]:
+            eng.apply_rotation(state, [0], theta, phi)
+            eng.apply_depolarizing(state, [0], eps, rng)
+    return int(np.sum(eng.project_bits(state, rng)))
 
 
 def run_rb(spec: ExperimentSpec, sequence_lengths, n_sequences: int = 20) -> ExperimentResult:
@@ -415,9 +390,18 @@ def ghz_state_fidelity(n: int) -> float:
     return float((abs(a) + abs(b)) ** 2 / 2.0)
 
 
-def _measure_bits(state, shots, noise, rng):
-    bits, _ = eng.measure(state, shots, noise.detection, rng)
-    return bits
+def _witness(pop_bits, parity_bits, phases, n: int) -> tuple:
+    """(P, its error, parity dataset, fringe fit at frequency n) from bits."""
+    shots = len(pop_bits)
+    sums = pop_bits.sum(axis=1)
+    k_pop = int(np.sum((sums == 0) | (sums == n)))
+    par, err = [], []
+    for bits in parity_bits:
+        parity = 1.0 - 2.0 * (np.sum(1 - bits, axis=1) % 2)
+        par.append(float(np.mean(parity)))
+        err.append(max(2.0 * float(binomial_se(int(np.sum(parity > 0)), shots)), 1e-9))
+    ds = Dataset(phases, np.array(par), np.array(err))
+    return k_pop / shots, float(binomial_se(k_pop, shots)), ds, fit_fringe(ds, float(n))
 
 
 def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
@@ -433,40 +417,23 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     phases = np.asarray(analysis_phases, dtype=float)
     if phases.max() - phases.min() < 2.0 * math.pi / n * (1.0 - 1e-9):
         raise ValueError("phases must span at least one parity period")
-    noise, shots = spec.noise, spec.shots
 
-    def prepared():
+    def measured(phi, rng):
         st = eng.RegisterState(n)
         if product_state is None:
             ghz_prepare(st)
         else:
-            for q, (theta, phi) in enumerate(product_state):
-                eng.apply_rotation(st, [q], theta, phi)
-        return st
+            for q, (theta, phi_q) in enumerate(product_state):
+                eng.apply_rotation(st, [q], theta, phi_q)
+        if phi is not None:
+            eng.apply_rotation(st, range(n), math.pi / 2, phi)
+        return eng.measure(st, spec.shots, spec.noise.detection, rng)[0]
 
-    # Populations
-    rng = np.random.default_rng([spec.seed, 0])
-    st = prepared()
-    bits = _measure_bits(st, shots, noise, rng)
-    sums = bits.sum(axis=1)
-    k_pop = int(np.sum((sums == 0) | (sums == n)))
-    p_pop = k_pop / shots
-    se_pop = float(binomial_se(k_pop, shots))
-
-    # Parity scan
-    par, par_err = [], []
-    for i, phi in enumerate(phases):
-        rng = np.random.default_rng([spec.seed, 1, i])
-        st = prepared()
-        eng.apply_rotation(st, range(n), math.pi / 2, phi)
-        bits = _measure_bits(st, shots, noise, rng)
-        parity = 1.0 - 2.0 * (np.sum(1 - bits, axis=1) % 2)
-        par.append(float(np.mean(parity)))
-        k_even = int(np.sum(parity > 0))
-        par_err.append(max(2.0 * float(binomial_se(k_even, shots)), 1e-9))
-    ds = Dataset(phases, np.array(par), np.array(par_err),
-                 meta={"label": f"ghz_parity_N{n}"})
-    fringe = fit_fringe(ds, frequency=float(n))
+    p_pop, se_pop, ds, fringe = _witness(
+        measured(None, np.random.default_rng([spec.seed, 0])),
+        [measured(phi, np.random.default_rng([spec.seed, 1, i]))
+         for i, phi in enumerate(phases)], phases, n)
+    ds.meta["label"] = f"ghz_parity_N{n}"
     c = min(fringe["amplitude"], 1.0)
     se_c = fringe.error("amplitude")
     f = (p_pop + c) / 2.0
@@ -499,60 +466,22 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial",
     if bus == "radial" and spec.addressing is not None:
         eps = min(eps + 2.0 * spec.addressing.floor**2, 1.0)
 
-    st0 = eng.RegisterState(2)
-    eng.apply_ms_ideal(st0, [0, 1], math.pi / 4)
-    u_ms = np.zeros((4, 4), dtype=complex)
-    for b in range(4):
-        st = eng.RegisterState(2)
-        st.psi[0, :] = 0.0
-        st.psi[0, b] = 1.0
-        eng.apply_ms_ideal(st, [0, 1], math.pi / 4)
-        u_ms[:, b] = st.psi[0]
-    paulis_2q = [np.kron(pa, pb) for pa in eng._PAULIS for pb in eng._PAULIS]
-
-    def survival_point(k_gates, phi, rng):
-        """All shots propagate together; depolarizing drawn per shot per gate."""
-        psi = np.zeros((shots, 4), dtype=complex)
-        psi[:, 3] = 1.0  # |SS>
+    def survival_bits(k_gates, phi, rng):
+        """Detected bits of all shots, one batched state, after k_gates."""
+        state = eng.RegisterState(2, shots=shots)
         for _ in range(k_gates):
-            psi = psi @ u_ms.T
-            if eps > 0:
-                hit = rng.random(shots) < eps
-                if hit.any():
-                    which = rng.integers(16, size=int(hit.sum()))
-                    idx = np.flatnonzero(hit)
-                    for pk in np.unique(which):
-                        sel = idx[which == pk]
-                        psi[sel] = psi[sel] @ paulis_2q[pk].T
+            eng.apply_ms_ideal(state, [0, 1], math.pi / 4)
+            eng.apply_depolarizing(state, [0, 1], eps, rng)
         if phi is not None:
-            r = eng.rotation_matrix(math.pi / 2, phi)
-            psi = psi @ np.kron(r, r).T
-        probs = np.abs(psi) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        draws = rng.random(shots)[:, None]
-        outcomes = (draws >= cdf).sum(axis=1)
-        bits = ((outcomes[:, None] >> np.arange(2)[None, :]) & 1).astype(np.int8)
-        counts = noise.detection.sample_counts(bits, rng)
-        return noise.detection.classify(counts)
+            eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
+        return eng.detect(state, noise.detection, rng)[0]
 
     ys, es = [], []
     for i, k in enumerate(counts):
-        rng = np.random.default_rng([spec.seed, i, 0])
-        bits = survival_point(k, None, rng)
-        sums = bits.sum(axis=1)
-        k_pop = int(np.sum((sums == 0) | (sums == 2)))
-        p_pop = k_pop / shots
-        se_pop = float(binomial_se(k_pop, shots))
-        par, per = [], []
-        for j, phi in enumerate(phases):
-            rng = np.random.default_rng([spec.seed, i, 1 + j])
-            bits = survival_point(k, phi, rng)
-            parity = 1.0 - 2.0 * (np.sum(1 - bits, axis=1) % 2)
-            par.append(float(np.mean(parity)))
-            k_even = int(np.sum(parity > 0))
-            per.append(max(2.0 * float(binomial_se(k_even, shots)), 1e-9))
-        fr = fit_fringe(Dataset(phases, np.array(par), np.array(per)), 2.0)
+        p_pop, se_pop, _, fr = _witness(
+            survival_bits(k, None, np.random.default_rng([spec.seed, i, 0])),
+            [survival_bits(k, phi, np.random.default_rng([spec.seed, i, 1 + j]))
+             for j, phi in enumerate(phases)], phases, 2)
         c = min(fr["amplitude"], 1.0)
         ys.append((p_pop + c) / 2.0)
         es.append(max(0.5 * math.hypot(se_pop, fr.error("amplitude")), 1e-9))

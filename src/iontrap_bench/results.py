@@ -49,7 +49,7 @@ def write_points_csv(path: str, dataset: Dataset, shots=None):
                      f"{_fmt(float(dataset.yerr[i]))},{int(s)}\n")
 
 
-def _json_dump(path: str, obj: dict):
+def write_json(path: str, obj: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -67,7 +67,7 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
     for name, ds in datasets.items():
         fname = "points.csv" if name == "points" else f"{name}.csv"
         path = os.path.join(out_dir, fname)
-        write_points_csv(path, ds, shots=ds.meta.get("shots_per_point"))
+        write_points_csv(path, ds)
         written.append(fname)
     summary = {
         "fits": {name: fr.as_dict() for name, fr in fits.items()},
@@ -78,11 +78,11 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
     }
     if extra:
         summary.update(extra)
-    _json_dump(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     written.append("summary.json")
     manifest = RunManifest(manifest.seed, manifest.config, manifest.inputs,
                            tuple(written), manifest.version)
-    _json_dump(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
+    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
     written.append("manifest.json")
     return written
 

@@ -111,3 +111,24 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("FOO 1 2\n")
     assert main(["compile", "--circuit", str(bad)]) == 1
     assert main(["chain", "--n", "0"]) == 1
+
+
+def test_simulate_all_shots_invalid_is_one_error_line(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "collide.cfg"
+    cfg.write_text("noise.collision_rate = 1e9\n")
+    assert main(["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                 "--shots", "20", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no valid shots") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["R 1.0", "MS 0.5", "DELAY",
+                                  "BRANCH m0 q0 { R 1 0 0 }",
+                                  "BRANCH m0 q0=grey { R 1 0 0 }",
+                                  "BRANCH m0 q0=bright { R 1 }"])
+def test_malformed_circuit_line_is_one_error_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.circ"
+    bad.write_text(f"PREPARE\nMEASURE m0\n{line}\n")
+    assert main(["compile", "--circuit", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1

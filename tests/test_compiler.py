@@ -72,7 +72,9 @@ def test_virtual_rz_equivalence_1e12():
                comp.RZ(rng.uniform(-2 * PI, 2 * PI), (0,)),
                comp.R(rng.uniform(0, PI), rng.uniform(-PI, PI), (0,)),
                comp.RZ(rng.uniform(-2 * PI, 2 * PI), (1,)),
-               comp.R(rng.uniform(0, PI), rng.uniform(-PI, PI), (1,))]
+               comp.R(rng.uniform(0, PI), rng.uniform(-PI, PI), (1,)),
+               comp.MS(rng.uniform(-PI, PI), (0, 1)),
+               comp.R(rng.uniform(0, PI), rng.uniform(-PI, PI), "all")]
         sched = compile_(ins)
         psi_sched = eng.schedule_statevector(sched, M)
         psi_gate = eng.circuit_statevector(ins, M.n_qubits)
@@ -166,6 +168,13 @@ def test_branch_nesting_cap():
     circuit = comp.CircuitIR((comp.MeasureAll("m0"), outer))
     with pytest.raises(ValueError):
         circuit.validate(2)
+
+
+def test_branch_predicate_checked():
+    for predicate in (((2, "bright"),), ((0, "grey"),)):
+        circuit = comp.CircuitIR((comp.MeasureAll("m0"), comp.Branch("m0", predicate, ())))
+        with pytest.raises(ValueError):
+            circuit.validate(2)
 
 
 def test_target_out_of_range():

@@ -136,25 +136,59 @@ def test_ms_rejects_bad_targets():
         eng.apply_ms_ideal(st, [0], PI / 4)
 
 
+@pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
+def test_rotation_and_rz_reject_bad_target_or_angle(shots):
+    ops = (lambda st, tg, a: eng.apply_rotation(st, tg, a, 0.0),
+           lambda st, tg, a: eng.apply_rz(st, tg, a))
+    for op in ops:
+        st = eng.RegisterState(2, shots=shots)
+        for targets, angle in (([0], math.nan), ([1], math.inf), ([-1], 0.5),
+                               ([2], 0.5), ([0, 5], 0.5)):
+            with pytest.raises(ValueError):
+                op(st, targets, angle)
+        assert np.array_equal(st.psi, eng.RegisterState(2, shots=shots).psi)
+
+
 # ---------------------------------------------------------------------------
 # Noise channels vs density-matrix oracles
 # ---------------------------------------------------------------------------
 
-def _single_qubit_ensemble(channel_fn, shots, seed):
+def _loop(prepare, channel_fn, shots, seed):
+    """Final psi of `shots` single-state trajectories, one stream each."""
     states = []
     for s in range(shots):
-        rng = np.random.default_rng([seed, s])
-        st = eng.RegisterState(1)
-        eng.apply_rotation(st, [0], PI / 2, 0.0)
-        channel_fn(st, rng)
-        states.append(st.psi[0])
-    return ensemble_density(states)
+        st = prepare(None)
+        channel_fn(st, np.random.default_rng([seed, s]))
+        states.append(st.psi)
+    return np.array(states)
 
 
-def test_dephasing_vs_oracle():
+def _batched(prepare, channel_fn, shots, seed):
+    """Final psi of one batched state holding `shots` trajectories."""
+    st = prepare(shots)
+    channel_fn(st, np.random.default_rng(seed))
+    return st.psi
+
+
+ENSEMBLES = pytest.mark.parametrize("ensemble", [_loop, _batched],
+                                    ids=["loop", "batched"])
+
+
+def _plus_state(shots):
+    st = eng.RegisterState(1, shots=shots)
+    eng.apply_rotation(st, [0], PI / 2, 0.0)
+    return st
+
+
+def _single_qubit_ensemble(channel_fn, shots, seed, ensemble=_loop):
+    return ensemble_density(ensemble(_plus_state, channel_fn, shots, seed)[:, 0])
+
+
+@ENSEMBLES
+def test_dephasing_vs_oracle(ensemble):
     t2, dt, shots = 0.018, 0.009, 20000
     rho = _single_qubit_ensemble(
-        lambda st, rng: eng.apply_dephasing(st, [0], dt, t2, rng), shots, 11)
+        lambda st, rng: eng.apply_dephasing(st, [0], dt, t2, rng), shots, 11, ensemble)
     st0 = eng.RegisterState(1)
     eng.apply_rotation(st0, [0], PI / 2, 0.0)
     oracle = dephasing_channel(np.outer(st0.psi[0], st0.psi[0].conj()), dt, t2)
@@ -179,10 +213,11 @@ def test_dephasing_dt_zero_identity():
     assert np.array_equal(st.psi, psi0)
 
 
-def test_depolarizing_vs_oracle():
+@ENSEMBLES
+def test_depolarizing_vs_oracle(ensemble):
     eps, shots = 0.3, 20000
     rho = _single_qubit_ensemble(
-        lambda st, rng: eng.apply_depolarizing(st, [0], eps, rng), shots, 13)
+        lambda st, rng: eng.apply_depolarizing(st, [0], eps, rng), shots, 13, ensemble)
     st0 = eng.RegisterState(1)
     eng.apply_rotation(st0, [0], PI / 2, 0.0)
     oracle = depolarizing_channel(np.outer(st0.psi[0], st0.psi[0].conj()), eps)
@@ -196,17 +231,18 @@ def test_depolarizing_eps_one_fully_mixed():
     assert abs(purity - 0.5) < 0.01
 
 
-def test_t1_decay_vs_oracle():
+@ENSEMBLES
+def test_t1_decay_vs_oracle(ensemble):
     t1, dt, shots = 1.168, 0.4, 20000
-    # start in D (dark, bit 0)
-    states = []
-    for s in range(shots):
-        rng = np.random.default_rng([15, s])
-        st = eng.RegisterState(1)
+
+    def dark(n_shots):  # start in D (dark, bit 0)
+        st = eng.RegisterState(1, shots=n_shots)
         st.set_bits([0])
-        eng.apply_t1_decay(st, [0], dt, rng, t1=t1)
-        states.append(st.psi[0])
-    rho = ensemble_density(states)
+        return st
+
+    psi = ensemble(dark, lambda st, rng: eng.apply_t1_decay(st, [0], dt, rng, t1=t1),
+                   shots, 15)
+    rho = ensemble_density(psi[:, 0])
     oracle = t1_channel(np.diag([1.0, 0.0]).astype(complex), dt, t1)
     assert np.max(np.abs(rho - oracle)) < 3.0 / math.sqrt(shots)
 
@@ -219,14 +255,14 @@ def test_t1_examples():
     assert np.array_equal(st.psi, psi0)
 
 
-def test_heating_mean_growth():
+@ENSEMBLES
+def test_heating_mean_growth(ensemble):
     rate, dt, shots = 0.221, 1.0, 3000
-    ns = []
-    for s in range(shots):
-        rng = np.random.default_rng([16, s])
-        st = eng.RegisterState(1, phonon=eng.PhononMode(2 * PI * 1.05e6, n_max=14))
-        eng.evolve_phonon_heating(st, dt, rate, rng)
-        ns.append(st.mean_phonon())
+    phonon = eng.PhononMode(2 * PI * 1.05e6, n_max=14)
+    psi = ensemble(lambda n_shots: eng.RegisterState(1, phonon=phonon, shots=n_shots),
+                   lambda st, rng: eng.evolve_phonon_heating(st, dt, rate, rng),
+                   shots, 16)
+    ns = (np.abs(psi) ** 2).sum(axis=-1) @ np.arange(phonon.n_max + 1)
     grown = float(np.mean(ns))
     se = float(np.std(ns)) / math.sqrt(shots)
     assert abs(grown - rate * dt) < 3 * se + 0.005
@@ -345,6 +381,19 @@ def test_run_schedule_determinism_and_threads():
     assert a == b
     c = eng.run_schedule(sched, machine, noise, 100, seed=8)
     assert a != c
+
+
+def test_run_schedule_chunks_keep_shot_order(monkeypatch):
+    machine = comp.MachineConfig()
+    sched = _compile([comp.R(PI, 0.0, (0,)), comp.MeasureAll("m0")], machine)
+    whole = eng.run_schedule(sched, machine, QUIET, 95, seed=4)
+    monkeypatch.setattr(eng, "_CHUNK_BYTES", 10 * 4 * 16)  # ten 2-qubit shots
+    chunked = eng.run_schedule(sched, machine, QUIET, 95, seed=4)
+    assert [r.shot for r in chunked] == list(range(95))
+    assert chunked == eng.run_schedule(sched, machine, QUIET, 95, seed=4)
+    assert chunked != whole  # each chunk draws from its own stream
+    for recs in (whole, chunked):
+        assert sum(r.bits == (0, 1) for r in recs) >= 93
 
 
 def test_collision_rate_statistics():
