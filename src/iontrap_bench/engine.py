@@ -770,8 +770,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
         bits += last["bits"].tolist()
         counts += last["counts"].tolist()
         valid += (rng.poisson(lam, size=size) == 0).tolist()
-    return [ShotRecord(s, tuple(b), tuple(k), v)
-            for s, (b, k, v) in enumerate(zip(bits, counts, valid))]
+    return list(map(ShotRecord, range(len(valid)), map(tuple, bits), map(tuple, counts), valid))
 
 
 def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.ndarray:
