@@ -10,7 +10,7 @@ displacement d is therefore exp(-d^2/w0^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class AddressingUnit:
     floor: float = None  # aberration-limited Rabi-ratio floor
     channel_centers_um: tuple = ()  # microoptics only
     slope_um_per_mhz: float = 4.9  # aod only
-    power_budget: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (MICROOPTICS, AOD):
@@ -64,23 +63,17 @@ def relative_rabi(unit: AddressingUnit, beam_center_um: float,
     return max(math.exp(-(d / unit.w0_um) ** 2), unit.floor)
 
 
-def crosstalk_matrix(unit: AddressingUnit, positions_um,
-                     floor_matrix: np.ndarray = None) -> np.ndarray:
+def crosstalk_matrix(unit: AddressingUnit, positions_um) -> np.ndarray:
     """Resonant crosstalk: entry (i, j) = relative Rabi at ion i when
-    addressing ion j; the diagonal is exactly 1.
-
-    floor_matrix optionally overrides the scalar floor per pair, to
-    reproduce a measured matrix.
-    """
+    addressing ion j; the diagonal is exactly 1."""
     pos = np.asarray(positions_um, dtype=float)
     n = len(pos)
     out = np.empty((n, n))
     for j in range(n):
         c = unit.beam_center_for_ion(pos[j])
         for i in range(n):
-            floor = unit.floor if floor_matrix is None else float(floor_matrix[i, j])
             d = pos[i] - c
-            out[i, j] = max(math.exp(-(d / unit.w0_um) ** 2), floor)
+            out[i, j] = max(math.exp(-(d / unit.w0_um) ** 2), unit.floor)
         out[j, j] = 1.0
     return out
 

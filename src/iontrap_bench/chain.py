@@ -25,24 +25,16 @@ class IonSpecies:
     mass: float = 39.9625909  # atomic mass units
     charge: int = 1  # elementary charges
     qubit_wavelength: float = 729.0  # nm
-    sensitivity_optical: float = 5.6  # MHz/mT
-    sensitivity_ground: float = 28.0  # MHz/mT
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.charge < 1:
             raise ValueError("charge must be >= 1")
-        if self.sensitivity_optical <= 0 or self.sensitivity_ground <= 0:
-            raise ValueError("field sensitivities must be positive")
 
     @property
     def mass_kg(self) -> float:
         return self.mass * const.atomic_mass
-
-    @property
-    def charge_c(self) -> float:
-        return self.charge * const.e
 
 
 CA40 = IonSpecies()

@@ -16,8 +16,8 @@ from . import compiler as comp
 from . import engine as eng
 from . import experiments as exp
 from .chain import CA40, TrapConfig
-from .config import (build_addressing, build_machine, build_noise, build_trap,
-                     config_digest, load_config)
+from .config import (build_addressing, build_machine, build_noise, config_digest,
+                     load_config)
 from .errors import IonTrapBenchError
 from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
                       fit_linear, fit_power_law)
@@ -68,7 +68,7 @@ def _build_parser():
     f.add_argument("--model", required=True,
                    choices=("decay_exp", "rb", "gate", "gaussian", "fringe",
                             "power_law", "linear"))
-    f.add_argument("--data", required=True, help="CSV with x,y,yerr[,shots]")
+    f.add_argument("--data", required=True, help="CSV with x,y,yerr")
     f.add_argument("--frequency", type=float, default=1.0, help="fringe fixed frequency")
     _common(f)
     return p
@@ -190,11 +190,21 @@ _FIT_DISPATCH = {
 }
 
 
+def _read_points(path: str) -> Dataset:
+    """x, y, yerr of a points CSV: a header and rows of finite numbers."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no data rows")
+    rows = np.genfromtxt(lines, delimiter=",", names=True)
+    columns = [np.atleast_1d(rows[c]) for c in ("x", "y", "yerr")]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError(f"{path}: x, y and yerr must all be finite numbers")
+    return Dataset(*columns)
+
+
 def cmd_fit(args) -> int:
-    rows = np.genfromtxt(args.data, delimiter=",", names=True)
-    ds = Dataset(np.atleast_1d(rows["x"]), np.atleast_1d(rows["y"]),
-                 np.atleast_1d(rows["yerr"]))
-    fit = _FIT_DISPATCH[args.model](ds, args)
+    fit = _FIT_DISPATCH[args.model](_read_points(args.data), args)
     text = json.dumps({"fit": fit.as_dict()}, indent=1, sort_keys=True) + "\n"
     return _emit(text, args.out and os.path.join(args.out, "summary.json"))
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GridViolation, UnknownLabel, UnsupportedTarget
 
 GLOBAL_CHANNEL = "g"
+_MAX_BRANCH_DEPTH = 1  # branch bodies may not branch again
 
 
 def addressed_channel(q: int) -> str:
@@ -74,7 +75,7 @@ class Branch:
 class CircuitIR:
     instructions: tuple
 
-    def validate(self, n_qubits: int, max_branch_depth: int = 1, _depth: int = 0):
+    def validate(self, n_qubits: int, _depth: int = 0):
         seen_labels = set()
         for ins in self.instructions:
             if isinstance(ins, (R, RZ, MS)):
@@ -94,12 +95,12 @@ class CircuitIR:
             elif isinstance(ins, Branch):
                 if ins.label not in seen_labels:
                     raise UnknownLabel(f"branch references unknown label {ins.label!r}")
-                if _depth + 1 > max_branch_depth:
-                    raise ValueError("branch nesting exceeds configured cap")
+                if _depth + 1 > _MAX_BRANCH_DEPTH:
+                    raise ValueError(f"branches nest deeper than {_MAX_BRANCH_DEPTH}")
                 for q, want in ins.predicate:
                     if not 0 <= q < n_qubits or want not in ("bright", "dark"):
                         raise ValueError(f"bad branch predicate q{q}={want}")
-                CircuitIR(ins.body).validate(n_qubits, max_branch_depth, _depth + 1)
+                CircuitIR(ins.body).validate(n_qubits, _depth + 1)
         return self
 
 
@@ -115,7 +116,6 @@ class MachineConfig:
     timing_grid_ns: int = 10
     branch_latency_us: float = 5.0
     t_measure_us: float = 300.0
-    omega_eg: float = 2 * math.pi * 411.0421e12  # bookkeeping only (729 nm)
     rz_mode: str = "virtual"  # virtual | ac_stark
 
     def __post_init__(self):
@@ -143,9 +143,6 @@ class MachineConfig:
 # ---------------------------------------------------------------------------
 # Pulse schedule
 # ---------------------------------------------------------------------------
-
-KINDS = ("carrier", "bichromatic", "ac_stark", "frame_advance", "measure", "branch_point")
-
 
 @dataclass(frozen=True)
 class Event:
@@ -422,6 +419,12 @@ _PREDICATE_RE = re.compile(r"^q?(\d+)=(bright|dark)$")
 _OPERANDS = {"PREPARE": 0, "R": 3, "RZ": 2, "MS": 2, "DELAY": 1, "MEASURE": 1}
 
 
+def _number(tok: str) -> float:
+    if not math.isfinite(value := float(tok)):
+        raise ValueError(f"operand {tok!r} is not a finite number")
+    return value
+
+
 def _parse_targets(tok: str):
     if tok == "all":
         return "all"
@@ -446,14 +449,14 @@ def _parse_line(line: str):
     if op == "PREPARE":
         return PrepareAll()
     if op == "R":
-        return R(float(parts[1]), float(parts[2]), _parse_targets(parts[3]))
+        return R(_number(parts[1]), _number(parts[2]), _parse_targets(parts[3]))
     if op == "RZ":
-        return RZ(float(parts[1]), _parse_targets(parts[2]))
+        return RZ(_number(parts[1]), _parse_targets(parts[2]))
     if op == "MS":
         bus = parts[3] if len(parts) > 3 else "axial"
-        return MS(float(parts[1]), _parse_targets(parts[2]), bus)
+        return MS(_number(parts[1]), _parse_targets(parts[2]), bus)
     if op == "DELAY":
-        return Delay(float(parts[1]))
+        return Delay(_number(parts[1]))
     return MeasureAll(parts[1])
 
 

@@ -1,8 +1,8 @@
-"""Strict flat-key configuration: the single source of truth for every
-hardware constant used as a default anywhere in the package.
+"""Strict flat-key configuration.  SCHEMA holds the same defaults as the
+dataclasses the build_* functions make; a test keeps the two copies equal.
 
 File format: UTF-8 text, one `key = value` per line, '#' comments.
-Unknown keys are rejected with their key path.
+Unknown keys and a fock cutoff below 1 are rejected with their key path.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ SCHEMA = {
     "noise.detection_bright_rate": (float, 5.0e5),
     "noise.detection_window_s": (float, 3.0e-4),
     "noise.detection_dark_mean": (float, 2.0),
-    "engine.max_bytes": (int, 1 << 30),
     "engine.fock_cutoff": (int, 10),
     "addressing.kind": (str, "microoptics"),
     "addressing.w0_um": (float, -1.0),  # -1 = kind default (0.81 / 1.09)
     "addressing.floor": (float, -1.0),  # -1 = kind default (0.024 / 0.005)
     "addressing.slope_um_per_mhz": (float, 4.9),
-    "addressing.floor_matrix": (str, ""),
     "experiment.shots": (int, 100),
 }
 
@@ -92,6 +90,8 @@ def _parse_lines(text: str) -> dict:
         if key not in SCHEMA:
             raise SchemaError(f"unknown key {key!r}")
         out[key] = _parse_value(key, value)
+    if out.get("engine.fock_cutoff", 1) < 1:
+        raise SchemaError(f"engine.fock_cutoff: must be >= 1, got {out['engine.fock_cutoff']}")
     return out
 
 

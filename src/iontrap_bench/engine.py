@@ -15,11 +15,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtr, pdtrc
 
 from .compiler import PulseSchedule, MachineConfig, predicate_matches
 from .errors import FockLeakage, NoValidShots, StepTooCoarse
 
+_MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
+_MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +51,8 @@ class DetectionModel:
         """Count threshold minimizing total dark/bright misclassification."""
         best_k, best_err = 1, np.inf
         for k in range(1, int(self.bright_mean) + 1):
-            err = poisson.sf(k - 1, self.dark_mean) + poisson.cdf(k - 1, self.bright_mean)
+            # Dark counts reaching k, plus bright counts below k.
+            err = pdtrc(k - 1, self.dark_mean) + pdtr(k - 1, self.bright_mean)
             if err < best_err:
                 best_k, best_err = k, err
         return best_k
@@ -150,13 +153,13 @@ class RegisterState:
     """
 
     def __init__(self, n_qubits: int, phonon: PhononMode = None, fock_index=0,
-                 max_bytes: int = 1 << 30, shots: int = None):
+                 shots: int = None):
         self.n = n_qubits
         self.phonon = phonon
         fock_dim = (phonon.n_max + 1) if phonon else 1
         shape = (() if shots is None else (shots,)) + (fock_dim, 2**n_qubits)
-        if math.prod(shape) * 16 > max_bytes:
-            raise MemoryError("state exceeds configured memory cap")
+        if math.prod(shape) * 16 > _MAX_STATE_BYTES:
+            raise MemoryError("state exceeds the memory cap")
         self.psi = np.zeros(shape, dtype=complex)
         flat = self.psi.reshape(-1, fock_dim, 2**n_qubits)
         flat[np.arange(len(flat)), fock_index, -1] = 1.0  # all-bright |S...S>
@@ -386,7 +389,7 @@ def apply_t1_decay(state: RegisterState, targets, dt: float,
 
 
 def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
-                          rng: np.random.Generator, max_jump_prob: float = 0.02):
+                          rng: np.random.Generator):
     """Heating as a jump unraveling of L_up = sqrt(rate) a†, L_dn = sqrt(rate) a.
 
     The ensemble mean occupation grows linearly: d<n>/dt = rate.  All shots
@@ -400,7 +403,7 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
     while t < dt:
         n_mean = np.dot((np.abs(state.psi) ** 2).sum(axis=-1), ns)
         total_rate = rate * (2.0 * n_mean + 1.0)
-        step = min(dt - t, max_jump_prob / float(np.max(total_rate)))
+        step = min(dt - t, _MAX_JUMP_PROB / float(np.max(total_rate)))
         p_up = rate * step * (n_mean + 1.0)
         p_dn = rate * step * n_mean
         u = rng.random(state.batch_shape)

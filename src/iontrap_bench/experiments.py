@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from . import compiler as comp
 from . import engine as eng
 from .addressing import AddressingUnit, crosstalk_matrix, relative_rabi
 from .errors import FitFailure
-from .fitting import (Dataset, FitResult, binomial_se, fit_decay, fit_fringe,
-                      fit_gaussian, fit_linear, fit_power_law)
+from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
+                      fit_linear, fit_power_law)
 
 EXPERIMENT_KINDS = ("ramsey", "gradient", "rb", "thermometry", "heating",
                     "ghz", "gate_decay", "addressing_scan")
@@ -80,10 +80,7 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
     waits = np.asarray(wait_times_s, dtype=float)
     if np.any(np.diff(waits) <= 0):
         raise ValueError("wait times must be ascending")
-    machine = comp.MachineConfig(n_qubits=1,
-                                 t_half_pi_us=spec.machine.t_half_pi_us,
-                                 t_measure_us=spec.machine.t_measure_us,
-                                 timing_grid_ns=spec.machine.timing_grid_ns)
+    machine = replace(spec.machine, n_qubits=1)
     y, yerr = [], []
     for i, w in enumerate(waits):
         sched = comp.compile_circuit(_ramsey_circuit(w * 1e6, 0.0), machine)
@@ -107,7 +104,7 @@ def run_gradient_scan(spec: ExperimentSpec, positions_um,
     positions = np.asarray(positions_um, dtype=float)
     if np.any(np.abs(positions) > 100.0):
         raise ValueError("positions must lie within +-100 um")
-    machine = comp.MachineConfig(n_qubits=1)
+    machine = replace(spec.machine, n_qubits=1)
     freqs, ferr = [], []
     for i, z in enumerate(positions):
         quadratures = []

@@ -1,6 +1,7 @@
 """Deterministic result serialization: points.csv, summary.json, manifest.json.
 
-Outputs are byte-identical across runs with equal inputs and seed: LF line
+Each <name>.csv, points.csv among them, has the header x,y,yerr.  Outputs
+are byte-identical across runs with equal inputs and seed: LF line
 endings, '.' decimal separator, 17-significant-digit floats, sorted JSON
 keys, and no wall-clock timestamps in the manifest.
 """
@@ -9,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .config import config_digest
-from .fitting import Dataset, FitResult
+from .fitting import Dataset
 
 
 def _fmt(v) -> str:
@@ -40,13 +41,11 @@ class RunManifest:
         }
 
 
-def write_points_csv(path: str, dataset: Dataset, shots=None):
+def write_points_csv(path: str, dataset: Dataset):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,yerr,shots\n")
-        for i in range(len(dataset.x)):
-            s = shots[i] if shots is not None else dataset.meta.get("shots", 0)
-            fh.write(f"{_fmt(float(dataset.x[i]))},{_fmt(float(dataset.y[i]))},"
-                     f"{_fmt(float(dataset.yerr[i]))},{int(s)}\n")
+        fh.write("x,y,yerr\n")
+        for row in zip(dataset.x, dataset.y, dataset.yerr):
+            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
 
 
 def write_json(path: str, obj: dict):

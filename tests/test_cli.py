@@ -1,9 +1,13 @@
 """End-to-end CLI: every subcommand, deterministic artifacts, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import iontrap_bench
 from iontrap_bench.cli import main
 
 CIRCUIT = """PREPARE
@@ -104,6 +108,27 @@ def test_fit_subcommand(tmp_path, capsys):
     assert out["fit"]["params"]["slope"]["value"] == pytest.approx(3.1)
 
 
+@pytest.mark.parametrize("text", ["", "x,y,yerr\n",
+                                  "x,y,yerr\n0,0.1,0.01\n1,nan,0.01\n2,6.0,0.01\n",
+                                  "x,y,yerr\n0,0.1,0.01\ninf,3.0,0.01\n2,6.0,0.01\n"],
+                         ids=["empty", "header_only", "nan_y", "inf_x"])
+def test_fit_rejects_empty_or_nonfinite_points(tmp_path, capsys, text):
+    data = tmp_path / "points.csv"
+    data.write_text(text)
+    assert main(["fit", "--model", "linear", "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(iontrap_bench.__file__))
+    code = "import sys, iontrap_bench.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "False\n"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["compile", "--circuit", str(tmp_path / "missing.circ")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -125,7 +150,9 @@ def test_simulate_all_shots_invalid_is_one_error_line(tmp_path, circuit_file, ca
 @pytest.mark.parametrize("line", ["R 1.0", "MS 0.5", "DELAY",
                                   "BRANCH m0 q0 { R 1 0 0 }",
                                   "BRANCH m0 q0=grey { R 1 0 0 }",
-                                  "BRANCH m0 q0=bright { R 1 }"])
+                                  "BRANCH m0 q0=bright { R 1 }",
+                                  "RZ nan 0", "DELAY inf", "R nan 0.0 0",
+                                  "MS -inf 0,1", "BRANCH m0 q0=bright { R inf 0 0 }"])
 def test_malformed_circuit_line_is_one_error_line(tmp_path, capsys, line):
     bad = tmp_path / "bad.circ"
     bad.write_text(f"PREPARE\nMEASURE m0\n{line}\n")

@@ -7,10 +7,14 @@ import os
 import numpy as np
 import pytest
 
+from iontrap_bench.addressing import AddressingUnit
+from iontrap_bench.chain import TrapConfig
+from iontrap_bench.compiler import MachineConfig
 from iontrap_bench.config import (SCHEMA, build_addressing, build_machine,
                                   build_noise, build_trap, config_digest,
                                   default_config, dump_config, load_config,
                                   parse_config, write_config)
+from iontrap_bench.engine import NoiseConfig
 from iontrap_bench.errors import SchemaError
 from iontrap_bench.fitting import Dataset, fit_linear
 from iontrap_bench.results import (RunManifest, write_points_csv,
@@ -28,6 +32,49 @@ def test_defaults_complete_and_buildable():
     assert trap.omega_ax == pytest.approx(2 * math.pi * 1e6)
     unit = build_addressing(cfg)
     assert unit.kind == "microoptics" and unit.w0_um == 0.81
+
+
+def _built(cfg):
+    return (build_machine(cfg), build_trap(cfg), build_noise(cfg), build_addressing(cfg))
+
+
+def test_schema_defaults_equal_dataclass_defaults():
+    assert _built(default_config()) == (MachineConfig(), TrapConfig(), NoiseConfig(),
+                                        AddressingUnit())
+
+
+_CHANGED_STR = {"machine.rz_mode": "ac_stark", "addressing.kind": "aod"}
+
+
+def _changed(key, value):
+    """A valid value for key other than its default."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return _CHANGED_STR[key]
+    if isinstance(value, int):
+        return 2 * value
+    return 2.0 * value if value > 0 else 0.5
+
+
+def test_every_key_feeds_a_built_object():
+    base = _built(default_config())
+    unread = set()
+    for key, (_, default) in SCHEMA.items():
+        cfg = default_config()
+        cfg[key] = _changed(key, default)
+        if _built(cfg) == base:
+            unread.add(key)
+    # experiment.shots is read by the CLI experiment command and
+    # engine.fock_cutoff by library callers that build a phonon mode.
+    assert unread == {"experiment.shots", "engine.fock_cutoff"}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_fock_cutoff_below_one_rejected(value):
+    with pytest.raises(SchemaError, match="engine.fock_cutoff"):
+        parse_config(f"engine.fock_cutoff = {value}")
+    assert parse_config("engine.fock_cutoff = 1")["engine.fock_cutoff"] == 1
 
 
 def test_override_and_comments():
@@ -89,13 +136,12 @@ def test_points_csv_format(tmp_path):
     ds = Dataset(np.array([0.1, 0.2]), np.array([1.0 / 3.0, 0.5]),
                  np.array([0.01, 0.02]))
     path = tmp_path / "points.csv"
-    write_points_csv(str(path), ds, shots=[100, 100])
+    write_points_csv(str(path), ds)
     raw = path.read_bytes()
     assert b"\r" not in raw  # LF only
     lines = raw.decode().splitlines()
-    assert lines[0] == "x,y,yerr,shots"
-    assert lines[1].split(",")[1] == format(1.0 / 3.0, ".17g")
-    assert lines[1].endswith(",100")
+    assert lines[0] == "x,y,yerr"
+    assert lines[1] == f"0.10000000000000001,{1.0 / 3.0:.17g},0.01"
 
 
 def test_write_results_byte_identical(tmp_path):

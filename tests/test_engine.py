@@ -1,6 +1,7 @@
 """Dynamics engine: propagators, noise trajectories, detection, scheduling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ def test_rotation_and_rz_reject_bad_target_or_angle(shots):
             with pytest.raises(ValueError):
                 op(st, targets, angle)
         assert np.array_equal(st.psi, eng.RegisterState(2, shots=shots).psi)
+
+
+def test_register_state_memory_cap_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            eng.RegisterState(30)  # 16 GiB of amplitudes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
 from iontrap_bench import experiments as exp
 from iontrap_bench.addressing import AOD, MICROOPTICS, AddressingUnit
@@ -153,6 +154,24 @@ def test_gradient_zero_field_flat():
                                 np.linspace(-40.0, 40.0, 9))
     s, se = res.extra["slope_hz_per_um"], res.extra["slope_err"]
     assert abs(s) < max(3.0 * se, 0.05)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: exp.run_gradient_scan(spec, [-10.0, 0.0, 10.0]),
+    lambda spec: exp.run_ramsey(spec, "ground", [1e-4, 2e-4, 3e-4, 4e-4])],
+    ids=["gradient", "ramsey"])
+def test_scan_compiles_for_the_configured_machine(monkeypatch, run):
+    compiled, original = [], comp.compile_circuit
+
+    def spy(circuit, machine):
+        compiled.append(machine)
+        return original(circuit, machine)
+
+    monkeypatch.setattr(comp, "compile_circuit", spy)
+    machine = comp.MachineConfig(n_qubits=3, t_half_pi_us=12.5, t_ms_us=150.0)
+    run(exp.ExperimentSpec("gradient", machine=machine, noise=QUIET, shots=20))
+    assert compiled and set(compiled) == {comp.MachineConfig(
+        n_qubits=1, t_half_pi_us=12.5, t_ms_us=150.0)}
 
 
 # ---------------------------------------------------------------------------
