@@ -72,8 +72,7 @@ def crosstalk_matrix(unit: AddressingUnit, positions_um) -> np.ndarray:
     for j in range(n):
         c = unit.beam_center_for_ion(pos[j])
         for i in range(n):
-            d = pos[i] - c
-            out[i, j] = max(math.exp(-(d / unit.w0_um) ** 2), unit.floor)
+            out[i, j] = relative_rabi(unit, c, pos[i])
         out[j, j] = 1.0
     return out
 

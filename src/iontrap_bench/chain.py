@@ -120,12 +120,14 @@ def _scaled_hessian(u: np.ndarray) -> np.ndarray:
     return h
 
 
+_FORCE_TOL = 1e-13  # scaled force residual that ends the Newton iteration
+_NEWTON_STEPS = 200  # iterations before the solver gives up
+
+
 def equilibrium_positions(
     n: int,
     species: IonSpecies = CA40,
     trap: TrapConfig = TrapConfig(),
-    tol: float = 1e-13,
-    max_iter: int = 200,
 ) -> IonChain:
     """Solve the harmonic-plus-Coulomb equilibrium for n ions.
 
@@ -142,10 +144,10 @@ def equilibrium_positions(
     span = 2.018 * n**0.559
     u = np.linspace(-span / 2, span / 2, n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         g = _scaled_gradient(u)
         residual = float(np.max(np.abs(g)))
-        if residual < tol:
+        if residual < _FORCE_TOL:
             break
         h = _scaled_hessian(u)
         step = np.linalg.solve(h, g)

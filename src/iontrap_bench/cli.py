@@ -170,12 +170,10 @@ def cmd_experiment(args) -> int:
         tones = [1.0, 2.0, 3.0, 4.0, 5.0] if unit.kind == "aod" else None
         result = exp.run_addressing_scan(spec, unit, calibration_tones_mhz=tones)
 
-    out = args.out or "."
-    extra = {k: v for k, v in result.extra.items()
-             if isinstance(v, (int, float, bool, str, list))}
     manifest = RunManifest(args.seed, cfg,
                            inputs=tuple(p for p in (args.config, args.noise) if p))
-    write_results(out, result.datasets, result.fits, manifest, extra=extra)
+    write_results(args.out or ".", result.datasets, result.fits, manifest,
+                  extra=result.extra)
     return 0
 
 
@@ -193,10 +191,16 @@ _FIT_DISPATCH = {
 def _read_points(path: str) -> Dataset:
     """x, y, yerr of a points CSV: a header and rows of finite numbers."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: no data rows")
-    rows = np.genfromtxt(lines, delimiter=",", names=True)
+    width = lines[0][1].count(",") + 1
+    for i, line in lines[1:]:
+        if line.count(",") + 1 != width:
+            raise ValueError(f"{path}: line {i} has {line.count(',') + 1} "
+                             f"columns, the header has {width}")
+    rows = np.genfromtxt([line for _, line in lines], delimiter=",", names=True)
     columns = [np.atleast_1d(rows[c]) for c in ("x", "y", "yerr")]
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError(f"{path}: x, y and yerr must all be finite numbers")

@@ -119,6 +119,8 @@ class MachineConfig:
     rz_mode: str = "virtual"  # virtual | ac_stark
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         for v in (self.t_half_pi_us, self.t_ms_us, self.branch_latency_us, self.t_measure_us):
             if v <= 0:
                 raise ValueError("durations must be positive")

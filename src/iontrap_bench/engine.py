@@ -776,19 +776,20 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     return list(map(ShotRecord, range(len(valid)), map(tuple, bits), map(tuple, counts), valid))
 
 
+# Noise that never acts: no dephasing, decay, depolarizing or heating.
+_QUIET = NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf)
+
+
 def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.ndarray:
-    """Noise-free state vector of a branch-free schedule, including the
+    """Noise-free state vector of a branch-free, measure-free schedule: the
+    run_schedule interpreter on one state under quiet noise, then the
     residual virtual frames applied as trailing Z rotations."""
+    if any(e.kind in ("measure", "branch_point") for e in schedule.events):
+        raise ValueError("statevector mode supports branch-free, measure-free schedules")
     state = RegisterState(machine.n_qubits)
-    for e in sorted(schedule.events, key=lambda ev: ev.start):
-        if e.kind == "carrier":
-            apply_rotation(state, e.targets, e.angle, e.phase)
-        elif e.kind == "ac_stark":
-            apply_rz(state, e.targets, e.angle)
-        elif e.kind == "bichromatic":
-            _apply_ms_event(state, e, e.targets)
-        elif e.kind in ("measure", "branch_point"):
-            raise ValueError("statevector mode supports branch-free, measure-free schedules")
+    # The T1 channel draws its jump numbers even at zero jump probability.
+    _run_events(schedule.events, state, _QUIET, np.random.default_rng(0), None,
+                "optical", None, 0, {})
     apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)
     return state.psi[0]
 

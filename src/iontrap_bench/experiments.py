@@ -4,9 +4,12 @@ and addressing scans.
 
 Simulated shots run on the engine: ramsey and gradient through
 run_schedule, RB and gate decay as batched states under the engine's gate,
-depolarizing and readout operators.  Every run_* function is deterministic
-given (spec, seed): each point draws from its own stream keyed by the seed
-and the point index, and aggregation is ordered.
+depolarizing and readout operators.  Heating samples its closed-form law:
+jump rates up r(n+1) and down r n keep a thermal ensemble thermal with mean
+nbar0 + r t, so each point draws Fock numbers from that thermal law.  Every
+run_* function is deterministic given (spec, seed): each point draws from
+its own stream keyed by the seed and the point index, and aggregation is
+ordered.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ def _contrast(records) -> tuple:
     return 2.0 * (k / n) - 1.0, 2.0 * float(binomial_se(k, n))
 
 
-def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
-               positions_um=None) -> ExperimentResult:
+def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s) -> ExperimentResult:
     """Two-pulse Ramsey; contrast vs wait fitted to A exp(-t/T2)."""
     waits = np.asarray(wait_times_s, dtype=float)
     if np.any(np.diff(waits) <= 0):
@@ -85,8 +87,7 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
     for i, w in enumerate(waits):
         sched = comp.compile_circuit(_ramsey_circuit(w * 1e6, 0.0), machine)
         recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
-                                seed=spec.seed + i, qubit_kind=qubit_kind,
-                                positions_um=positions_um)
+                                seed=spec.seed + i, qubit_kind=qubit_kind)
         c, se = _contrast(recs)
         y.append(c)
         yerr.append(se)
@@ -97,8 +98,10 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s,
                             {"t2_s": fit["tau"], "t2_err_s": fit.error("tau")})
 
 
-def run_gradient_scan(spec: ExperimentSpec, positions_um,
-                      wait_s: float = 1e-3) -> ExperimentResult:
+GRADIENT_WAIT_S = 1e-3  # Ramsey wait of each gradient-scan point
+
+
+def run_gradient_scan(spec: ExperimentSpec, positions_um) -> ExperimentResult:
     """Ramsey fringe frequency vs ion displacement; linear fit gives the
     field gradient in Hz/um (ground-state qubit)."""
     positions = np.asarray(positions_um, dtype=float)
@@ -110,15 +113,15 @@ def run_gradient_scan(spec: ExperimentSpec, positions_um,
         quadratures = []
         for j, phi in enumerate((0.0, math.pi / 2)):
             sched = comp.compile_circuit(
-                _ramsey_circuit(wait_s * 1e6, phi), machine)
+                _ramsey_circuit(GRADIENT_WAIT_S * 1e6, phi), machine)
             recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
                                     seed=spec.seed + 2 * i + j,
                                     qubit_kind="ground", positions_um=[z])
             quadratures.append(_contrast(recs))
         (c, se_c), (s, se_s) = quadratures
-        f = math.atan2(s, c) / (2.0 * math.pi * wait_s)
+        f = math.atan2(s, c) / (2.0 * math.pi * GRADIENT_WAIT_S)
         r2 = max(c**2 + s**2, 1e-6)
-        var_f = (c**2 * se_s**2 + s**2 * se_c**2) / (r2**2 * (2 * math.pi * wait_s) ** 2)
+        var_f = (c**2 * se_s**2 + s**2 * se_c**2) / (r2**2 * (2 * math.pi * GRADIENT_WAIT_S) ** 2)
         freqs.append(f)
         ferr.append(max(math.sqrt(var_f), 1e-9))
     ds = Dataset(positions, np.array(freqs), np.array(ferr),
@@ -195,7 +198,10 @@ def _run_rb_sequence(cliffords, eps, shots, rng):
     return int(np.sum(eng.project_bits(state, rng)))
 
 
-def run_rb(spec: ExperimentSpec, sequence_lengths, n_sequences: int = 20) -> ExperimentResult:
+RB_SEQUENCES = 20  # random sequences per length; each gets shots // 20
+
+
+def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     """Single-qubit RB: survival vs sequence length fitted to A p^n + 0.5.
 
     R_Clif = (1-p)/2; the per-pulse (pi/2-equivalent) fidelity follows from
@@ -205,11 +211,11 @@ def run_rb(spec: ExperimentSpec, sequence_lengths, n_sequences: int = 20) -> Exp
     if len(set(lengths)) < 4 or max(lengths) > 100:
         raise ValueError("need >= 4 distinct lengths, all <= 100")
     eps = spec.noise.eps_1q
-    shots_per_seq = max(spec.shots // n_sequences, 1)
+    shots_per_seq = max(spec.shots // RB_SEQUENCES, 1)
     y, yerr = [], []
     for i, n in enumerate(lengths):
         k_total, n_total = 0, 0
-        for s in range(n_sequences):
+        for s in range(RB_SEQUENCES):
             rng = np.random.default_rng([spec.seed, i, s])
             cliffords = rng.integers(24, size=n)
             k_total += _run_rb_sequence(cliffords, eps, shots_per_seq, rng)
@@ -240,26 +246,18 @@ def _sample_thermal_n(nbar: float, size, rng) -> np.ndarray:
     return rng.geometric(1.0 / (1.0 + nbar), size=size) - 1
 
 
-def _sideband_ratio(ns: np.ndarray, rng, pulse_area: float = math.pi):
-    """Red/blue sideband excitation Bernoulli trials for sampled Fock
-    numbers; returns (k_red, k_blue, shots)."""
-    x = pulse_area / 2.0
-    p_red = np.sin(x * np.sqrt(ns)) ** 2
-    p_blue = np.sin(x * np.sqrt(ns + 1.0)) ** 2
-    k_red = int(np.sum(rng.random(len(ns)) < p_red))
-    k_blue = int(np.sum(rng.random(len(ns)) < p_blue))
-    return k_red, k_blue
-
-
 def estimate_nbar(ns: np.ndarray, rng) -> tuple:
     """Sideband-ratio thermometry on a sampled phonon ensemble.
 
+    A pi pulse on the red (blue) sideband excites Fock n with probability
+    sin^2(pi/2 sqrt(n)) (sin^2(pi/2 sqrt(n+1))); the red trials draw first.
     r = P_red/P_blue = nbar/(1+nbar) for a thermal state, for any pulse
     area.  Returns (nbar_hat, stderr, flagged) where flagged marks an
     undefined estimator (ratio >= 1).
     """
     shots = len(ns)
-    k_red, k_blue = _sideband_ratio(ns, rng)
+    k_red = int(np.sum(rng.random(shots) < np.sin(math.pi / 2 * np.sqrt(ns)) ** 2))
+    k_blue = int(np.sum(rng.random(shots) < np.sin(math.pi / 2 * np.sqrt(ns + 1.0)) ** 2))
     if k_blue == 0:
         return 0.0, 1.0 / shots, k_red > 0
     p_r, p_b = k_red / shots, k_blue / shots
@@ -287,29 +285,11 @@ def run_sideband_thermometry(spec: ExperimentSpec, nbar_true: float) -> Experime
                              "nbar_true": nbar_true})
 
 
-def _heat_classical(ns: np.ndarray, rate: float, t: float, rng) -> np.ndarray:
-    """Gillespie jump process with rates up = rate (n+1), down = rate n;
-    keeps a thermal ensemble thermal with d<nbar>/dt = rate."""
-    out = ns.astype(int).copy()
-    for i in range(len(out)):
-        n, tau = out[i], 0.0
-        while True:
-            total = rate * (2 * n + 1)
-            tau += rng.exponential(1.0 / total)
-            if tau >= t:
-                break
-            if rng.random() < (n + 1) / (2 * n + 1):
-                n += 1
-            else:
-                n -= 1
-        out[i] = n
-    return out
-
-
 def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
                      nbar0: float = 0.02) -> ExperimentResult:
     """nbar vs wait per mode frequency -> linear rate fits; rates vs
-    frequency -> power-law exponent alpha."""
+    frequency -> power-law exponent alpha.  Each point samples the
+    thermal law at nbar0 + rate t (see the module docstring)."""
     freqs = np.asarray(frequencies_hz, dtype=float)
     waits = np.asarray(wait_times_s, dtype=float)
     if len(freqs) < 3:
@@ -321,8 +301,7 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
         ys, es = [], []
         for j, t in enumerate(waits):
             rng = np.random.default_rng([spec.seed, i, j])
-            ns = _sample_thermal_n(nbar0, spec.shots, rng)
-            ns = _heat_classical(ns, rate_true, t, rng)
+            ns = _sample_thermal_n(nbar0 + rate_true * t, spec.shots, rng)
             nbar, se, flagged = estimate_nbar(ns, rng)
             if flagged:
                 raise FitFailure(f"thermometry undefined at f={f}, t={t}")
@@ -347,25 +326,6 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
 # ---------------------------------------------------------------------------
 # GHZ and gate decay
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GhzResult:
-    n: int
-    population: float
-    contrast: float
-    fidelity: float
-    witness: bool
-    population_err: float
-    contrast_err: float
-    fidelity_err: float
-
-    def __post_init__(self):
-        tol = 3.0 * max(self.population_err, self.contrast_err, 1e-9)
-        if not (-tol <= self.population <= 1.0 + tol):
-            raise ValueError("population out of range")
-        if abs(self.fidelity - (self.population + self.contrast) / 2.0) > 1e-12:
-            raise ValueError("F must equal (P+C)/2 exactly")
-
 
 def ghz_prepare(state: eng.RegisterState, targets=None):
     """Single collective MS(pi/4); odd register sizes need a trailing
@@ -435,15 +395,16 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     se_c = fringe.error("amplitude")
     f = (p_pop + c) / 2.0
     se_f = 0.5 * math.hypot(se_pop, se_c)
-    result = GhzResult(n, p_pop, c, f, f > 0.5, se_pop, se_c, se_f)
     return ExperimentResult("ghz", {"points": ds}, {"fringe": fringe},
                             {"N": n, "P": p_pop, "C": c, "F": f,
                              "P_err": se_pop, "C_err": se_c, "F_err": se_f,
-                             "witness": bool(f > 0.5), "ghz": result})
+                             "witness": bool(f > 0.5)})
 
 
-def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial",
-                   analysis_phases=None) -> ExperimentResult:
+GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
+
+
+def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:
     """Repeated two-ion MS gates; F(k) = (P+C)/2 fitted to A p^k + 0.25.
 
     Per-gate depolarizing eps_2q; a radial bus additionally applies the
@@ -453,9 +414,6 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial",
     counts = [int(k) for k in gate_counts]
     if any(k % 2 == 0 for k in counts) or sorted(counts) != counts:
         raise ValueError("gate counts must be odd and ascending")
-    if analysis_phases is None:
-        analysis_phases = np.linspace(0.0, math.pi, 8, endpoint=False)
-    phases = np.asarray(analysis_phases, dtype=float)
     noise, shots = spec.noise, spec.shots
     # Per-gate error budget: configured depolarizing plus, on the radial
     # bus, the crosstalk-floor spillover of both addressed beams.
@@ -478,7 +436,7 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial",
         p_pop, se_pop, _, fr = _witness(
             survival_bits(k, None, np.random.default_rng([spec.seed, i, 0])),
             [survival_bits(k, phi, np.random.default_rng([spec.seed, i, 1 + j]))
-             for j, phi in enumerate(phases)], phases, 2)
+             for j, phi in enumerate(GATE_DECAY_PHASES)], GATE_DECAY_PHASES, 2)
         c = min(fr["amplitude"], 1.0)
         ys.append((p_pop + c) / 2.0)
         es.append(max(0.5 * math.hypot(se_pop, fr.error("amplitude")), 1e-9))
@@ -497,41 +455,48 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial",
 # Addressing scan
 # ---------------------------------------------------------------------------
 
-def _excitation_scan(unit, offsets_um, pulse_area, shots, seed):
-    """Fixed-duration excitation vs beam-ion displacement; returns the
-    Omega^2 proxy with propagated binomial errors."""
+SCAN_HALF_WIDTH_WAISTS = 2.5  # profile and calibration scans span +-2.5 w0
+_SCAN_PULSE_AREA = math.pi / 2  # below pi, so excitation grows with Omega
+
+
+def _excited_counts(unit, center_um, positions_um, shots, stream) -> list:
+    """Excited shots per ion position under the beam centered at center_um;
+    the shots at position i draw from the stream (*stream, i)."""
+    counts = []
+    for i, x in enumerate(positions_um):
+        rng = np.random.default_rng([*stream, i])
+        g = relative_rabi(unit, center_um, float(x))
+        p = math.sin(_SCAN_PULSE_AREA * g / 2.0) ** 2
+        counts.append(int(np.sum(rng.random(shots) < p)))
+    return counts
+
+
+def _rabi_profile(offsets_um, counts, shots) -> Dataset:
+    """Omega^2 proxy (theta / pulse area)^2 of the excited fractions, with
+    binomial errors propagated through a numeric derivative."""
+    area = _SCAN_PULSE_AREA
+    dp = 1e-6
     ys, es = [], []
-    for i, d in enumerate(offsets_um):
-        rng = np.random.default_rng([seed, i])
-        g = relative_rabi(unit, 0.0, float(d))
-        p = math.sin(pulse_area * g / 2.0) ** 2
-        k = int(np.sum(rng.random(shots) < p))
+    for k in counts:
         p_hat = min(max(k / shots, 0.0), 1.0)
         theta = 2.0 * math.asin(math.sqrt(p_hat))
-        ys.append((theta / pulse_area) ** 2)
-        se_p = float(binomial_se(k, shots))
-        # d(theta^2)/dp = 2 theta / sqrt(p(1-p)) / ... propagate numerically
-        dp = 1e-6
-        p2 = min(max(p_hat + dp, 0.0), 1.0)
-        t2 = 2.0 * math.asin(math.sqrt(p2))
-        deriv = ((t2 / pulse_area) ** 2 - (theta / pulse_area) ** 2) / dp
-        es.append(max(abs(deriv) * se_p, 1e-6))
+        ys.append((theta / area) ** 2)
+        t2 = 2.0 * math.asin(math.sqrt(min(max(p_hat + dp, 0.0), 1.0)))
+        deriv = ((t2 / area) ** 2 - (theta / area) ** 2) / dp
+        es.append(max(abs(deriv) * float(binomial_se(k, shots)), 1e-6))
     return Dataset(np.asarray(offsets_um, dtype=float), np.array(ys),
                    np.array(es), meta={"label": "addressing_profile"})
 
 
 def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
-                        scan_range_um: float = None, n_points: int = 41,
-                        chain_positions_um=None,
+                        n_points: int = 41, chain_positions_um=None,
                         calibration_tones_mhz=None) -> ExperimentResult:
     """Beam-profile scan (Omega^2 proxy vs displacement), Gaussian waist
     fit, crosstalk matrix, and optional AOD deflection-slope calibration."""
-    if scan_range_um is None:
-        scan_range_um = 2.5 * unit.w0_um
-    if scan_range_um < 2.0 * unit.w0_um:
-        raise ValueError("scan must cover at least +-2 waists")
-    offsets = np.linspace(-scan_range_um, scan_range_um, n_points)
-    ds = _excitation_scan(unit, offsets, math.pi / 2, spec.shots, spec.seed)
+    half_width = SCAN_HALF_WIDTH_WAISTS * unit.w0_um
+    offsets = np.linspace(-half_width, half_width, n_points)
+    ds = _rabi_profile(offsets, _excited_counts(unit, 0.0, offsets, spec.shots,
+                                                [spec.seed]), spec.shots)
     gauss = fit_gaussian(ds)
     fits = {"gaussian": gauss}
     extra = {"w0_um": abs(gauss["waist"]), "w0_err_um": gauss.error("waist"),
@@ -546,15 +511,10 @@ def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
         for i, f_mhz in enumerate(calibration_tones_mhz):
             true_center = unit.slope_um_per_mhz * f_mhz
             scan = true_center + offsets
-            ys, es = [], []
-            for j, x in enumerate(scan):
-                rng = np.random.default_rng([spec.seed, 100 + i, j])
-                g = relative_rabi(unit, true_center, float(x))
-                p = math.sin(math.pi / 2 * g / 2.0) ** 2
-                k = int(np.sum(rng.random(spec.shots) < p))
-                ys.append(k / spec.shots)
-                es.append(max(float(binomial_se(k, spec.shots)), 1e-6))
-            cal = fit_gaussian(Dataset(scan, np.array(ys), np.array(es)))
+            k = np.array(_excited_counts(unit, true_center, scan, spec.shots,
+                                         [spec.seed, 100 + i]))
+            cal = fit_gaussian(Dataset(scan, k / spec.shots,
+                                       np.maximum(binomial_se(k, spec.shots), 1e-6)))
             centers.append(cal["center"])
             cerrs.append(max(cal.error("center"), 1e-6))
         cal_ds = Dataset(np.asarray(calibration_tones_mhz, dtype=float),

@@ -78,10 +78,14 @@ def _finish(model, names, func, ds, popt, pcov) -> FitResult:
                      errors, pcov, float(np.sum(resid**2) / dof), True)
 
 
-def _curve(model, names, func, ds, p0, bounds=(-np.inf, np.inf), maxfev=20000):
+_MAX_EVALS = 20000  # model evaluations before curve_fit gives up
+_BOOTSTRAP_RESAMPLES = 200
+
+
+def _curve(model, names, func, ds, p0, bounds=(-np.inf, np.inf)):
     try:
         popt, pcov = curve_fit(func, ds.x, ds.y, p0=p0, sigma=ds.yerr,
-                               absolute_sigma=True, bounds=bounds, maxfev=maxfev)
+                               absolute_sigma=True, bounds=bounds, maxfev=_MAX_EVALS)
     except RuntimeError as exc:
         raise FitFailure(f"{model} fit did not converge: {exc}", best_params=p0)
     if not np.all(np.isfinite(pcov)):
@@ -211,19 +215,18 @@ def fit_linear(dataset: Dataset) -> FitResult:
                      np.sqrt(np.diag(cov)), cov, float(np.sum(resid**2) / dof), True)
 
 
-def fit_bootstrap(fit_func, dataset: Dataset, n_resamples: int = 200,
-                  seed: int = 0) -> np.ndarray:
+def fit_bootstrap(fit_func, dataset: Dataset, seed: int = 0) -> np.ndarray:
     """Parametric bootstrap: refit Gaussian-resampled data; returns the
     per-parameter standard deviation as a covariance cross-check."""
     rng = np.random.default_rng(seed)
     samples = []
-    for _ in range(n_resamples):
+    for _ in range(_BOOTSTRAP_RESAMPLES):
         y = dataset.y + rng.normal(0.0, dataset.yerr)
         try:
             res = fit_func(Dataset(dataset.x, y, dataset.yerr))
         except FitFailure:
             continue
         samples.append(res.values)
-    if len(samples) < n_resamples // 2:
+    if len(samples) < _BOOTSTRAP_RESAMPLES // 2:
         raise FitFailure("bootstrap: most resamples failed to converge")
     return np.std(np.asarray(samples), axis=0, ddof=1)

@@ -110,8 +110,9 @@ def test_fit_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["", "x,y,yerr\n",
                                   "x,y,yerr\n0,0.1,0.01\n1,nan,0.01\n2,6.0,0.01\n",
-                                  "x,y,yerr\n0,0.1,0.01\ninf,3.0,0.01\n2,6.0,0.01\n"],
-                         ids=["empty", "header_only", "nan_y", "inf_x"])
+                                  "x,y,yerr\n0,0.1,0.01\ninf,3.0,0.01\n2,6.0,0.01\n",
+                                  "x,y,yerr\n0,0.1,0.01\n2,3\n3,6.0,0.01\n"],
+                         ids=["empty", "header_only", "nan_y", "inf_x", "short_row"])
 def test_fit_rejects_empty_or_nonfinite_points(tmp_path, capsys, text):
     data = tmp_path / "points.csv"
     data.write_text(text)
@@ -145,6 +146,16 @@ def test_simulate_all_shots_invalid_is_one_error_line(tmp_path, circuit_file, ca
                  "--shots", "20", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no valid shots") and err.count("\n") == 1
+
+
+def test_simulate_zero_qubit_register_is_one_error_line(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("machine.n_qubits = 0\n")
+    assert main(["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_qubits must be >= 1") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["R 1.0", "MS 0.5", "DELAY",

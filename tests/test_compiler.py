@@ -81,6 +81,12 @@ def test_virtual_rz_equivalence_1e12():
         assert np.max(np.abs(psi_sched - psi_gate)) < 1e-12
 
 
+def test_schedule_statevector_rejects_measure():
+    sched = compile_([comp.R(PI / 2, 0.0, "all"), comp.MeasureAll("m0")])
+    with pytest.raises(ValueError, match="measure-free"):
+        eng.schedule_statevector(sched, M)
+
+
 def test_ac_stark_mode_emits_physical_pulses():
     machine = comp.MachineConfig(rz_mode="ac_stark")
     sched = compile_([comp.RZ(PI / 2, (0,))], machine)
