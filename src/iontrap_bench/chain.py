@@ -7,7 +7,7 @@ in the natural Coulomb length scale internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import constants as const
@@ -95,7 +95,6 @@ class ModeSpectrum:
     direction: str  # "axial" | "radial"
     frequencies: np.ndarray  # rad/s, ascending
     eigenvectors: np.ndarray  # n x n orthonormal, column j = mode j
-    lamb_dicke: np.ndarray = field(default=None)  # n x n, filled by lamb_dicke_parameters
 
     @property
     def n(self) -> int:
@@ -214,11 +213,11 @@ def lamb_dicke_parameters(
     wavelength_nm: float = None,
     beam_angle: float = 0.0,
 ) -> np.ndarray:
-    """Fill and return the n x n matrix eta[ion, mode].
+    """The n x n matrix eta[ion, mode].
 
     eta = k cos(angle) |b_{ion,mode}| sqrt(hbar / (2 M nu_mode)) with the
     single-ion mass M and mode-normalized eigenvector b.  Magnitudes are
-    stored; sign information stays in the eigenvectors.
+    returned; sign information stays in the eigenvectors.
     """
     if wavelength_nm is None:
         wavelength_nm = species.qubit_wavelength
@@ -226,9 +225,7 @@ def lamb_dicke_parameters(
         raise ValueError("wavelength must be positive")
     k = 2.0 * np.pi / (wavelength_nm * 1e-9)
     zpf = np.sqrt(const.hbar / (2.0 * species.mass_kg * spectrum.frequencies))
-    eta = k * abs(np.cos(beam_angle)) * np.abs(spectrum.eigenvectors) * zpf[None, :]
-    spectrum.lamb_dicke = eta
-    return eta
+    return k * abs(np.cos(beam_angle)) * np.abs(spectrum.eigenvectors) * zpf[None, :]
 
 
 def single_ion_lamb_dicke(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -384,25 +384,6 @@ def predicate_matches(predicate, outcome_bits):
     for q, want in predicate:
         ok &= bits[..., q] == (1 if want == "bright" else 0)
     return ok
-
-
-def resolve_branch(schedule: PulseSchedule, outcome_bits, label: str = None) -> list:
-    """Continuation events for a measured outcome pattern.
-
-    Returns the branch body shifted to absolute time when the predicate
-    matches, else an empty list.
-    """
-    if len(outcome_bits) != schedule.n_qubits:
-        raise ValueError("outcome pattern length must equal register size")
-    branches = [e for e in schedule.events if e.kind == "branch_point"
-                and (label is None or e.label == label)]
-    if label is not None and not branches:
-        raise UnknownLabel(f"no branch with label {label!r}")
-    out = []
-    for bp in branches:
-        if predicate_matches(bp.predicate, outcome_bits):
-            out.extend(replace(e, start=e.start + bp.start) for e in bp.body)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class DetectionModel:
     dark_mean: float = 2.0  # counts per window
     t1: float = 1.168  # s, D-state lifetime folded into the window
 
+    def __post_init__(self):
+        if not self.t1 > 0:
+            raise ValueError(f"t1 must be positive, got {self.t1}")
+
     @property
     def bright_mean(self) -> float:
         return self.bright_rate * self.window + self.dark_mean
@@ -99,10 +103,12 @@ class NoiseConfig:
     detection: DetectionModel = field(default_factory=DetectionModel)
 
     def __post_init__(self):
-        for v in (self.t2_optical, self.t2_ground, self.t1, self.heating_rate_ref,
-                  self.collision_rate):
+        for name in ("t2_optical", "t2_ground", "t1"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for v in (self.heating_rate_ref, self.collision_rate):
             if v < 0:
-                raise ValueError("rates and times must be non-negative")
+                raise ValueError("rates must be non-negative")
         for p in (self.eps_1q, self.eps_2q, self.spam_prep):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
@@ -132,16 +138,6 @@ class PhononMode:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-
-    def sample_thermal(self, rng: np.random.Generator, size=None):
-        """Fock number(s) drawn from the truncated thermal distribution."""
-        if self.nbar <= 0:
-            return 0 if size is None else np.zeros(size, dtype=int)
-        r = self.nbar / (1.0 + self.nbar)
-        p = (1 - r) * r ** np.arange(self.n_max + 1)
-        p /= p.sum()
-        n = rng.choice(self.n_max + 1, p=p, size=size)
-        return int(n) if size is None else n
 
 
 class RegisterState:
@@ -187,12 +183,6 @@ class RegisterState:
         sub = copy.copy(self)
         sub.psi = self.psi[mask]
         return sub
-
-    def set_bits(self, bits):
-        """Reset every shot to a computational basis state (bit 1 = S)."""
-        self.psi[:] = 0.0
-        idx = sum(int(b) << q for q, b in enumerate(bits))
-        self.psi[..., 0, idx] = 1.0
 
     def probabilities(self) -> np.ndarray:
         return (np.abs(self.psi) ** 2).sum(axis=-2)
@@ -324,11 +314,11 @@ def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
 
     detuning_hz adds a deterministic per-target phase ramp (field gradients).
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
+    if dt < 0 or not t2 > 0:
+        raise ValueError(f"need dt >= 0 and t2 > 0, got dt={dt}, t2={t2}")
     if dt == 0:
         return state
-    sigma = math.sqrt(2.0 * dt / t2) if t2 > 0 and math.isfinite(t2) else 0.0
+    sigma = math.sqrt(2.0 * dt / t2)
     for i, q in enumerate(targets):
         phase = rng.normal(0.0, sigma, size=state.batch_shape) if sigma > 0 else 0.0
         if detuning_hz is not None:
@@ -368,12 +358,13 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
 
 def apply_t1_decay(state: RegisterState, targets, dt: float,
                    rng: np.random.Generator, t1: float = 1.168):
-    """Amplitude damping D -> S unraveled as a quantum jump per shot."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    if dt == 0.0 or t1 <= 0:
-        return state
+    """Amplitude damping D -> S unraveled as a quantum jump per shot;
+    a zero jump probability (dt = 0 or t1 = inf) draws nothing."""
+    if dt < 0 or not t1 > 0:
+        raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
     p = 1.0 - math.exp(-dt / t1)
+    if p == 0.0:
+        return state
     for q in targets:
         v = state.qubit_view(q)
         p_dark = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
@@ -674,8 +665,6 @@ def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
     apply_dephasing(state, targets, dt_s, noise.t2(qubit_kind), rng,
                     detuning_hz=detunings_hz)
     apply_t1_decay(state, targets, dt_s, rng, t1=noise.t1)
-    if state.phonon is not None:
-        evolve_phonon_heating(state, dt_s, noise.heating_rate(state.phonon.frequency), rng)
 
 
 def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
@@ -743,28 +732,32 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
                  crosstalk: np.ndarray = None, qubit_kind: str = "optical",
                  positions_um: np.ndarray = None, phonon: PhononMode = None,
                  threads: int = 1) -> list:
-    """Execute a validated schedule, all shots as batched trajectories.
+    """Execute a validated schedule on the spins, all shots as batched
+    trajectories.
 
     Each chunk of at most _CHUNK_BYTES of state is one batched state with
-    its own random stream keyed by (seed, chunk index); `threads` has no
-    effect.  A BRANCH runs its body on the shots whose detected bits match.
-    MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
+    its own random stream keyed by (seed, chunk index).  A BRANCH runs its
+    body on the shots whose detected bits match.  MS events are ideal gates
+    plus depolarizing (see apply_ms_bichromatic).
+
+    `phonon` and `threads` have no effect.  No operator of the interpreter
+    couples spin and motion, and a jump channel on one tensor factor leaves
+    the other factor's marginal unchanged, so a motional mode would never
+    change a bit or a count.
     """
     n = machine.n_qubits
     detunings = (np.zeros(n) if positions_um is None else
                  np.asarray(positions_um, dtype=float) * noise.gradient_for(qubit_kind))
     lam = noise.collision_rate * n * (schedule.duration_ns * 1e-9)
-    fock_dim = phonon.n_max + 1 if phonon is not None else 1
-    chunk = max(1, _CHUNK_BYTES // (fock_dim * 2**n * 16))
+    chunk = max(1, _CHUNK_BYTES // (2**n * 16))
     bits, counts, valid = [], [], []
     for c, start in enumerate(range(0, shots, chunk)):
         size, rng = min(chunk, shots - start), np.random.default_rng([seed, c])
-        fock = phonon.sample_thermal(rng, size=size) if phonon is not None else 0
-        state = RegisterState(n, phonon=phonon, fock_index=fock, shots=size)
+        state = RegisterState(n, shots=size)
         if noise.spam_prep > 0:
             basis = np.where(rng.random((size, n)) < noise.spam_prep, 0, 1 << np.arange(n))
             state.psi[:] = 0.0
-            state.psi[np.arange(size), fock, basis.sum(axis=1)] = 1.0
+            state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
         last = {"bits": None, "counts": None}
         _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
                     detunings, 0, last)
@@ -776,7 +769,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     return list(map(ShotRecord, range(len(valid)), map(tuple, bits), map(tuple, counts), valid))
 
 
-# Noise that never acts: no dephasing, decay, depolarizing or heating.
+# Noise that never acts: no dephasing, decay or depolarizing.
 _QUIET = NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf)
 
 
@@ -787,7 +780,6 @@ def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.
     if any(e.kind in ("measure", "branch_point") for e in schedule.events):
         raise ValueError("statevector mode supports branch-free, measure-free schedules")
     state = RegisterState(machine.n_qubits)
-    # The T1 channel draws its jump numbers even at zero jump probability.
     _run_events(schedule.events, state, _QUIET, np.random.default_rng(0), None,
                 "optical", None, 0, {})
     apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)

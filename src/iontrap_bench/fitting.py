@@ -1,8 +1,7 @@
 """Weighted least-squares fitters for all experiment datasets.
 
 All fitters return a FitResult with 1-sigma uncertainties from the
-weighted covariance; fit_bootstrap provides an optional resampling
-cross-check.
+weighted covariance.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ def _finish(model, names, func, ds, popt, pcov) -> FitResult:
 
 
 _MAX_EVALS = 20000  # model evaluations before curve_fit gives up
-_BOOTSTRAP_RESAMPLES = 200
 
 
 def _curve(model, names, func, ds, p0, bounds=(-np.inf, np.inf)):
@@ -213,20 +211,3 @@ def fit_linear(dataset: Dataset) -> FitResult:
     dof = max(len(ds.x) - 2, 1)
     return FitResult("linear", ("slope", "intercept"), coef,
                      np.sqrt(np.diag(cov)), cov, float(np.sum(resid**2) / dof), True)
-
-
-def fit_bootstrap(fit_func, dataset: Dataset, seed: int = 0) -> np.ndarray:
-    """Parametric bootstrap: refit Gaussian-resampled data; returns the
-    per-parameter standard deviation as a covariance cross-check."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(_BOOTSTRAP_RESAMPLES):
-        y = dataset.y + rng.normal(0.0, dataset.yerr)
-        try:
-            res = fit_func(Dataset(dataset.x, y, dataset.yerr))
-        except FitFailure:
-            continue
-        samples.append(res.values)
-    if len(samples) < _BOOTSTRAP_RESAMPLES // 2:
-        raise FitFailure("bootstrap: most resamples failed to converge")
-    return np.std(np.asarray(samples), axis=0, ddof=1)

@@ -1,4 +1,4 @@
-"""Addressing model: Gaussian beam profiles, crosstalk, AOD tone layouts."""
+"""Addressing model: Gaussian beam profiles and crosstalk."""
 
 import math
 
@@ -61,47 +61,11 @@ def test_ten_ion_chain_crosstalk_below_one_percent():
     assert np.max(off) <= 0.01
 
 
-def test_microoptics_snaps_to_channel_grid():
-    centers = tuple(np.arange(-8.0, 8.1, 4.0))
-    unit = adr.AddressingUnit(kind=adr.MICROOPTICS, channel_centers_um=centers)
-    assert unit.beam_center_for_ion(3.1) == 4.0
-    assert unit.beam_center_for_ion(-6.3) == -8.0
-    # a misaligned ion sees a reduced on-target ratio
-    r = adr.relative_rabi(unit, unit.beam_center_for_ion(3.1), 3.1)
-    assert r == pytest.approx(math.exp(-(0.9 / 0.81) ** 2), rel=1e-12)
-
-
 def test_u3_composite_suppression_exact():
     for eps in (0.0, 0.005, 0.024, 0.3, 1.0):
         assert adr.u3_effective_ratio(eps) == eps * eps
     with pytest.raises(ValueError):
         adr.u3_effective_ratio(1.5)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_tone_layout_power_law(k):
-    tones = [1.0 + 0.5 * i for i in range(k)]
-    layout = adr.aod_tone_layout(tones)
-    assert len(layout.primary_spots) == k
-    for _, p in layout.primary_spots:
-        assert p * k**2 == pytest.approx(1.0, rel=1e-12)
-    assert layout.total_power == pytest.approx(1.0 / k, rel=1e-12)
-    assert len(layout.off_axis_spots) == k * (k - 1)
-
-
-def test_tone_layout_positions():
-    layout = adr.aod_tone_layout([1.0, 2.0], slope_um_per_mhz=4.9)
-    assert [x for x, _ in layout.primary_spots] == pytest.approx([4.9, 9.8])
-    # both mixed products land at the average deflection
-    assert all(x == pytest.approx(4.9 * 1.5) for x, _ in layout.off_axis_spots)
-    assert all(shifted for _, shifted in layout.off_axis_spots)
-
-
-def test_off_axis_hits():
-    layout = adr.aod_tone_layout([1.0, 2.0])  # off-axis spots at 7.35 um
-    hits = adr.off_axis_hits(layout, [0.0, 7.0, 30.0], w0_um=1.09)
-    assert hits == [1]
-    assert adr.off_axis_hits(layout, [30.0, 40.0], w0_um=1.09) == []
 
 
 def test_invariant_violations():
@@ -111,7 +75,3 @@ def test_invariant_violations():
         adr.AddressingUnit(floor=1.5)
     with pytest.raises(ValueError):
         adr.AddressingUnit(kind=adr.AOD, slope_um_per_mhz=0.0)
-    with pytest.raises(ValueError):
-        adr.aod_tone_layout([])
-    with pytest.raises(ValueError):
-        adr.ToneLayout(((0.0, 0.7), (1.0, 0.7)), ())

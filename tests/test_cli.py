@@ -170,3 +170,19 @@ def test_malformed_circuit_line_is_one_error_line(tmp_path, capsys, line):
     assert main(["compile", "--circuit", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "ramsey"])
+@pytest.mark.parametrize("key", ["noise.t1_s", "noise.t2_optical_s", "noise.t2_ground_s"])
+def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command, key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    out = str(tmp_path / "out")
+    if command == "simulate":
+        argv = ["simulate", "--circuit", circuit_file, "--config", str(cfg), "--out", out]
+    else:
+        argv = ["experiment", "ramsey", "--noise", str(cfg), "--shots", "10", "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t") and "must be positive" in err
+    assert err.count("\n") == 1

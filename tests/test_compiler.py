@@ -149,20 +149,6 @@ def test_measure_and_branch_latency():
     assert tail.start >= bp2.start + bp2.body[-1].end
 
 
-def test_resolve_branch():
-    body = (comp.R(PI, 0.0, (0,)),)
-    sched = compile_([comp.R(PI / 2, 0.0, "all"),
-                      comp.MeasureAll("m0"),
-                      comp.Branch("m0", ((0, "bright"),), body)])
-    fired = comp.resolve_branch(sched, [1, 0], "m0")
-    assert len(fired) == 1
-    bp = next(e for e in sched.events if e.kind == "branch_point")
-    assert fired[0].start == bp.start  # shifted to absolute time
-    assert comp.resolve_branch(sched, [0, 0], "m0") == []
-    with pytest.raises(UnknownLabel):
-        comp.resolve_branch(sched, [1, 0], "nope")
-
-
 def test_branch_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         compile_([comp.Branch("m9", ((0, "bright"),), (comp.R(PI, 0.0, (0,)),))])

@@ -65,8 +65,9 @@ def test_every_key_feeds_a_built_object():
         cfg[key] = _changed(key, default)
         if _built(cfg) == base:
             unread.add(key)
-    # experiment.shots is read by the CLI experiment command and
-    # engine.fock_cutoff by library callers that build a phonon mode.
+    # experiment.shots is read by the CLI experiment command, and
+    # engine.fock_cutoff by the benchmark's ms_gate workload and library
+    # callers of the bichromatic gate.
     assert unread == {"experiment.shots", "engine.fock_cutoff"}
 
 

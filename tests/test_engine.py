@@ -249,7 +249,7 @@ def test_t1_decay_vs_oracle(ensemble):
 
     def dark(n_shots):  # start in D (dark, bit 0)
         st = eng.RegisterState(1, shots=n_shots)
-        st.set_bits([0])
+        st.psi[..., 0, :] = [1.0, 0.0]
         return st
 
     psi = ensemble(dark, lambda st, rng: eng.apply_t1_decay(st, [0], dt, rng, t1=t1),
@@ -265,6 +265,36 @@ def test_t1_examples():
     psi0 = st.psi.copy()
     eng.apply_t1_decay(st, [0], 0.0, np.random.default_rng(0))
     assert np.array_equal(st.psi, psi0)
+
+
+def test_t1_decay_at_infinite_lifetime_draws_nothing():
+    st = eng.RegisterState(2, shots=3)
+    eng.apply_rotation(st, [0, 1], PI / 3, 0.2)
+    psi0 = st.psi.copy()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    eng.apply_t1_decay(st, [0, 1], 1e-3, rng, t1=math.inf)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(st.psi, psi0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", ["t1", "t2_optical", "t2_ground"])
+def test_noise_config_rejects_non_positive_lifetime(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        eng.NoiseConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_lifetime_consumers_reject_non_positive_lifetime(value):
+    st = eng.RegisterState(1, shots=2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="t1 must be positive"):
+        eng.DetectionModel(t1=value)
+    with pytest.raises(ValueError, match="t1 > 0"):
+        eng.apply_t1_decay(st, [0], 1e-3, rng, t1=value)
+    with pytest.raises(ValueError, match="t2 > 0"):
+        eng.apply_dephasing(st, [0], 1e-3, value, rng)
 
 
 @ENSEMBLES

@@ -199,9 +199,9 @@ def test_heating_keeps_thermal_and_recovers_rate():
     and thermal at nbar0 + r t, the law the heating scan samples."""
     nbar0, rate, t, shots = 0.02, 0.221, 1.0, 4000
     rng = np.random.default_rng(1)
-    mode = eng.PhononMode(frequency=2 * PI * 1.05e6, n_max=12, nbar=nbar0)
+    mode = eng.PhononMode(frequency=2 * PI * 1.05e6, n_max=12)
     state = eng.RegisterState(1, phonon=mode, shots=shots,
-                              fock_index=mode.sample_thermal(rng, size=shots))
+                              fock_index=exp._sample_thermal_n(nbar0, shots, rng))
     eng.evolve_phonon_heating(state, t, rate, rng)
     fock_pops = (np.abs(state.psi) ** 2).sum(axis=-1)
     assert np.all(np.count_nonzero(fock_pops, axis=1) == 1)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from iontrap_bench.errors import FitFailure
-from iontrap_bench.fitting import (Dataset, binomial_se, fit_bootstrap,
-                                   fit_decay, fit_fringe, fit_gaussian,
-                                   fit_linear, fit_power_law)
+from iontrap_bench.fitting import (Dataset, binomial_se, fit_decay, fit_fringe,
+                                   fit_gaussian, fit_linear, fit_power_law)
 
 
 def _ds(x, y, err=1e-3):
@@ -115,16 +114,6 @@ def test_fit_failure_and_point_count_checks():
         fit_power_law(_ds([1.0, -2.0, 3.0], [1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         fit_decay(_ds(np.arange(5.0), np.ones(5)), form="nope")
-
-
-def test_bootstrap_matches_covariance():
-    rng = np.random.default_rng(7)
-    x = np.linspace(0.0, 5.0, 20)
-    y = np.exp(-x / 1.5) + rng.normal(0.0, 0.01, len(x))
-    ds = _ds(x, y, err=0.01)
-    fit = fit_decay(ds, form="exp")
-    boot = fit_bootstrap(lambda d: fit_decay(d, form="exp"), ds, seed=1)
-    assert boot[1] == pytest.approx(fit.error("tau"), rel=0.35)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property-based tests: batched noise operators, batched against single
-states, and the compiled schedule against the gate-level reference.
-Examples are derandomized so that every run checks the same cases."""
+states, the compiled schedule against the gate-level reference, spin
+outcomes with and without a phonon axis, config round-trips and circuit
+parsing.  Examples are derandomized so that every run checks the same
+cases."""
 
 import math
 
@@ -11,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
+from iontrap_bench.config import SCHEMA, dump_config, parse_config
+from iontrap_bench.errors import IonTrapBenchError
 
 PI = math.pi
 ANGLES = st.floats(-2 * PI, 2 * PI)
@@ -78,8 +82,8 @@ def _apply(state, op, q, a, b, rng):
 @given(state=batched_states(), ops=st.lists(GATES, max_size=10),
        seed=st.integers(0, 2**32 - 1))
 def test_noise_free_batch_matches_single_states(state, ops, seed):
-    # Small batches take each gate as one dense product, and T1 renormalizes
-    # even at zero rate, so batch and single states agree to rounding.
+    # Small batches take each gate as one dense product, so batch and single
+    # states agree to rounding.
     singles = []
     for psi in state.psi:
         single = eng.RegisterState(state.n, phonon=state.phonon)
@@ -121,3 +125,99 @@ def test_compiled_schedule_matches_gate_level_statevector(case):
     got = eng.schedule_statevector(schedule, machine)
     want = eng.circuit_statevector(instructions, machine.n_qubits)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@st.composite
+def product_runs(draw):
+    """A product spin state, copied to every shot, and operator calls on it."""
+    n = draw(st.integers(1, 3))
+    qubits = [np.array([math.cos(t / 2), np.exp(1j * p) * math.sin(t / 2)])
+              for t, p in draw(st.lists(st.tuples(st.floats(0, PI), ANGLES),
+                                        min_size=n, max_size=n))]
+    spins = np.array([1.0 + 0j])
+    for amp in qubits:  # qubit 0 is the least significant bit
+        spins = np.kron(amp, spins)
+    shots = draw(st.integers(1, 8))
+    n_max = draw(st.sampled_from([1, 3]))
+    fock = draw(st.lists(st.integers(0, n_max), min_size=shots, max_size=shots))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["R", "RZ", "MS"]), st.integers(0, 2), ANGLES, ANGLES),
+        st.tuples(st.sampled_from(["dephasing", "t1", "depolarizing", "project"]),
+                  st.just(0), st.floats(0.0, 1.0), st.just(0.0))), max_size=10))
+    return n, spins, n_max, np.array(fock), ops
+
+
+def _spin_densities(state):
+    return np.einsum("sfi,sfj->sij", state.psi, state.psi.conj())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=product_runs(), seed=st.integers(0, 2**32 - 1))
+def test_phonon_axis_never_changes_spin_outcomes(case, seed):
+    """Every operator the schedule interpreter applies acts on the spins
+    alone, so a Fock axis with a per-shot Fock index changes no bit and no
+    spin density, and heating on that axis leaves the spins alone."""
+    n, spins, n_max, fock, ops = case
+    spin_only = eng.RegisterState(n, shots=len(fock))
+    spin_only.psi[:, 0] = spins
+    with_phonon = eng.RegisterState(n, phonon=eng.PhononMode(2 * PI * 1e6, n_max=n_max),
+                                    shots=len(fock))
+    with_phonon.psi[:] = 0.0
+    with_phonon.psi[np.arange(len(fock)), fock] = spins
+    outcomes = []
+    for state in (spin_only, with_phonon):
+        rng, bits = np.random.default_rng(seed), []
+        for op, q, a, b in ops + [("project", 0, 0.0, 0.0)]:
+            if op == "project":
+                bits.append(eng.project_bits(state, rng))
+            elif op in NOISE:
+                NOISE[op](state, a, rng)
+            else:
+                _apply(state, op, q, a, b, rng)
+        outcomes.append(bits)
+    np.testing.assert_array_equal(outcomes[0], outcomes[1])
+    rho = _spin_densities(with_phonon)
+    np.testing.assert_allclose(rho, _spin_densities(spin_only), rtol=0.0, atol=1e-12)
+    eng.evolve_phonon_heating(with_phonon, 0.5, 5.0, np.random.default_rng(seed))
+    np.testing.assert_allclose(_spin_densities(with_phonon), rho, rtol=0.0, atol=1e-12)
+
+
+def _schema_value(key, typ):
+    if key == "machine.rz_mode":
+        return st.sampled_from(["virtual", "ac_stark"])
+    if key == "addressing.kind":
+        return st.sampled_from(["microoptics", "aod"])
+    if typ is bool:
+        return st.booleans()
+    if typ is int:
+        return st.integers(1, 10**9)
+    return st.floats(allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({k: _schema_value(k, typ) for k, (typ, _) in SCHEMA.items()}))
+def test_dumped_config_parses_back_unchanged(cfg):
+    text = dump_config(cfg)
+    assert parse_config(text) == cfg
+    assert dump_config(parse_config(text)) == text
+
+
+TOKENS = st.sampled_from(
+    ["PREPARE", "R", "RZ", "MS", "DELAY", "MEASURE", "BRANCH", "prepare", "m0", "m1",
+     "q0=bright", "q1=dark", "q0=grey", "3=bright", "{", "}", ";", "#", "=", "all",
+     "0", "1", "2", "0,1", "1,,2", "-1", "1.5", "-0.25", "1e999", "nan", "inf",
+     "axial", "radial", "{ R 1 0 0 }", "{ R 1 0 0 ; MEASURE m2 }"])
+CIRCUIT_TEXT = st.one_of(
+    st.lists(st.lists(st.one_of(TOKENS, st.text(max_size=4)), max_size=7).map(" ".join),
+             max_size=6).map("\n".join),
+    st.text())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(CIRCUIT_TEXT)
+def test_parse_circuit_returns_ir_or_raises_a_reported_error(text):
+    try:
+        circuit = comp.parse_circuit(text)
+    except (ValueError, IonTrapBenchError):
+        return
+    assert isinstance(circuit, comp.CircuitIR)
