@@ -2,7 +2,8 @@
 dataclasses the build_* functions make; a test keeps the two copies equal.
 
 File format: UTF-8 text, one `key = value` per line, '#' comments.
-Unknown keys and a fock cutoff below 1 are rejected with their key path.
+Unknown keys, a NaN float and a fock cutoff below 1 are rejected with
+their key path; an infinite float (a lifetime, say) is valid.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def _parse_value(key: str, raw: str):
         if typ is int:
             return int(raw)
         if typ is float:
-            return float(raw)
+            value = float(raw)
+            if math.isnan(value):
+                raise SchemaError(f"{key}: must be a number, got {raw!r}")
+            return value
         return raw
     except ValueError:
         raise SchemaError(f"{key}: cannot parse {raw!r} as {typ.__name__}")

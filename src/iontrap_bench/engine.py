@@ -40,6 +40,10 @@ class DetectionModel:
     def __post_init__(self):
         if not self.t1 > 0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
+        for name in ("bright_rate", "window", "dark_mean"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def bright_mean(self) -> float:
@@ -106,9 +110,16 @@ class NoiseConfig:
         for name in ("t2_optical", "t2_ground", "t1"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for v in (self.heating_rate_ref, self.collision_rate):
-            if v < 0:
-                raise ValueError("rates must be non-negative")
+        for name in ("heating_rate_ref", "collision_rate"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.heating_omega_ref < math.inf:
+            raise ValueError(f"heating_omega_ref must be finite and positive, "
+                             f"got {self.heating_omega_ref}")
+        for name in ("heating_alpha", "gradient_hz_per_um", "gradient_compensated_hz_per_um"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for p in (self.eps_1q, self.eps_2q, self.spam_prep):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
@@ -472,37 +483,19 @@ def measure(state: RegisterState, shots: int, detection: DetectionModel,
 
 @dataclass(frozen=True)
 class BichromaticParams:
-    """Two-tone drive near the red/blue sidebands of one bus mode."""
+    """Two symmetric tones at +-(nu + delta) around the carrier, near the
+    red and blue sidebands of one bus mode."""
 
     omega_rabi: float  # rad/s, per ion per tone
     nu: float  # bus mode frequency, rad/s
     delta: float  # detuning from the sidebands, rad/s
     etas: tuple  # Lamb-Dicke parameter per addressed ion
     t: float  # s
-    phis: tuple = (0.0, 0.0)  # tone phases
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("duration must be positive")
-        if len(self.phis) != 2:
-            raise ValueError("default gate carries exactly two symmetric tones")
-
-    @property
-    def tone_offsets(self) -> tuple:
-        return (self.nu + self.delta, -(self.nu + self.delta))
-
-
-def _sigma_plus_ops(n: int) -> list:
-    """sigma+_j = |D><S| on qubit j, as 2^n matrices (qubit 0 least significant)."""
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1| = |D><S|
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n):
-        m = np.array([[1.0]], dtype=complex)
-        for q in reversed(range(n)):
-            m = np.kron(m, sp if q == j else eye)
-        ops.append(m)
-    return ops
+        fields = (self.omega_rabi, self.nu, self.delta, self.t, *self.etas)
+        if not (all(map(math.isfinite, fields)) and self.nu > 0 and self.t > 0):
+            raise ValueError(f"need finite parameters with nu > 0 and t > 0, got {self}")
 
 
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
@@ -517,38 +510,35 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     n = state.n
     fock_dim = state.fock_dim
     nmax = state.phonon.n_max
-    omega_max = max(abs(params.nu + params.delta), params.nu)
-    dt = 2.0 * math.pi / (steps_per_period * omega_max)
+    if len(params.etas) != n:
+        raise ValueError("one Lamb-Dicke parameter per addressed ion")
+    tone = params.nu + params.delta
+    dt = 2.0 * math.pi / (steps_per_period * max(abs(tone), params.nu))
     n_steps = max(1, int(math.ceil(params.t / dt)))
     dt = params.t / n_steps
 
     a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1)
     x = a + a.T  # a + a†
     ns = np.arange(fock_dim, dtype=float)
-    sp_ops = _sigma_plus_ops(n)
-    targets = list(range(n))
-    etas = list(params.etas)
-    if len(etas) != n:
-        raise ValueError("one Lamb-Dicke parameter per addressed ion")
 
     # E_j(t) = P(t) expm(i eta_j x) P(t)†, P(t) = diag(exp(-i nu t n)).
-    # Ions sharing one eta also share E_j, so group their spin operators.
-    e0 = {}
+    # Ions sharing one eta also share E_j, so their sigma+_j = |D><S| add
+    # up: one entry per basis state whose qubit j is D (bit 0).
+    idx = np.arange(2**n)
     sp_by_eta = {}
-    for j in targets:
-        if etas[j] not in e0:
-            w, v = np.linalg.eigh(etas[j] * x)
-            e0[etas[j]] = (v * np.exp(1j * w)) @ v.conj().T
-            sp_by_eta[etas[j]] = np.zeros_like(sp_ops[0])
-        sp_by_eta[etas[j]] += sp_ops[j]
+    for j, eta in enumerate(params.etas):
+        sp = sp_by_eta.setdefault(eta, np.zeros((2**n, 2**n), dtype=complex))
+        dark = idx[(idx >> j) & 1 == 0]
+        sp[dark, dark | 1 << j] = 1.0
+    e0 = {}
+    for eta in sp_by_eta:
+        w, v = np.linalg.eigh(eta * x)
+        e0[eta] = (v * np.exp(1j * w)) @ v.conj().T
 
     psi = state.psi.reshape(-1)  # fock-major flattening matches kron(F, Q)
-    d1, d2 = params.tone_offsets
     for k in range(n_steps):
         t_mid = (k + 0.5) * dt
-        drive = (params.omega_rabi *
-                 (np.exp(-1j * (d1 * t_mid - params.phis[0])) +
-                  np.exp(-1j * (d2 * t_mid - params.phis[1]))))
+        drive = 2.0 * params.omega_rabi * math.cos(tone * t_mid)
         pt = np.exp(-1j * params.nu * t_mid * ns)
         h = np.zeros((fock_dim * 2**n, fock_dim * 2**n), dtype=complex)
         for eta, sp in sp_by_eta.items():
@@ -565,67 +555,43 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     return state
 
 
-_CALIBRATION_CACHE = {}
+_MS_CHI = math.pi / 4  # MS(pi/4): the fully entangling two-ion gate
+_CALIB_TOL = 1e-6  # rad, largest |chi - _MS_CHI| calibration accepts
+_CALIB_MAX_EVALS = 8  # gate evaluations before calibration gives up
+_CALIB_N_MAX = 6  # Fock cutoff of the calibration runs
 
 
 def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
-                      chi_target: float = math.pi / 4, n_max: int = 10) -> float:
-    """Solve the tone Rabi frequency so the bichromatic gate at closure
-    matches the ideal MS(chi_target) for two ions; result is cached."""
-    key = (round(eta, 12), round(delta, 6), round(t, 12), round(nu, 6),
-           round(chi_target, 12), n_max)
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
+                      n_max: int = 10) -> float:
+    """Solve the tone Rabi frequency at which the two-ion bichromatic gate
+    of duration t acquires the MS phase chi = pi/4 (|SS> -> cos chi |SS>
+    - i sin chi |DD>).
 
-    ideal = RegisterState(2)
-    apply_ms_ideal(ideal, [0, 1], chi_target)
-    target_vec = ideal.psi[0]
-
-    # The optimum is insensitive to the cutoff (leakage ~1e-12 at eta ~ 0.1),
-    # so the search runs at a reduced cutoff for speed.
-    nm_cal = min(n_max, 6)
-
-    def _evolve(omega):
-        st = RegisterState(2, phonon=PhononMode(frequency=nu, n_max=nm_cal))
-        apply_ms_bichromatic(st, BichromaticParams(
+    The start is the Lamb-Dicke closed form chi = 2 (eta Omega)^2 t / delta
+    at closure (Soerensen & Moelmer, PRA 62, 022311 (2000); Roos, NJP 10,
+    013002 (2008)).  Since chi grows as Omega^2, each gate evaluation
+    rescales Omega by sqrt(pi/4 / chi) until chi is within _CALIB_TOL.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (eta, delta, t, nu)):
+        raise ValueError(f"need finite eta, delta, t, nu > 0, got "
+                         f"eta={eta}, delta={delta}, t={t}, nu={nu}")
+    # The solution is insensitive to the cutoff, so the gate runs at a reduced
+    # cutoff for speed.  Near 1e-6 of the population reaches its top level
+    # (9e-7 at eta 0.095), so the leakage check is lifted there.
+    phonon = PhononMode(frequency=nu, n_max=min(n_max, _CALIB_N_MAX))
+    omega = math.sqrt(_MS_CHI * delta / (2.0 * t)) / eta
+    for _ in range(_CALIB_MAX_EVALS):
+        st = apply_ms_bichromatic(RegisterState(2, phonon=phonon), BichromaticParams(
             omega_rabi=omega, nu=nu, delta=delta, etas=(eta, eta), t=t),
             leakage_threshold=1.0)
-        return st
-
-    def fidelity(omega):
-        rho = _evolve(omega).spin_density()
-        return float(np.real(target_vec.conj() @ rho @ target_vec))
-
-    def chi_estimate(omega):
-        probs = _evolve(omega).probabilities()
-        return math.atan2(math.sqrt(probs[0]), math.sqrt(probs[3]))
-
-    # chi scales as omega^2 to leading order; fixed-point then golden refine.
-    omega = delta / (2.0 * eta) * math.sqrt(chi_target / (2.0 * math.pi))
-    for _ in range(3):
-        chi = chi_estimate(omega)
-        if chi <= 0:
-            omega *= 2.0
-            continue
-        omega *= math.sqrt(chi_target / chi)
-
-    lo, hi = 0.99 * omega, 1.01 * omega
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fidelity(x1), fidelity(x2)
-    for _ in range(9):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fidelity(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fidelity(x1)
-    omega = 0.5 * (lo + hi)
-    _CALIBRATION_CACHE[key] = omega
-    return omega
+        probs = st.probabilities()
+        chi = math.atan2(math.sqrt(probs[0]), math.sqrt(probs[3]))
+        if not chi > 0:
+            raise ValueError(f"MS calibration: no entangling phase at Omega = {omega}")
+        if abs(chi - _MS_CHI) <= _CALIB_TOL:
+            return omega
+        omega *= math.sqrt(_MS_CHI / chi)
+    raise ValueError(f"MS calibration: chi = {chi} after {_CALIB_MAX_EVALS} gate evaluations")
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,22 @@ def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error: t") and "must be positive" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["experiment", "gradient"], "noise.gradient_compensated_hz_per_um"),
+    (["experiment", "heating"], "noise.heating_rate_ref"),
+    (["simulate"], "noise.collision_rate"),
+    (["simulate"], "noise.detection_dark_mean")])
+def test_nan_noise_value_is_one_error_line(tmp_path, circuit_file, capsys, argv, key):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key} = nan\n")
+    out = str(tmp_path / "out")
+    if argv[0] == "simulate":
+        argv = argv + ["--circuit", circuit_file, "--config", str(cfg)]
+    else:
+        argv = argv + ["--noise", str(cfg), "--shots", "10"]
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not os.path.exists(out)

@@ -78,6 +78,14 @@ def test_fock_cutoff_below_one_rejected(value):
     assert parse_config("engine.fock_cutoff = 1")["engine.fock_cutoff"] == 1
 
 
+@pytest.mark.parametrize("key", [k for k, (typ, _) in SCHEMA.items() if typ is float])
+def test_nan_float_rejected_and_inf_kept(key):
+    for raw in ("nan", "-NaN"):
+        with pytest.raises(SchemaError, match=f"^{key}: "):
+            parse_config(f"{key} = {raw}")
+    assert parse_config(f"{key} = inf")[key] == math.inf
+
+
 def test_override_and_comments():
     cfg = parse_config("""
     # coherence overlay

@@ -285,6 +285,20 @@ def test_noise_config_rejects_non_positive_lifetime(name, value):
         eng.NoiseConfig(**{name: value})
 
 
+@pytest.mark.parametrize("cls, name, value", [
+    *[(eng.NoiseConfig, name, value) for name, value in (
+        ("heating_rate_ref", math.nan), ("collision_rate", math.nan), ("collision_rate", -1.0),
+        ("collision_rate", math.inf), ("heating_omega_ref", math.nan),
+        ("heating_omega_ref", -1.0), ("heating_alpha", math.inf),
+        ("gradient_hz_per_um", math.nan), ("gradient_compensated_hz_per_um", -math.inf))],
+    *[(eng.DetectionModel, name, value) for name, value in (
+        ("bright_rate", math.nan), ("bright_rate", -5.0), ("window", math.inf),
+        ("dark_mean", math.nan))]])
+def test_noise_models_reject_nan_rate_and_non_finite_field(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{name: value})
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_lifetime_consumers_reject_non_positive_lifetime(value):
     st = eng.RegisterState(1, shots=2)

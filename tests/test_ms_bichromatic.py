@@ -73,10 +73,48 @@ def test_eta_zero_leaves_state_unchanged(omega_cal):
 
 
 def test_calibrated_rabi_in_expected_range(omega_cal):
-    # leading-order estimate chi = (eta*Omega/delta)^2 * 2*pi gives ~13 kHz
+    # The Lamb-Dicke closed form chi = 2 (eta*Omega)^2 t / delta puts
+    # chi = pi/4 at Omega = delta / (4 eta), about 13 kHz.
     assert 2 * PI * 10e3 < omega_cal < 2 * PI * 17e3
-    # second call hits the cache and returns the identical value
+    # The solve is deterministic: a second call returns the identical value.
     assert eng.calibrate_ms_rabi(ETA, DELTA, T_GATE, NU) == omega_cal
+
+
+def test_calibration_solves_chi_in_few_gate_evaluations(monkeypatch):
+    # The benchmark's middle detuning: 2 pi / delta is 88 half trap periods.
+    delta = 2 * NU / 88
+    t = 2 * PI / delta
+    gate, omegas = eng.apply_ms_bichromatic, []
+
+    def counted(st, params, **kw):
+        omegas.append(params.omega_rabi)
+        return gate(st, params, **kw)
+
+    monkeypatch.setattr(eng, "apply_ms_bichromatic", counted)
+    omega = eng.calibrate_ms_rabi(ETA, delta, t, NU)
+    assert len(omegas) <= 5 and omegas[-1] == omega
+    # chi of the returned Omega at the calibration cutoff
+    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=6))
+    gate(st, eng.BichromaticParams(omega_rabi=omega, nu=NU, delta=delta,
+                                   etas=(ETA, ETA), t=t), leakage_threshold=1.0)
+    p = st.probabilities()
+    assert abs(math.atan2(math.sqrt(p[0]), math.sqrt(p[3])) - PI / 4) <= 1e-6
+
+
+@pytest.mark.parametrize("target, bad", [
+    ("calibrate", {"eta": 0.0}), ("calibrate", {"delta": 0.0}),
+    ("calibrate", {"t": -T_GATE}), ("calibrate", {"nu": math.nan}),
+    ("calibrate", {"eta": math.inf}), ("params", {"omega_rabi": math.nan}),
+    ("params", {"etas": (ETA, math.nan)}), ("params", {"delta": math.inf}),
+    ("params", {"nu": 0.0}), ("params", {"t": 0.0})])
+def test_ms_inputs_checked_where_they_enter(target, bad):
+    if target == "calibrate":
+        func, args = eng.calibrate_ms_rabi, {"eta": ETA, "delta": DELTA, "t": T_GATE, "nu": NU}
+    else:
+        func, args = eng.BichromaticParams, {"omega_rabi": 1e4, "nu": NU, "delta": DELTA,
+                                             "etas": (ETA, ETA), "t": T_GATE}
+    with pytest.raises(ValueError, match="need finite"):
+        func(**{**args, **bad})
 
 
 def test_step_too_coarse_rejected(omega_cal):
