@@ -40,10 +40,12 @@ class DetectionModel:
     def __post_init__(self):
         if not self.t1 > 0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
-        for name in ("bright_rate", "window", "dark_mean"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
+        # A zero window or bright rate leaves the readout without signal.
+        for name in ("bright_rate", "window"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 <= self.dark_mean < math.inf:
+            raise ValueError(f"dark_mean must be finite and non-negative, got {self.dark_mean}")
 
     @property
     def bright_mean(self) -> float:
@@ -502,7 +504,17 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
                          leakage_threshold: float = 1e-6,
                          steps_per_period: int = 50):
     """Integrate the two-tone interaction Hamiltonian in the truncated
-    Fock space with a fixed-step midpoint exponential propagator."""
+    Fock space with a fixed-step midpoint exponential propagator, for one
+    state or every shot of a batch (each one leakage-checked).
+
+    With P(t) = diag(exp(-i nu t n)) on the mode, H(t) = drive(t) P H0 P†,
+    drive(t) = 2 Omega cos((nu + delta) t) and the fixed
+    H0 = sum_j expm(i eta_j (a + a†)) ⊗ sigma+_j + h.c. = V diag(w) V†.
+    Step k is P(t_k) V exp(-i drive(t_k) dt w) V† P(t_k)†, and
+    P(t_{k+1})† P(t_k) = P(dt)†: one eigendecomposition serves the gate,
+    and a step is a phase per eigenvector then a product with the
+    constant W = V† P(dt)† V.
+    """
     if state.phonon is None:
         raise ValueError("phonon mode must be attached")
     if steps_per_period < 50:
@@ -521,35 +533,35 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     x = a + a.T  # a + a†
     ns = np.arange(fock_dim, dtype=float)
 
-    # E_j(t) = P(t) expm(i eta_j x) P(t)†, P(t) = diag(exp(-i nu t n)).
-    # Ions sharing one eta also share E_j, so their sigma+_j = |D><S| add
-    # up: one entry per basis state whose qubit j is D (bit 0).
+    # Ions sharing one eta share expm(i eta x), so their sigma+_j = |D><S|
+    # add up: one entry per basis state whose qubit j is D (bit 0).
     idx = np.arange(2**n)
     sp_by_eta = {}
     for j, eta in enumerate(params.etas):
         sp = sp_by_eta.setdefault(eta, np.zeros((2**n, 2**n), dtype=complex))
         dark = idx[(idx >> j) & 1 == 0]
         sp[dark, dark | 1 << j] = 1.0
-    e0 = {}
-    for eta in sp_by_eta:
+    h0 = np.zeros((fock_dim * 2**n, fock_dim * 2**n), dtype=complex)
+    for eta, sp in sp_by_eta.items():
         w, v = np.linalg.eigh(eta * x)
-        e0[eta] = (v * np.exp(1j * w)) @ v.conj().T
+        h0 += np.kron((v * np.exp(1j * w)) @ v.conj().T, sp)  # fock-major, as psi
+    w, v = np.linalg.eigh(h0 + h0.conj().T)
 
-    psi = state.psi.reshape(-1)  # fock-major flattening matches kron(F, Q)
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        drive = 2.0 * params.omega_rabi * math.cos(tone * t_mid)
-        pt = np.exp(-1j * params.nu * t_mid * ns)
-        h = np.zeros((fock_dim * 2**n, fock_dim * 2**n), dtype=complex)
-        for eta, sp in sp_by_eta.items():
-            ej = (pt[:, None] * e0[eta]) * pt.conj()[None, :]
-            h += np.kron(drive * ej, sp)
-        h = h + h.conj().T
-        w, v = np.linalg.eigh(h)
-        psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+    # Phase of mode level n in P(t), repeated over the 2**n spin states.
+    def frame(t):
+        return np.repeat(np.exp(-1j * params.nu * t * ns), 2**n)[:, None]
 
-    state.psi = psi.reshape(fock_dim, 2**n)
-    leak = float(np.sum(np.abs(state.psi[nmax, :]) ** 2))
+    step = v.conj().T @ (frame(-dt) * v)  # W
+    drive = 2.0 * params.omega_rabi * np.cos(tone * (np.arange(n_steps) + 0.5) * dt)
+    wdt = -1j * dt * w[:, None]
+    psi = _flat(state).reshape(-1, fock_dim * 2**n).T  # one column per shot
+    phi = v.conj().T @ (frame(-0.5 * dt) * psi)
+    for d in drive[:-1]:
+        phi = step @ (np.exp(d * wdt) * phi)
+    psi = frame((n_steps - 0.5) * dt) * (v @ (np.exp(drive[-1] * wdt) * phi))
+
+    state.psi = psi.T.reshape(state.psi.shape)
+    leak = float(np.max(np.sum(np.abs(state.psi[..., nmax, :]) ** 2, axis=-1)))
     if leak > leakage_threshold:
         raise FockLeakage(f"Fock cutoff population {leak:.2e}", leakage=leak)
     return state
@@ -558,7 +570,6 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
 _MS_CHI = math.pi / 4  # MS(pi/4): the fully entangling two-ion gate
 _CALIB_TOL = 1e-6  # rad, largest |chi - _MS_CHI| calibration accepts
 _CALIB_MAX_EVALS = 8  # gate evaluations before calibration gives up
-_CALIB_N_MAX = 6  # Fock cutoff of the calibration runs
 
 
 def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
@@ -575,15 +586,13 @@ def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
     if not all(math.isfinite(v) and v > 0 for v in (eta, delta, t, nu)):
         raise ValueError(f"need finite eta, delta, t, nu > 0, got "
                          f"eta={eta}, delta={delta}, t={t}, nu={nu}")
-    # The solution is insensitive to the cutoff, so the gate runs at a reduced
-    # cutoff for speed.  Near 1e-6 of the population reaches its top level
-    # (9e-7 at eta 0.095), so the leakage check is lifted there.
-    phonon = PhononMode(frequency=nu, n_max=min(n_max, _CALIB_N_MAX))
+    # The gate runs at the caller's cutoff: a lower one shifts chi by more
+    # than _CALIB_TOL (1e-4 rad at cutoff 6 for eta 0.095).
+    phonon = PhononMode(frequency=nu, n_max=n_max)
     omega = math.sqrt(_MS_CHI * delta / (2.0 * t)) / eta
     for _ in range(_CALIB_MAX_EVALS):
         st = apply_ms_bichromatic(RegisterState(2, phonon=phonon), BichromaticParams(
-            omega_rabi=omega, nu=nu, delta=delta, etas=(eta, eta), t=t),
-            leakage_threshold=1.0)
+            omega_rabi=omega, nu=nu, delta=delta, etas=(eta, eta), t=t))
         probs = st.probabilities()
         chi = math.atan2(math.sqrt(probs[0]), math.sqrt(probs[3]))
         if not chi > 0:

@@ -188,6 +188,19 @@ def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, name", [("noise.detection_window_s", "window"),
+                                       ("noise.detection_bright_rate", "bright_rate")])
+def test_readout_without_signal_is_one_error_line(tmp_path, circuit_file, capsys, key, name):
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be finite and positive") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["experiment", "gradient"], "noise.gradient_compensated_hz_per_um"),
     (["experiment", "heating"], "noise.heating_rate_ref"),

@@ -292,8 +292,8 @@ def test_noise_config_rejects_non_positive_lifetime(name, value):
         ("heating_omega_ref", -1.0), ("heating_alpha", math.inf),
         ("gradient_hz_per_um", math.nan), ("gradient_compensated_hz_per_um", -math.inf))],
     *[(eng.DetectionModel, name, value) for name, value in (
-        ("bright_rate", math.nan), ("bright_rate", -5.0), ("window", math.inf),
-        ("dark_mean", math.nan))]])
+        ("bright_rate", math.nan), ("bright_rate", -5.0), ("bright_rate", 0.0),
+        ("window", math.inf), ("window", 0.0), ("dark_mean", math.nan))]])
 def test_noise_models_reject_nan_rate_and_non_finite_field(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         cls(**{name: value})

@@ -7,7 +7,7 @@ import pytest
 
 from iontrap_bench import engine as eng
 from iontrap_bench.errors import FockLeakage, StepTooCoarse
-from oracles import ensemble_density
+from oracles import bichromatic_midpoint
 
 PI = math.pi
 
@@ -15,6 +15,7 @@ ETA = 0.095
 NU = 2 * PI * 1.05e6
 DELTA = 2 * PI * 5e3
 T_GATE = 200e-6  # closure: t = 2*pi/delta
+DT_MIN = 2 * PI / (50 * (NU + DELTA))  # the gate's step bound: 50 per tone period
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +94,10 @@ def test_calibration_solves_chi_in_few_gate_evaluations(monkeypatch):
     monkeypatch.setattr(eng, "apply_ms_bichromatic", counted)
     omega = eng.calibrate_ms_rabi(ETA, delta, t, NU)
     assert len(omegas) <= 5 and omegas[-1] == omega
-    # chi of the returned Omega at the calibration cutoff
-    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=6))
+    # chi of the returned Omega at the calibration cutoff, the default 10
+    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=10))
     gate(st, eng.BichromaticParams(omega_rabi=omega, nu=NU, delta=delta,
-                                   etas=(ETA, ETA), t=t), leakage_threshold=1.0)
+                                   etas=(ETA, ETA), t=t))
     p = st.probabilities()
     assert abs(math.atan2(math.sqrt(p[0]), math.sqrt(p[3])) - PI / 4) <= 1e-6
 
@@ -135,6 +136,52 @@ def test_requires_phonon_mode():
     st = eng.RegisterState(2)
     with pytest.raises(ValueError):
         eng.apply_ms_bichromatic(st, _params(1e4))
+
+
+def test_batched_fock_starts_match_single_runs(omega_cal):
+    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=10), fock_index=[0, 1, 2],
+                           shots=3)
+    eng.apply_ms_bichromatic(st, _params(omega_cal))
+    for n0 in (0, 1, 2):
+        assert np.max(np.abs(st.psi[n0] - _run(omega_cal, fock_index=n0).psi)) <= 1e-12
+
+
+def test_leakage_checked_on_every_shot(omega_cal):
+    # Shot 0 starts in Fock 0 and stays clear of the cutoff; shot 1 starts on it.
+    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=6), fock_index=[0, 6], shots=2)
+    with pytest.raises(FockLeakage) as err:
+        eng.apply_ms_bichromatic(st, _params(omega_cal))
+    assert err.value.leakage > 0.5
+
+
+@pytest.mark.parametrize("etas, n0", [((0.095, 0.07), 1), ((ETA, ETA, ETA), 0)])
+def test_gate_matches_per_step_expm_oracle(etas, n0):
+    # About 300 steps with strong tones: the state leaves its start and
+    # reaches the Fock cutoff, so every term of the Hamiltonian acts.
+    omega, t, n_max = 2 * PI * 200e3, 300.5 * DT_MIN, 4
+    st = eng.RegisterState(len(etas), phonon=eng.PhononMode(NU, n_max=n_max), fock_index=n0)
+    start = st.psi.copy()
+    eng.apply_ms_bichromatic(st, _params(omega, t=t, etas=etas), leakage_threshold=1.0)
+    ref = bichromatic_midpoint(start, etas, omega, NU, DELTA, t, math.ceil(t / DT_MIN), n_max)
+    assert abs(np.vdot(start, ref)) ** 2 < 0.9
+    assert np.max(np.abs(st.psi - ref)) <= 1e-10
+
+
+def test_eigendecompositions_per_gate_do_not_grow_with_duration(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for steps in (100.5, 1000.5):
+        _run(2 * PI * 50e3, t=steps * DT_MIN, etas=(ETA, 0.07), n_max=4,
+             leakage_threshold=1.0)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
 
 
 def test_thermal_start_still_closes(omega_cal):
