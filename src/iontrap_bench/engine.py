@@ -12,7 +12,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import pdtr, pdtrc
@@ -346,19 +347,26 @@ _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]]
                     [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
 
 
+def _depolarizing_draws(rng: np.random.Generator, batch_shape, eps: float, k: int):
+    """The draws of one depolarizing channel on k targets: one uniform per
+    shot, then one integer in [0, 4**k) per hit shot.  Returns the flat
+    indices of the hit shots and their Pauli-string indices (None if no hit)."""
+    hit = np.flatnonzero(rng.random(batch_shape) < eps)
+    return hit, (rng.integers(4**k, size=hit.size) if hit.size else None)
+
+
 def apply_depolarizing(state: RegisterState, targets, eps: float,
                        rng: np.random.Generator):
     """With probability eps per shot apply a uniformly random Pauli string
-    (identity included): one uniform per shot, then one integer in
-    [0, 4**k) per hit shot whose base-4 digit i picks the Pauli on targets[i]."""
+    (identity included), drawn by _depolarizing_draws: the base-4 digit i of
+    a hit shot's index picks the Pauli on targets[i]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if eps == 0.0:
         return state
     targets = list(targets)
-    hit = np.flatnonzero(rng.random(state.batch_shape) < eps)
+    hit, which = _depolarizing_draws(rng, state.batch_shape, eps, len(targets))
     if hit.size:
-        which = rng.integers(4 ** len(targets), size=hit.size)
         psi = _flat(state)
         sub = psi[hit]
         for i, q in enumerate(targets):
@@ -366,6 +374,70 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
             sub = np.einsum("sab,sxbq->sxaq", _PAULIS[which // 4**i % 4], v)
         psi[hit] = sub.reshape(-1, *psi.shape[1:])
         state.psi = psi.reshape(state.psi.shape)
+    return state
+
+
+@cache
+def _pauli_strings(n: int, targets: tuple) -> np.ndarray:
+    """The 4**k Pauli strings on targets, indexed as apply_depolarizing
+    draws them, as matrices in the row convention of _linear (psi @ m)."""
+    strings = np.empty((4 ** len(targets), 2**n, 2**n), dtype=complex)
+    for w in range(len(strings)):
+        m = np.eye(2**n, dtype=complex)
+        for i, q in enumerate(targets):
+            m = _apply_1q(m, n, q, _PAULIS[w // 4**i % 4])
+        strings[w] = m
+    strings.flags.writeable = False
+    return strings
+
+
+def apply_noisy_gates(state: RegisterState, gates, targets, eps: float,
+                      rng: np.random.Generator):
+    """Apply the gates in order, each followed by apply_depolarizing(state,
+    targets, eps, rng) with the same random draws, to a state of at most
+    _DENSE_QUBITS qubits.
+
+    gates are 2**n x 2**n unitaries shared by every shot, in the row
+    convention of _linear (psi @ u).  The arithmetic runs in the start
+    frame: with C_t = u_1 ... u_t, a Pauli string P hit after gate t acts
+    as C_t P C_t† applied before C_t.  Each hit shot takes its C_t P C_t†
+    in time order, then the whole batch takes C_T once.
+    """
+    if state.n > _DENSE_QUBITS:
+        raise ValueError(f"apply_noisy_gates takes at most {_DENSE_QUBITS} qubits, "
+                         f"got {state.n}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    if not len(gates):
+        return state
+    targets = tuple(_checked_targets(state, targets, 0.0))
+    d = 2**state.n
+    cum = np.array(list(accumulate(gates, np.matmul)))  # C_t
+    shot, which, steps, sizes = [], [], [], []
+    if eps > 0.0:
+        for t in range(len(gates)):
+            hit, w = _depolarizing_draws(rng, state.batch_shape, eps, len(targets))
+            if hit.size:
+                shot.append(hit)
+                which.append(w)
+                steps.append(t)
+                sizes.append(hit.size)
+    psi = _flat(state)
+    if shot:
+        shot, which = np.concatenate(shot), np.concatenate(which)
+        step = np.repeat(steps, sizes)
+        # Hits come in time order; rank r is a shot's (r+1)-th hit, so one
+        # pass per rank applies every shot's hits in its own time order.
+        order = np.argsort(shot, kind="stable")
+        by_shot = shot[order]
+        rank = np.arange(order.size) - np.searchsorted(by_shot, by_shot)
+        strings = _pauli_strings(state.n, targets)
+        for r in range(rank.max() + 1):
+            sel = order[rank == r]
+            rows, c = shot[sel], cum[step[sel]]
+            # psi @ C_t P C_t†, as three vector-matrix products.
+            psi[rows] = psi[rows] @ c @ strings[which[sel]] @ c.conj().transpose(0, 2, 1)
+    state.psi = (psi.reshape(-1, d) @ cum[-1]).reshape(state.psi.shape)
     return state
 
 

@@ -3,13 +3,14 @@ benchmarking, sideband thermometry, heating, GHZ witnesses, gate decay,
 and addressing scans.
 
 Simulated shots run on the engine: ramsey and gradient through
-run_schedule, RB and gate decay as batched states under the engine's gate,
-depolarizing and readout operators.  Heating samples its closed-form law:
-jump rates up r(n+1) and down r n keep a thermal ensemble thermal with mean
-nbar0 + r t, so each point draws Fock numbers from that thermal law.  Every
-run_* function is deterministic given (spec, seed): each point draws from
-its own stream keyed by the seed and the point index, and aggregation is
-ordered.
+run_schedule; RB and gate decay as one engine.apply_noisy_gates call per
+sequence or setting (the pulse or MS gate matrices, each followed by
+depolarizing, on a batched state), then the engine's readout.  Heating
+samples its closed-form law: jump rates up r(n+1) and down r n keep a
+thermal ensemble thermal with mean nbar0 + r t, so each point draws Fock
+numbers from that thermal law.  Every run_* function is deterministic
+given (spec, seed): each point draws from its own stream keyed by the seed
+and the point index, and aggregation is ordered.
 """
 
 from __future__ import annotations
@@ -186,15 +187,25 @@ def _inverse_clifford(u: np.ndarray) -> int:
     raise RuntimeError("Clifford table is not closed under inversion")
 
 
+def _gate(n: int, apply) -> np.ndarray:
+    """Row-convention matrix (psi @ u) of the gate that apply(state) runs,
+    read off an n-qubit batch whose shots are the basis states."""
+    state = eng.RegisterState(n, shots=2**n)
+    state.psi[:, 0] = np.eye(2**n)
+    return apply(state).psi[:, 0]
+
+
+CLIFFORD_GATES = [[_gate(1, lambda st: eng.apply_rotation(st, [0], *p)) for p in seq]
+                  for seq in CLIFFORD_PULSES]
+
+
 def _run_rb_sequence(cliffords, eps, shots, rng):
     """Survival count of one sequence: all shots propagate as one batched
     state, with a depolarizing draw per shot per pulse slot."""
     inverse = _inverse_clifford(_product(CLIFFORD_UNITARIES[k] for k in cliffords))
     state = eng.RegisterState(1, shots=shots)
-    for k in [*cliffords, inverse]:
-        for theta, phi in CLIFFORD_PULSES[k]:
-            eng.apply_rotation(state, [0], theta, phi)
-            eng.apply_depolarizing(state, [0], eps, rng)
+    gates = [g for k in [*cliffords, inverse] for g in CLIFFORD_GATES[k]]
+    eng.apply_noisy_gates(state, gates, [0], eps, rng)
     return int(np.sum(eng.project_bits(state, rng)))
 
 
@@ -204,14 +215,20 @@ RB_SEQUENCES = 20  # random sequences per length; each gets shots // 20
 def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     """Single-qubit RB: survival vs sequence length fitted to A p^n + 0.5.
 
-    R_Clif = (1-p)/2; the per-pulse (pi/2-equivalent) fidelity follows from
-    the 1.875 average Clifford cost.
+    Each length runs RB_SEQUENCES random sequences of shots // RB_SEQUENCES
+    shots, so the shots round down to a multiple of RB_SEQUENCES; fewer
+    than RB_SEQUENCES shots raise ValueError.  R_Clif = (1-p)/2; the
+    per-pulse (pi/2-equivalent) fidelity follows from the 1.875 average
+    Clifford cost.
     """
     lengths = [int(n) for n in sequence_lengths]
     if len(set(lengths)) < 4 or max(lengths) > 100:
         raise ValueError("need >= 4 distinct lengths, all <= 100")
+    if spec.shots < RB_SEQUENCES:
+        raise ValueError(f"rb needs shots >= {RB_SEQUENCES} (one per sequence), "
+                         f"got {spec.shots}")
     eps = spec.noise.eps_1q
-    shots_per_seq = max(spec.shots // RB_SEQUENCES, 1)
+    shots_per_seq = spec.shots // RB_SEQUENCES
     y, yerr = [], []
     for i, n in enumerate(lengths):
         k_total, n_total = 0, 0
@@ -402,21 +419,21 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
 
 
 GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
+MS_GATE = _gate(2, lambda st: eng.apply_ms_ideal(st, [0, 1], math.pi / 4))
 
 
 def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:
     """Repeated two-ion MS gates; F(k) = (P+C)/2 fitted to A p^k + 0.25.
 
-    Per-gate depolarizing eps_2q; a radial bus additionally applies the
-    crosstalk-floor illumination of spectators when an addressing unit and
-    chain positions are supplied via spec.addressing/extra wiring.
+    Each gate is followed by depolarizing on both ions with probability
+    eps_2q.  On the radial bus with an addressing unit in spec.addressing,
+    eps also gains 2 floor**2, the crosstalk-floor spillover of the two
+    addressed beams; no spectator ion or chain position enters.
     """
     counts = [int(k) for k in gate_counts]
     if any(k % 2 == 0 for k in counts) or sorted(counts) != counts:
         raise ValueError("gate counts must be odd and ascending")
     noise, shots = spec.noise, spec.shots
-    # Per-gate error budget: configured depolarizing plus, on the radial
-    # bus, the crosstalk-floor spillover of both addressed beams.
     eps = noise.eps_2q
     if bus == "radial" and spec.addressing is not None:
         eps = min(eps + 2.0 * spec.addressing.floor**2, 1.0)
@@ -424,9 +441,7 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
     def survival_bits(k_gates, phi, rng):
         """Detected bits of all shots, one batched state, after k_gates."""
         state = eng.RegisterState(2, shots=shots)
-        for _ in range(k_gates):
-            eng.apply_ms_ideal(state, [0, 1], math.pi / 4)
-            eng.apply_depolarizing(state, [0, 1], eps, rng)
+        eng.apply_noisy_gates(state, [MS_GATE] * k_gates, [0, 1], eps, rng)
         if phi is not None:
             eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
         return eng.detect(state, noise.detection, rng)[0]

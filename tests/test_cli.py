@@ -218,3 +218,11 @@ def test_nan_noise_value_is_one_error_line(tmp_path, circuit_file, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+def test_rb_with_fewer_shots_than_sequences_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["experiment", "rb", "--shots", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rb needs shots >= 20") and err.count("\n") == 1
+    assert not out.exists()

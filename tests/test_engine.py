@@ -243,6 +243,17 @@ def test_depolarizing_eps_one_fully_mixed():
     assert abs(purity - 0.5) < 0.01
 
 
+def test_noisy_gates_reject_bad_register_eps_or_target():
+    rng = np.random.default_rng(0)
+    big = eng.RegisterState(eng._DENSE_QUBITS + 1, shots=2)
+    with pytest.raises(ValueError, match="at most 3 qubits"):
+        eng.apply_noisy_gates(big, [np.eye(2**big.n)], [0], 0.1, rng)
+    st = eng.RegisterState(1, shots=2)
+    for eps, targets in ((1.5, [0]), (math.nan, [0]), (0.1, [1])):
+        with pytest.raises(ValueError):
+            eng.apply_noisy_gates(st, [np.eye(2)], targets, eps, rng)
+
+
 @ENSEMBLES
 def test_t1_decay_vs_oracle(ensemble):
     t1, dt, shots = 1.168, 0.4, 20000

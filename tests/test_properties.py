@@ -1,9 +1,10 @@
 """Property-based tests: batched noise operators, batched against single
-states, the compiled schedule against the gate-level reference, spin
-outcomes with and without a phonon axis, config round-trips and circuit
-parsing.  Examples are derandomized so that every run checks the same
-cases."""
+states, noisy gate sequences against the per-gate reference, the compiled
+schedule against the gate-level reference, spin outcomes with and without
+a phonon axis, config round-trips and circuit parsing.  Examples are
+derandomized so that every run checks the same cases."""
 
+import copy
 import math
 
 import numpy as np
@@ -15,15 +16,16 @@ from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
 from iontrap_bench.config import SCHEMA, dump_config, parse_config
 from iontrap_bench.errors import IonTrapBenchError
+from oracles import noisy_gates_per_gate
 
 PI = math.pi
 ANGLES = st.floats(-2 * PI, 2 * PI)
 
 
 @st.composite
-def batched_states(draw):
+def batched_states(draw, max_qubits=4):
     """A batched RegisterState whose shots are arbitrary normalized states."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_qubits))
     n_max = draw(st.sampled_from([0, 1, 3]))
     phonon = eng.PhononMode(2 * PI * 1e6, n_max=n_max) if n_max else None
     state = eng.RegisterState(n, phonon=phonon, shots=draw(st.integers(1, 5)))
@@ -95,6 +97,30 @@ def test_noise_free_batch_matches_single_states(state, ops, seed):
             _apply(target, *op, rng)
     single_psi = np.array([s.psi for s in singles])
     np.testing.assert_allclose(state.psi, single_psi, rtol=0.0, atol=1e-12)
+
+
+def _random_unitaries(count, d, seed):
+    """count random d x d unitaries: Q factors of complex Gaussian matrices."""
+    z = np.random.default_rng(seed).normal(size=(2, count, d, d))
+    return np.linalg.qr(z[0] + 1j * z[1])[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=eng._DENSE_QUBITS), n_gates=st.integers(0, 12),
+       eps=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_noisy_gates_match_per_gate_reference(state, n_gates, eps, seed, data):
+    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
+                                 max_size=state.n, unique=True))
+    gates = list(_random_unitaries(n_gates, 2**state.n, [seed, 1]))
+    ref = copy.deepcopy(state)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    eng.apply_noisy_gates(state, gates, targets, eps, rng)
+    noisy_gates_per_gate(ref, gates, targets, eps, ref_rng)
+    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if eps == 0.0:
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 @st.composite
