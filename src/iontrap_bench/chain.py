@@ -14,30 +14,12 @@ from scipy import constants as const
 
 from .errors import SolverError, ZigzagInstability
 
-# Natural length scale of the axial potential: l^3 = q^2/(4 pi eps0 M w_ax^2)
+# Singly charged Ca-40, with its optical qubit on the 729 nm S-D line.
+MASS_KG = 39.9625909 * const.atomic_mass
+_K_729 = 2.0 * np.pi / (729.0 * 1e-9)  # qubit-laser wavevector, 1/m
+
+# Natural length scale of the axial potential: l^3 = e^2/(4 pi eps0 M w_ax^2)
 _COULOMB = const.e**2 / (4.0 * np.pi * const.epsilon_0)
-
-
-@dataclass(frozen=True)
-class IonSpecies:
-    """Ion species constants. Defaults describe the Ca-40 optical qubit."""
-
-    mass: float = 39.9625909  # atomic mass units
-    charge: int = 1  # elementary charges
-    qubit_wavelength: float = 729.0  # nm
-
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.charge < 1:
-            raise ValueError("charge must be >= 1")
-
-    @property
-    def mass_kg(self) -> float:
-        return self.mass * const.atomic_mass
-
-
-CA40 = IonSpecies()
 
 
 @dataclass(frozen=True)
@@ -52,9 +34,9 @@ class TrapConfig:
             raise ValueError("trap frequencies must be positive")
 
 
-def length_scale_um(species: IonSpecies, omega_ax: float) -> float:
-    """Coulomb length scale l = (q^2 / (4 pi eps0 M w^2))^(1/3), in um."""
-    l_m = (_COULOMB * species.charge**2 / (species.mass_kg * omega_ax**2)) ** (1.0 / 3.0)
+def length_scale_um(omega_ax: float) -> float:
+    """Coulomb length scale l = (e^2 / (4 pi eps0 M w^2))^(1/3), in um."""
+    l_m = (_COULOMB / (MASS_KG * omega_ax**2)) ** (1.0 / 3.0)
     return l_m * 1e6
 
 
@@ -62,43 +44,32 @@ def length_scale_um(species: IonSpecies, omega_ax: float) -> float:
 class IonChain:
     """Equilibrium linear crystal: positions in um, sorted ascending."""
 
-    n: int
     positions: np.ndarray
-    species: IonSpecies
     trap: TrapConfig
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", pos)
-        if len(pos) != self.n:
-            raise ValueError("positions length must equal n")
-        if self.n > 1 and not np.all(np.diff(pos) > 0):
+        if not np.all(np.diff(pos) > 0):
             raise ValueError("positions must be strictly increasing")
-        span = pos[-1] - pos[0] if self.n > 1 else 1.0
+        span = pos[-1] - pos[0] if len(pos) > 1 else 1.0
         if abs(pos.sum()) > 1e-9 * max(span, 1.0):
             raise ValueError("positions must be centered on the trap origin")
 
     @property
     def scaled_positions(self) -> np.ndarray:
-        return self.positions / length_scale_um(self.species, self.trap.omega_ax)
+        return self.positions / length_scale_um(self.trap.omega_ax)
 
     def min_spacing_um(self) -> float:
-        if self.n < 2:
-            return np.inf
-        return float(np.min(np.diff(self.positions)))
+        return float(np.min(np.diff(self.positions), initial=np.inf))
 
 
 @dataclass
 class ModeSpectrum:
     """Normal modes of one direction: frequencies ascending, columns are modes."""
 
-    direction: str  # "axial" | "radial"
     frequencies: np.ndarray  # rad/s, ascending
     eigenvectors: np.ndarray  # n x n orthonormal, column j = mode j
-
-    @property
-    def n(self) -> int:
-        return len(self.frequencies)
 
 
 def _scaled_gradient(u: np.ndarray) -> np.ndarray:
@@ -123,11 +94,7 @@ _FORCE_TOL = 1e-13  # scaled force residual that ends the Newton iteration
 _NEWTON_STEPS = 200  # iterations before the solver gives up
 
 
-def equilibrium_positions(
-    n: int,
-    species: IonSpecies = CA40,
-    trap: TrapConfig = TrapConfig(),
-) -> IonChain:
+def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
     """Solve the harmonic-plus-Coulomb equilibrium for n ions.
 
     Damped Newton iteration on the dimensionless potential, initial guess
@@ -137,7 +104,7 @@ def equilibrium_positions(
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return IonChain(1, np.zeros(1), species, trap)
+        return IonChain(np.zeros(1), trap)
 
     # Uniform spacing over an empirically adequate span.
     span = 2.018 * n**0.559
@@ -163,8 +130,7 @@ def equilibrium_positions(
             f"equilibrium solver did not converge for n={n}", residual=residual
         )
     u -= u.mean()
-    positions = u * length_scale_um(species, trap.omega_ax)
-    return IonChain(n, positions, species, trap)
+    return IonChain(u * length_scale_um(trap.omega_ax), trap)
 
 
 def axial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
@@ -172,7 +138,7 @@ def axial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
     h = _scaled_hessian(chain.scaled_positions)
     evals, evecs = np.linalg.eigh(h)
     freqs = chain.trap.omega_ax * np.sqrt(evals)
-    return ModeSpectrum("axial", freqs, _fix_signs(evecs))
+    return ModeSpectrum(freqs, _fix_signs(evecs))
 
 
 def radial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
@@ -190,11 +156,11 @@ def radial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
     evals, evecs = np.linalg.eigh(h)
     if evals[0] <= 0:
         raise ZigzagInstability(
-            f"linear chain of {chain.n} ions is unstable (zigzag)",
+            f"linear chain of {len(u)} ions is unstable (zigzag)",
             min_sq_freq=float(evals[0]) * chain.trap.omega_ax**2,
         )
     freqs = chain.trap.omega_ax * np.sqrt(evals)
-    return ModeSpectrum("radial", freqs, _fix_signs(evecs))
+    return ModeSpectrum(freqs, _fix_signs(evecs))
 
 
 def _fix_signs(evecs: np.ndarray) -> np.ndarray:
@@ -207,32 +173,18 @@ def _fix_signs(evecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def lamb_dicke_parameters(
-    spectrum: ModeSpectrum,
-    species: IonSpecies = CA40,
-    wavelength_nm: float = None,
-    beam_angle: float = 0.0,
-) -> np.ndarray:
+def lamb_dicke_parameters(spectrum: ModeSpectrum) -> np.ndarray:
     """The n x n matrix eta[ion, mode].
 
-    eta = k cos(angle) |b_{ion,mode}| sqrt(hbar / (2 M nu_mode)) with the
-    single-ion mass M and mode-normalized eigenvector b.  Magnitudes are
-    returned; sign information stays in the eigenvectors.
+    eta = k |b_{ion,mode}| sqrt(hbar / (2 M nu_mode)) with the 729 nm
+    wavevector k along the axis, the single-ion mass M and the
+    mode-normalized eigenvector b.  Magnitudes are returned; sign
+    information stays in the eigenvectors.
     """
-    if wavelength_nm is None:
-        wavelength_nm = species.qubit_wavelength
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
-    k = 2.0 * np.pi / (wavelength_nm * 1e-9)
-    zpf = np.sqrt(const.hbar / (2.0 * species.mass_kg * spectrum.frequencies))
-    return k * abs(np.cos(beam_angle)) * np.abs(spectrum.eigenvectors) * zpf[None, :]
+    zpf = np.sqrt(const.hbar / (2.0 * MASS_KG * spectrum.frequencies))
+    return _K_729 * np.abs(spectrum.eigenvectors) * zpf[None, :]
 
 
-def single_ion_lamb_dicke(
-    species: IonSpecies, omega: float, wavelength_nm: float = None, beam_angle: float = 0.0
-) -> float:
+def single_ion_lamb_dicke(omega: float) -> float:
     """eta of a single ion at mode frequency omega (rad/s)."""
-    if wavelength_nm is None:
-        wavelength_nm = species.qubit_wavelength
-    k = 2.0 * np.pi / (wavelength_nm * 1e-9)
-    return k * abs(np.cos(beam_angle)) * np.sqrt(const.hbar / (2.0 * species.mass_kg * omega))
+    return _K_729 * np.sqrt(const.hbar / (2.0 * MASS_KG * omega))

@@ -15,7 +15,7 @@ from . import chain as chain_mod
 from . import compiler as comp
 from . import engine as eng
 from . import experiments as exp
-from .chain import CA40, TrapConfig
+from .chain import TrapConfig
 from .config import (build_addressing, build_machine, build_noise, config_digest,
                      load_config)
 from .errors import IonTrapBenchError
@@ -91,7 +91,7 @@ def _emit(text: str, path: str = None) -> int:
 
 def cmd_chain(args) -> int:
     trap = TrapConfig(omega_ax=2 * math.pi * args.fax, omega_rad=2 * math.pi * args.frad)
-    chain = chain_mod.equilibrium_positions(args.n, CA40, trap)
+    chain = chain_mod.equilibrium_positions(args.n, trap)
     lines = ["ion_index,position_um"]
     lines += [f"{i},{_fmt(z)}" for i, z in enumerate(chain.positions)]
     lines.append("mode_index,freq_hz,direction")

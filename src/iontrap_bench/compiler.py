@@ -313,8 +313,6 @@ class _Compiler:
             self.measure_ends[ins.label] = ev.end
             return
         if isinstance(ins, Branch):
-            if ins.label not in self.measure_ends:
-                raise UnknownLabel(f"branch references unknown label {ins.label!r}")
             latency = self.m.grid_ns(m.branch_latency_us * 1000.0)
             start = max(self.cursor, self.measure_ends[ins.label] + latency)
             sub = _Compiler(m)

@@ -23,6 +23,7 @@ from .errors import FockLeakage, NoValidShots, StepTooCoarse
 
 _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
 _MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
+_SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,6 @@ class NoiseConfig:
     gradient_hz_per_um: float = 3.1  # ground-state qubit, uncompensated
     gradient_compensated_hz_per_um: float = 0.2
     gradient_compensation: bool = True
-    sensitivity_ratio: float = 5.6 / 28.0  # optical vs ground-state field sensitivity
     detection: DetectionModel = field(default_factory=DetectionModel)
 
     def __post_init__(self):
@@ -133,7 +133,7 @@ class NoiseConfig:
     def gradient_for(self, qubit_kind: str) -> float:
         g = (self.gradient_compensated_hz_per_um if self.gradient_compensation
              else self.gradient_hz_per_um)
-        return g if qubit_kind == "ground" else g * self.sensitivity_ratio
+        return g if qubit_kind == "ground" else g * _SENSITIVITY_RATIO
 
     def heating_rate(self, omega: float) -> float:
         return self.heating_rate_ref * (self.heating_omega_ref / omega) ** self.heating_alpha
@@ -442,7 +442,7 @@ def apply_noisy_gates(state: RegisterState, gates, targets, eps: float,
 
 
 def apply_t1_decay(state: RegisterState, targets, dt: float,
-                   rng: np.random.Generator, t1: float = 1.168):
+                   rng: np.random.Generator, t1: float):
     """Amplitude damping D -> S unraveled as a quantum jump per shot;
     a zero jump probability (dt = 0 or t1 = inf) draws nothing."""
     if dt < 0 or not t1 > 0:

@@ -26,7 +26,7 @@ from . import engine as eng
 from .addressing import AddressingUnit, crosstalk_matrix, relative_rabi
 from .errors import FitFailure
 from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
-                      fit_linear, fit_power_law)
+                      fit_linear, fit_power_law, gaussian)
 
 EXPERIMENT_KINDS = ("ramsey", "gradient", "rb", "thermometry", "heating",
                     "ghz", "gate_decay", "addressing_scan")
@@ -426,16 +426,21 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
     """Repeated two-ion MS gates; F(k) = (P+C)/2 fitted to A p^k + 0.25.
 
     Each gate is followed by depolarizing on both ions with probability
-    eps_2q.  On the radial bus with an addressing unit in spec.addressing,
-    eps also gains 2 floor**2, the crosstalk-floor spillover of the two
-    addressed beams; no spectator ion or chain position enters.
+    eps_2q.  On the radial bus, which needs an addressing unit in
+    spec.addressing, eps also gains 2 floor**2, the crosstalk-floor
+    spillover of the two addressed beams; no spectator ion or chain
+    position enters.
     """
     counts = [int(k) for k in gate_counts]
     if any(k % 2 == 0 for k in counts) or sorted(counts) != counts:
         raise ValueError("gate counts must be odd and ascending")
+    if bus not in ("axial", "radial"):
+        raise ValueError(f"bus must be 'axial' or 'radial', got {bus!r}")
     noise, shots = spec.noise, spec.shots
     eps = noise.eps_2q
-    if bus == "radial" and spec.addressing is not None:
+    if bus == "radial":
+        if spec.addressing is None:
+            raise ValueError("the radial bus needs an addressing unit in spec.addressing")
         eps = min(eps + 2.0 * spec.addressing.floor**2, 1.0)
 
     def survival_bits(k_gates, phi, rng):
@@ -486,21 +491,30 @@ def _excited_counts(unit, center_um, positions_um, shots, stream) -> list:
     return counts
 
 
-def _rabi_profile(offsets_um, counts, shots) -> Dataset:
-    """Omega^2 proxy (theta / pulse area)^2 of the excited fractions, with
-    binomial errors propagated through a numeric derivative."""
-    area = _SCAN_PULSE_AREA
-    dp = 1e-6
-    ys, es = [], []
-    for k in counts:
-        p_hat = min(max(k / shots, 0.0), 1.0)
-        theta = 2.0 * math.asin(math.sqrt(p_hat))
-        ys.append((theta / area) ** 2)
-        t2 = 2.0 * math.asin(math.sqrt(min(max(p_hat + dp, 0.0), 1.0)))
-        deriv = ((t2 / area) ** 2 - (theta / area) ** 2) / dp
-        es.append(max(abs(deriv) * float(binomial_se(k, shots)), 1e-6))
-    return Dataset(np.asarray(offsets_um, dtype=float), np.array(ys),
-                   np.array(es), meta={"label": "addressing_profile"})
+def _proxy_error(p: float, k: float, shots: int) -> float:
+    """Binomial error of the Omega^2 proxy at excited fraction p (k of shots
+    excited), propagated through a numeric derivative."""
+    area, dp = _SCAN_PULSE_AREA, 1e-6
+    theta = 2.0 * math.asin(math.sqrt(p))
+    t2 = 2.0 * math.asin(math.sqrt(min(p + dp, 1.0)))
+    deriv = ((t2 / area) ** 2 - (theta / area) ** 2) / dp
+    return max(abs(deriv) * float(binomial_se(k, shots)), 1e-6)
+
+
+def _fit_rabi_profile(offsets_um, counts, shots) -> tuple:
+    """Omega^2 proxy (theta / pulse area)^2 of the excited fractions and its
+    Gaussian fit, as (dataset, fit).  Errors of the observed fractions are
+    small where a point fluctuates low, which pulls the fit low, so the fit
+    is redone once with the errors taken at the first fit's curve."""
+    p_hat = [min(max(k / shots, 0.0), 1.0) for k in counts]
+    ds = Dataset(offsets_um, [(2.0 * math.asin(math.sqrt(p)) / _SCAN_PULSE_AREA) ** 2
+                              for p in p_hat],
+                 [_proxy_error(p, k, shots) for p, k in zip(p_hat, counts)])
+    y_fit = np.maximum(gaussian(ds.x, *fit_gaussian(ds).values), 0.0)
+    p_fit = [math.sin(_SCAN_PULSE_AREA * math.sqrt(y) / 2.0) ** 2 for y in y_fit]
+    ds = Dataset(ds.x, ds.y, [_proxy_error(p, p * shots, shots) for p in p_fit],
+                 meta={"label": "addressing_profile"})
+    return ds, fit_gaussian(ds)
 
 
 def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
@@ -510,9 +524,8 @@ def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
     fit, crosstalk matrix, and optional AOD deflection-slope calibration."""
     half_width = SCAN_HALF_WIDTH_WAISTS * unit.w0_um
     offsets = np.linspace(-half_width, half_width, n_points)
-    ds = _rabi_profile(offsets, _excited_counts(unit, 0.0, offsets, spec.shots,
-                                                [spec.seed]), spec.shots)
-    gauss = fit_gaussian(ds)
+    ds, gauss = _fit_rabi_profile(
+        offsets, _excited_counts(unit, 0.0, offsets, spec.shots, [spec.seed]), spec.shots)
     fits = {"gaussian": gauss}
     extra = {"w0_um": abs(gauss["waist"]), "w0_err_um": gauss.error("waist"),
              "kind": unit.kind}

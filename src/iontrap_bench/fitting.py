@@ -121,6 +121,11 @@ def fit_decay(dataset: Dataset, form: str = "exp",
     raise ValueError("form must be 'exp' or 'power'")
 
 
+def gaussian(x, a, c, w, o):
+    """The fit_gaussian model at x for parameters (amplitude, center, waist, offset)."""
+    return a * np.exp(-2.0 * (x - c) ** 2 / w**2) + o
+
+
 def fit_gaussian(dataset: Dataset) -> FitResult:
     """y = A exp(-2 (x-c)^2 / w^2) + offset -> (amplitude, center, waist, offset).
 
@@ -138,8 +143,19 @@ def fit_gaussian(dataset: Dataset) -> FitResult:
     var = float(np.sum(weights * (ds.x - c0) ** 2) / wsum)
     w0 = max(2.0 * math.sqrt(max(var, 1e-30)), 1e-6 * (ds.x[-1] - ds.x[0] or 1.0))
     return _curve("gaussian", ("amplitude", "center", "waist", "offset"),
-                  lambda x, a, c, w, o: a * np.exp(-2.0 * (x - c) ** 2 / w**2) + o,
-                  ds, [a0, c0, w0, off0])
+                  gaussian, ds, [a0, c0, w0, off0])
+
+
+def _weighted_solve(design: np.ndarray, ds: Dataset) -> tuple:
+    """Weighted linear least squares of ds.y on the design columns:
+    (coefficients, covariance, reduced chi^2)."""
+    w = 1.0 / ds.yerr
+    aw = design * w[:, None]
+    coef, *_ = np.linalg.lstsq(aw, ds.y * w, rcond=None)
+    cov = np.linalg.pinv(aw.T @ aw)
+    resid = (ds.y - design @ coef) / ds.yerr
+    dof = max(len(ds.x) - design.shape[1], 1)
+    return coef, cov, float(np.sum(resid**2) / dof)
 
 
 def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
@@ -150,11 +166,7 @@ def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
     design = np.column_stack([np.ones_like(ds.x),
                               np.cos(frequency * ds.x),
                               np.sin(frequency * ds.x)])
-    w = 1.0 / ds.yerr
-    aw = design * w[:, None]
-    yw = ds.y * w
-    coef, *_ = np.linalg.lstsq(aw, yw, rcond=None)
-    cov = np.linalg.pinv(aw.T @ aw)
+    coef, cov, chisq = _weighted_solve(design, ds)
     off, a, b = coef
     amp = math.hypot(a, b)
     phase = math.atan2(-b, a)
@@ -167,13 +179,10 @@ def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
     else:
         var_amp = float(np.trace(cov[1:, 1:]) / 2.0)
         var_phase = math.pi**2 / 3.0
-    resid = (ds.y - design @ coef) / ds.yerr
-    dof = max(len(ds.x) - 3, 1)
     full_cov = np.diag([var_amp, var_phase, float(cov[0, 0])])
     return FitResult("fringe", ("amplitude", "phase", "offset"),
                      np.array([amp, phase, off]),
-                     np.sqrt(np.diag(full_cov)), full_cov,
-                     float(np.sum(resid**2) / dof), True)
+                     np.sqrt(np.diag(full_cov)), full_cov, chisq, True)
 
 
 def fit_power_law(dataset: Dataset) -> FitResult:
@@ -202,12 +211,6 @@ def fit_linear(dataset: Dataset) -> FitResult:
     ds = dataset
     if len(ds.x) < 2:
         raise ValueError("need >= 2 points")
-    design = np.column_stack([ds.x, np.ones_like(ds.x)])
-    w = 1.0 / ds.yerr
-    aw = design * w[:, None]
-    coef, *_ = np.linalg.lstsq(aw, ds.y * w, rcond=None)
-    cov = np.linalg.pinv(aw.T @ aw)
-    resid = (ds.y - design @ coef) / ds.yerr
-    dof = max(len(ds.x) - 2, 1)
+    coef, cov, chisq = _weighted_solve(np.column_stack([ds.x, np.ones_like(ds.x)]), ds)
     return FitResult("linear", ("slope", "intercept"), coef,
-                     np.sqrt(np.diag(cov)), cov, float(np.sum(resid**2) / dof), True)
+                     np.sqrt(np.diag(cov)), cov, chisq, True)

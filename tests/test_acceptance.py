@@ -16,7 +16,7 @@ from scipy.stats import poisson
 from iontrap_bench import addressing as adr
 from iontrap_bench import engine as eng
 from iontrap_bench import experiments as exp
-from iontrap_bench.chain import (CA40, TrapConfig, axial_mode_spectrum,
+from iontrap_bench.chain import (MASS_KG, TrapConfig, axial_mode_spectrum,
                                  equilibrium_positions, lamb_dicke_parameters,
                                  single_ion_lamb_dicke)
 from iontrap_bench.cli import main as cli_main
@@ -37,7 +37,7 @@ def _report(capsys, num, desc, ok):
 
 def test_criterion_01_chain_geometry(capsys):
     t0 = time.perf_counter()
-    chain = equilibrium_positions(11, CA40, TrapConfig(omega_ax=TWO_PI * 450e3))
+    chain = equilibrium_positions(11, TrapConfig(omega_ax=TWO_PI * 450e3))
     gap = float(np.diff(chain.positions)[5])
     elapsed = time.perf_counter() - t0
     ok = abs(gap - 4.0) / 4.0 < 0.025 and elapsed < 1.0
@@ -47,13 +47,13 @@ def test_criterion_01_chain_geometry(capsys):
 
 def test_criterion_02_mode_spectra(capsys):
     trap = TrapConfig(omega_ax=TWO_PI * 450e3)
-    spec2 = axial_mode_spectrum(equilibrium_positions(2, CA40, trap))
+    spec2 = axial_mode_spectrum(equilibrium_positions(2, trap))
     breathing_err = abs(spec2.frequencies[1] / spec2.frequencies[0]
                         - math.sqrt(3.0)) / math.sqrt(3.0)
     gram_err = 0.0
     trap30 = TrapConfig(omega_ax=TWO_PI * 0.2e6, omega_rad=TWO_PI * 3e6)
     for n in (2, 12, 30):
-        s = axial_mode_spectrum(equilibrium_positions(n, CA40, trap30))
+        s = axial_mode_spectrum(equilibrium_positions(n, trap30))
         gram_err = max(gram_err, float(np.max(np.abs(
             s.eigenvectors.T @ s.eigenvectors - np.eye(n)))))
     # independent brute-force Hessian eigensolve
@@ -78,14 +78,14 @@ def test_criterion_02_mode_spectra(capsys):
 
 
 def test_criterion_03_lamb_dicke(capsys):
-    eta = single_ion_lamb_dicke(CA40, TWO_PI * 1.05e6)
+    eta = single_ion_lamb_dicke(TWO_PI * 1.05e6)
     k = TWO_PI / 729e-9
-    oracle = k * math.sqrt(const.hbar / (2 * CA40.mass_kg * TWO_PI * 1.05e6))
+    oracle = k * math.sqrt(const.hbar / (2 * MASS_KG * TWO_PI * 1.05e6))
     com_err = 0.0
     for n in (2, 5, 9, 12):
         spec = axial_mode_spectrum(equilibrium_positions(n))
-        etas = lamb_dicke_parameters(spec, CA40)
-        single = single_ion_lamb_dicke(CA40, spec.frequencies[0])
+        etas = lamb_dicke_parameters(spec)
+        single = single_ion_lamb_dicke(spec.frequencies[0])
         com_err = max(com_err, float(np.max(np.abs(
             etas[:, 0] * math.sqrt(n) / single - 1.0))))
     ok = abs(eta - 0.0946) < 0.0005 and abs(eta - oracle) < 1e-12 and com_err < 1e-12
@@ -232,7 +232,7 @@ def test_criterion_09_addressing(capsys):
     res = exp.run_addressing_scan(spec, unit,
                                   calibration_tones_mhz=[1.0, 2.0, 3.0, 4.0, 5.0])
     slope = res.extra["slope_um_per_mhz"]
-    chain = equilibrium_positions(10, CA40, TrapConfig(omega_ax=TWO_PI * 450e3))
+    chain = equilibrium_positions(10, TrapConfig(omega_ax=TWO_PI * 450e3))
     x = adr.crosstalk_matrix(unit, chain.positions)
     max_off = float(np.max(x[~np.eye(10, dtype=bool)]))
     u3_exact = all(adr.u3_effective_ratio(e) == e * e

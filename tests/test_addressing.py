@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iontrap_bench import addressing as adr
-from iontrap_bench.chain import CA40, TrapConfig, equilibrium_positions
+from iontrap_bench.chain import TrapConfig, equilibrium_positions
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,7 +54,7 @@ def test_crosstalk_matrix_diagonal_and_symmetry():
 
 def test_ten_ion_chain_crosstalk_below_one_percent():
     trap = TrapConfig(omega_ax=TWO_PI * 450e3)
-    chain = equilibrium_positions(10, CA40, trap)
+    chain = equilibrium_positions(10, trap)
     unit = adr.AddressingUnit(kind=adr.AOD)
     x = adr.crosstalk_matrix(unit, chain.positions)
     off = x[~np.eye(10, dtype=bool)]

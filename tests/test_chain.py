@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy import constants as const
 
-from iontrap_bench.chain import (CA40, IonChain, IonSpecies, TrapConfig,
-                                 axial_mode_spectrum, equilibrium_positions,
-                                 lamb_dicke_parameters, length_scale_um,
-                                 radial_mode_spectrum, single_ion_lamb_dicke)
+from iontrap_bench.chain import (MASS_KG, IonChain, TrapConfig, axial_mode_spectrum,
+                                 equilibrium_positions, lamb_dicke_parameters,
+                                 length_scale_um, radial_mode_spectrum,
+                                 single_ion_lamb_dicke)
 from iontrap_bench.errors import ZigzagInstability
 
 TWO_PI = 2.0 * math.pi
@@ -28,8 +28,8 @@ def test_single_ion_at_origin():
 def test_two_ion_spacing_matches_analytic():
     # d = (2 l^3)^(1/3): closed-form solution of the two-ion equilibrium.
     trap = TrapConfig(omega_ax=TWO_PI * 1e6)
-    chain = equilibrium_positions(2, CA40, trap)
-    l_um = length_scale_um(CA40, trap.omega_ax)
+    chain = equilibrium_positions(2, trap)
+    l_um = length_scale_um(trap.omega_ax)
     d_analytic = (2.0) ** (1.0 / 3.0) * l_um
     assert chain.min_spacing_um() == pytest.approx(d_analytic, rel=1e-12)
     assert chain.min_spacing_um() == pytest.approx(5.605442547552987, rel=1e-12)
@@ -56,15 +56,15 @@ def test_spacing_scaling_law():
     # Minimum spacing scales as omega_ax^(-2/3) at fixed N.
     t1 = TrapConfig(omega_ax=TWO_PI * 0.5e6)
     t2 = TrapConfig(omega_ax=TWO_PI * 2.0e6)
-    c1 = equilibrium_positions(5, CA40, t1)
-    c2 = equilibrium_positions(5, CA40, t2)
+    c1 = equilibrium_positions(5, t1)
+    c2 = equilibrium_positions(5, t2)
     ratio = c1.min_spacing_um() / c2.min_spacing_um()
     assert ratio == pytest.approx(4.0 ** (2.0 / 3.0), rel=1e-10)
 
 
 def test_eleven_ion_center_spacing_450khz():
     trap = TrapConfig(omega_ax=TWO_PI * 450e3)
-    chain = equilibrium_positions(11, CA40, trap)
+    chain = equilibrium_positions(11, trap)
     gaps = np.diff(chain.positions)
     assert gaps[5] == pytest.approx(4.069789973614742, rel=1e-10)
     # center pair is within 2.5% of 4.0 um
@@ -73,7 +73,7 @@ def test_eleven_ion_center_spacing_450khz():
 
 def test_axial_com_and_breathing():
     trap = TrapConfig(omega_ax=TWO_PI * 450e3)
-    chain = equilibrium_positions(2, CA40, trap)
+    chain = equilibrium_positions(2, trap)
     spec = axial_mode_spectrum(chain)
     assert spec.frequencies[0] == pytest.approx(trap.omega_ax, rel=1e-12)
     assert spec.frequencies[1] / spec.frequencies[0] == pytest.approx(
@@ -92,7 +92,7 @@ def test_axial_com_for_any_n():
 def test_eigenvector_orthonormality_up_to_30():
     trap = TrapConfig(omega_ax=TWO_PI * 0.2e6, omega_rad=TWO_PI * 3e6)
     for n in (2, 12, 30):
-        chain = equilibrium_positions(n, CA40, trap)
+        chain = equilibrium_positions(n, trap)
         for spec in (axial_mode_spectrum(chain), radial_mode_spectrum(chain)):
             gram = spec.eigenvectors.T @ spec.eigenvectors
             assert np.max(np.abs(gram - np.eye(n))) < 1e-10
@@ -142,7 +142,7 @@ def test_brute_force_hessian_agreement():
 
 def test_radial_com_is_highest_and_rocking():
     trap = TrapConfig(omega_ax=TWO_PI * 1e6, omega_rad=TWO_PI * 3e6)
-    chain = equilibrium_positions(2, CA40, trap)
+    chain = equilibrium_positions(2, trap)
     spec = radial_mode_spectrum(chain)
     assert spec.frequencies[-1] == pytest.approx(trap.omega_rad, rel=1e-12)
     # rocking mode: sqrt(omega_rad^2 - omega_ax^2)
@@ -154,7 +154,7 @@ def test_radial_com_is_highest_and_rocking():
 def test_zigzag_instability_raised():
     # Tight axial / weak radial confinement buckles a long chain.
     trap = TrapConfig(omega_ax=TWO_PI * 1.0e6, omega_rad=TWO_PI * 1.2e6)
-    chain = equilibrium_positions(10, CA40, trap)
+    chain = equilibrium_positions(10, trap)
     with pytest.raises(ZigzagInstability) as err:
         radial_mode_spectrum(chain)
     assert err.value.min_sq_freq <= 0
@@ -162,16 +162,16 @@ def test_zigzag_instability_raised():
 
 def test_24_ion_reference_trap_is_linear():
     trap = TrapConfig(omega_ax=TWO_PI * 234e3, omega_rad=TWO_PI * 3e6)
-    chain = equilibrium_positions(24, CA40, trap)
+    chain = equilibrium_positions(24, trap)
     spec = radial_mode_spectrum(chain)  # must not raise
     assert spec.frequencies[0] > 0
 
 
 def test_lamb_dicke_single_ion_reference():
-    eta = single_ion_lamb_dicke(CA40, TWO_PI * 1.05e6)
+    eta = single_ion_lamb_dicke(TWO_PI * 1.05e6)
     # direct-formula oracle
     k = TWO_PI / 729e-9
-    oracle = k * math.sqrt(const.hbar / (2 * CA40.mass_kg * TWO_PI * 1.05e6))
+    oracle = k * math.sqrt(const.hbar / (2 * MASS_KG * TWO_PI * 1.05e6))
     assert eta == pytest.approx(oracle, rel=1e-12)
     assert abs(eta - 0.0946) < 0.0005
 
@@ -181,15 +181,24 @@ def test_lamb_dicke_com_scaling():
     for n in (2, 5, 9):
         chain = equilibrium_positions(n)
         spec = axial_mode_spectrum(chain)
-        eta = lamb_dicke_parameters(spec, CA40)
-        eta_single = single_ion_lamb_dicke(CA40, spec.frequencies[0])
+        eta = lamb_dicke_parameters(spec)
+        eta_single = single_ion_lamb_dicke(spec.frequencies[0])
         assert np.allclose(eta[:, 0], eta_single / math.sqrt(n), rtol=1e-12)
 
 
-def test_lamb_dicke_beam_angle():
-    eta0 = single_ion_lamb_dicke(CA40, TWO_PI * 1e6, beam_angle=0.0)
-    eta60 = single_ion_lamb_dicke(CA40, TWO_PI * 1e6, beam_angle=math.pi / 3)
-    assert eta60 == pytest.approx(eta0 / 2.0, rel=1e-12)
+# Ca-40 values pinned bitwise: the single-ion eta at 1.05 MHz, and eta[ion, mode]
+# of the 3-ion axial spectrum at the default trap (row-major).
+ETA_SINGLE_1P05MHZ = float.fromhex("0x1.836f7d5f199fdp-4")
+ETA_3_ION_AXIAL = [float.fromhex(h) for h in (
+    "0x1.ca6b7cd8e5876p-5", "0x1.aa9b964afa3eep-5", "0x1.a1c139d19c92ep-6",
+    "0x1.ca6b7cd8e5871p-5", "0x1.2da840f9a9267p-57", "0x1.a1c139d19c930p-5",
+    "0x1.ca6b7cd8e5876p-5", "0x1.aa9b964afa3f0p-5", "0x1.a1c139d19c92bp-6")]
+
+
+def test_lamb_dicke_values_are_pinned():
+    assert single_ion_lamb_dicke(TWO_PI * 1.05e6) == ETA_SINGLE_1P05MHZ
+    eta = lamb_dicke_parameters(axial_mode_spectrum(equilibrium_positions(3)))
+    assert eta.ravel().tolist() == ETA_3_ION_AXIAL
 
 
 def test_mode_sign_determinism():
@@ -208,12 +217,10 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         TrapConfig(omega_ax=-1.0)
     with pytest.raises(ValueError):
-        IonSpecies(mass=-1.0)
-    with pytest.raises(ValueError):
-        IonChain(2, np.array([1.0, 0.0]), CA40, TrapConfig())
+        IonChain(np.array([1.0, 0.0]), TrapConfig())
 
 
 def test_chain_runtime_50_ions():
     chain = equilibrium_positions(50)
-    assert chain.n == 50
+    assert len(chain.positions) == 50
     assert np.all(np.diff(chain.positions) > 0)

@@ -42,6 +42,51 @@ def test_chain_stdout(capsys):
     assert capsys.readouterr().out.startswith("ion_index,position_um")
 
 
+# Output of the Ca-40 chain at these arguments, pinned bitwise.
+CHAIN_11_ION_CSV = """\
+ion_index,position_um
+0,-23.105703333337374
+1,-17.395818273522536
+2,-12.606125035150365
+3,-8.2319615614196913
+4,-4.0697899736147409
+5,8.7057468937823227e-16
+6,4.0697899736147427
+7,8.231961561419693
+8,12.606125035150365
+9,17.395818273522536
+10,23.105703333337374
+mode_index,freq_hz,direction
+0,449999.99999999953,axial
+1,779422.86340599461,axial
+2,1087864.586054113,axial
+3,1380985.2645291558,axial
+4,1662445.5208083566,axial
+5,1934842.7868173011,axial
+6,2199993.1939444295,axial
+7,2459181.1976340725,axial
+8,2713343.0244672992,axial
+9,2963184.3009467246,axial
+10,3209252.8723691218,axial
+0,1987862.6714628118,radial
+1,2170488.2859189627,radial
+2,2328118.2993540782,radial
+3,2465251.2891390049,radial
+4,2584814.3015116379,radial
+5,2688762.1120416229,radial
+6,2778378.5640499233,radial
+7,2854415.8508487628,radial
+8,2917109.0691307131,radial
+9,2966057.9899927783,radial
+10,3000000,radial
+"""
+
+
+def test_chain_stdout_is_pinned(capsys):
+    assert main(["chain", "--n", "11", "--fax", "450e3", "--frad", "3e6"]) == 0
+    assert capsys.readouterr().out == CHAIN_11_ION_CSV
+
+
 def test_compile_schedule_json(tmp_path, circuit_file):
     out = tmp_path / "schedule.json"
     assert main(["compile", "--circuit", circuit_file, "--out", str(out)]) == 0
@@ -106,6 +151,15 @@ def test_fit_subcommand(tmp_path, capsys):
     assert main(["fit", "--model", "linear", "--data", str(data)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["fit"]["params"]["slope"]["value"] == pytest.approx(3.1)
+
+
+def test_fit_reproduces_addressing_scan_summary(tmp_path, capsys):
+    out = tmp_path / "scan"
+    assert main(["experiment", "addressing_scan", "--seed", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["fit", "--model", "gaussian", "--data", str(out / "points.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["fit"] == summary["fits"]["gaussian"]
 
 
 @pytest.mark.parametrize("text", ["", "x,y,yerr\n",

@@ -274,7 +274,7 @@ def test_t1_examples():
     assert 1.0 - math.exp(-3e-4 / 1.168) == pytest.approx(2.568e-4, rel=1e-3)
     st = eng.RegisterState(1)
     psi0 = st.psi.copy()
-    eng.apply_t1_decay(st, [0], 0.0, np.random.default_rng(0))
+    eng.apply_t1_decay(st, [0], 0.0, np.random.default_rng(0), t1=1.168)
     assert np.array_equal(st.psi, psi0)
 
 
