@@ -1,9 +1,10 @@
 """Circuit IR, machine description, and the circuit-to-pulse compiler.
 
 The compiler translates gate-level instructions into a timed,
-channel-resolved schedule.  Scheduling is strictly sequential; per-qubit
-phase frames implement virtual Z rotations; branches reserve a time slot
-for their conditional continuation.
+channel-resolved schedule, checking each instruction as it goes.
+Scheduling is strictly sequential; per-qubit phase frames implement
+virtual Z rotations; branches reserve a time slot for their conditional
+continuation, whose virtual Z rotations move no frame outside it.
 """
 
 from __future__ import annotations
@@ -75,34 +76,6 @@ class Branch:
 class CircuitIR:
     instructions: tuple
 
-    def validate(self, n_qubits: int, _depth: int = 0):
-        seen_labels = set()
-        for ins in self.instructions:
-            if isinstance(ins, (R, RZ, MS)):
-                if ins.targets != "all":
-                    for t in ins.targets:
-                        if not (0 <= t < n_qubits):
-                            raise UnsupportedTarget(f"target {t} out of range")
-                if isinstance(ins, MS):
-                    tg = range(n_qubits) if ins.targets == "all" else ins.targets
-                    tg = tuple(tg)
-                    if len(set(tg)) != len(tg) or len(tg) < 2:
-                        raise ValueError("MS needs >= 2 distinct targets")
-                    if ins.bus not in ("axial", "radial"):
-                        raise ValueError("MS bus must be axial or radial")
-            elif isinstance(ins, MeasureAll):
-                seen_labels.add(ins.label)
-            elif isinstance(ins, Branch):
-                if ins.label not in seen_labels:
-                    raise UnknownLabel(f"branch references unknown label {ins.label!r}")
-                if _depth + 1 > _MAX_BRANCH_DEPTH:
-                    raise ValueError(f"branches nest deeper than {_MAX_BRANCH_DEPTH}")
-                for q, want in ins.predicate:
-                    if not 0 <= q < n_qubits or want not in ("bright", "dark"):
-                        raise ValueError(f"bad branch predicate q{q}={want}")
-                CircuitIR(ins.body).validate(n_qubits, _depth + 1)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Machine configuration
@@ -139,6 +112,8 @@ class MachineConfig:
 
     def grid_ns(self, value_ns: float) -> int:
         """Round a duration to the timing grid."""
+        if not math.isfinite(value_ns):
+            raise GridViolation(f"duration {value_ns} ns is not finite")
         return int(round(value_ns / self.timing_grid_ns)) * self.timing_grid_ns
 
 
@@ -222,9 +197,14 @@ class PulseSchedule:
 # Compilation
 # ---------------------------------------------------------------------------
 
-def _expand_targets(targets, n):
+def expand_targets(targets, n):
+    """Target qubits of an instruction on an n-qubit register ("all" is
+    every qubit); raises UnsupportedTarget for a qubit out of range."""
     if targets == "all":
         return tuple(range(n))
+    for t in targets:
+        if not 0 <= t < n:
+            raise UnsupportedTarget(f"target {t} out of range")
     return tuple(targets)
 
 
@@ -243,9 +223,10 @@ def _rotation_event(machine, channel, start_ns, theta, phase, targets, kind="car
 
 
 class _Compiler:
-    def __init__(self, machine: MachineConfig):
+    def __init__(self, machine: MachineConfig, frames=None, depth: int = 0):
         self.m = machine
-        self.frames = [0.0] * machine.n_qubits
+        self.frames = [0.0] * machine.n_qubits if frames is None else list(frames)
+        self.depth = depth  # branch bodies enclosing this walk
         self.cursor = 0
         self.events = []
         self.measure_ends = {}
@@ -259,7 +240,7 @@ class _Compiler:
         if isinstance(ins, PrepareAll):
             return  # state preparation is implicit at schedule start
         if isinstance(ins, R):
-            targets = _expand_targets(ins.targets, m.n_qubits)
+            targets = expand_targets(ins.targets, m.n_qubits)
             if ins.theta == 0.0:
                 return
             if len(targets) == m.n_qubits:
@@ -274,7 +255,7 @@ class _Compiler:
                                           ins.theta, ins.phi - self.frames[q], (q,)))
             return
         if isinstance(ins, RZ):
-            targets = _expand_targets(ins.targets, m.n_qubits)
+            targets = expand_targets(ins.targets, m.n_qubits)
             if m.rz_mode == "virtual":
                 for q in targets:
                     self.frames[q] += ins.theta
@@ -288,7 +269,11 @@ class _Compiler:
                                           ins.theta, 0.0, (q,), kind="ac_stark"))
             return
         if isinstance(ins, MS):
-            targets = _expand_targets(ins.targets, m.n_qubits)
+            targets = expand_targets(ins.targets, m.n_qubits)
+            if len(set(targets)) != len(targets) or len(targets) < 2:
+                raise ValueError("MS needs >= 2 distinct targets")
+            if ins.bus not in ("axial", "radial"):
+                raise ValueError("MS bus must be axial or radial")
             dur = m.grid_ns(m.t_ms_us * 1000.0)
             # Tones are symbolic sideband offsets +-(nu + delta); the dynamics
             # engine resolves them against its calibration.  MS does not
@@ -313,17 +298,23 @@ class _Compiler:
             self.measure_ends[ins.label] = ev.end
             return
         if isinstance(ins, Branch):
-            latency = self.m.grid_ns(m.branch_latency_us * 1000.0)
+            if ins.label not in self.measure_ends:
+                raise UnknownLabel(f"branch references unknown label {ins.label!r}")
+            if self.depth >= _MAX_BRANCH_DEPTH:
+                raise ValueError(f"branches nest deeper than {_MAX_BRANCH_DEPTH}")
+            for q, want in ins.predicate:
+                if not 0 <= q < m.n_qubits or want not in ("bright", "dark"):
+                    raise ValueError(f"bad branch predicate q{q}={want}")
+            latency = m.grid_ns(m.branch_latency_us * 1000.0)
             start = max(self.cursor, self.measure_ends[ins.label] + latency)
-            sub = _Compiler(m)
-            sub.frames = list(self.frames)
+            # The body compiles in a copy of the frames: its virtual RZs act
+            # only on the shots that fire, as real Z rotations at its end.
+            sub = _Compiler(m, self.frames, self.depth + 1)
             for sub_ins in ins.body:
                 sub.compile_instruction(sub_ins)
-            body = tuple(sub.events)
-            self.frames = sub.frames
             self.events.append(Event(
                 channel=GLOBAL_CHANNEL, start=start, duration=0, kind="branch_point",
-                label=ins.label, predicate=tuple(ins.predicate), body=body,
+                label=ins.label, predicate=tuple(ins.predicate), body=tuple(sub.events),
             ))
             # Reserve the slot whether or not the branch fires.
             self.cursor = start + sub.cursor
@@ -332,8 +323,8 @@ class _Compiler:
 
 
 def compile_circuit(circuit: CircuitIR, machine: MachineConfig) -> PulseSchedule:
-    """Translate a circuit into a validated pulse schedule."""
-    circuit.validate(machine.n_qubits)
+    """Translate a circuit into a validated pulse schedule, checking each
+    instruction's targets, MS bus, and branch label, predicate and depth."""
     c = _Compiler(machine)
     for ins in circuit.instructions:
         c.compile_instruction(ins)
@@ -398,11 +389,14 @@ def predicate_matches(predicate, outcome_bits):
 _BRANCH_RE = re.compile(r"^BRANCH\s+(\S+)\s+(.*?)\s*\{(.*)\}\s*$")
 _PREDICATE_RE = re.compile(r"^q?(\d+)=(bright|dark)$")
 _OPERANDS = {"PREPARE": 0, "R": 3, "RZ": 2, "MS": 2, "DELAY": 1, "MEASURE": 1}
+# Largest angle (rad) or delay (us) of a line: far past any run (1e9 us is
+# over 1000 s), yet its duration in ns stays far from float overflow.
+_MAX_OPERAND = 1e9
 
 
 def _number(tok: str) -> float:
-    if not math.isfinite(value := float(tok)):
-        raise ValueError(f"operand {tok!r} is not a finite number")
+    if not abs(value := float(tok)) <= _MAX_OPERAND:
+        raise ValueError(f"operand {tok!r} is not a finite number within +-{_MAX_OPERAND:g}")
     return value
 
 
@@ -425,8 +419,9 @@ def _parse_line(line: str):
     op = parts[0].upper()
     if op not in _OPERANDS:
         raise ValueError(f"unknown instruction line: {line!r}")
-    if len(parts) <= _OPERANDS[op]:
-        raise ValueError(f"{op} needs {_OPERANDS[op]} operands: {line!r}")
+    # MS alone takes an optional last operand, its bus.
+    if not _OPERANDS[op] < len(parts) <= _OPERANDS[op] + 1 + (op == "MS"):
+        raise ValueError(f"{op} takes {_OPERANDS[op]} operands: {line!r}")
     if op == "PREPARE":
         return PrepareAll()
     if op == "R":

@@ -18,12 +18,13 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import pdtr, pdtrc
 
-from .compiler import PulseSchedule, MachineConfig, predicate_matches
-from .errors import FockLeakage, NoValidShots, StepTooCoarse
+from .compiler import PulseSchedule, MachineConfig, expand_targets, predicate_matches
+from .errors import FockLeakage, NoValidShots
 
 _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
 _MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
 _SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
+_STEPS_PER_PERIOD = 50  # MS integrator steps per period of the faster of tone and mode
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +574,7 @@ class BichromaticParams:
 
 
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
-                         leakage_threshold: float = 1e-6,
-                         steps_per_period: int = 50):
+                         leakage_threshold: float = 1e-6):
     """Integrate the two-tone interaction Hamiltonian in the truncated
     Fock space with a fixed-step midpoint exponential propagator, for one
     state or every shot of a batch (each one leakage-checked).
@@ -589,15 +589,13 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     """
     if state.phonon is None:
         raise ValueError("phonon mode must be attached")
-    if steps_per_period < 50:
-        raise StepTooCoarse("need >= 50 steps per fastest period")
     n = state.n
     fock_dim = state.fock_dim
     nmax = state.phonon.n_max
     if len(params.etas) != n:
         raise ValueError("one Lamb-Dicke parameter per addressed ion")
     tone = params.nu + params.delta
-    dt = 2.0 * math.pi / (steps_per_period * max(abs(tone), params.nu))
+    dt = 2.0 * math.pi / (_STEPS_PER_PERIOD * max(abs(tone), params.nu))
     n_steps = max(1, int(math.ceil(params.t / dt)))
     dt = params.t / n_steps
 
@@ -715,9 +713,10 @@ def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
 
 
 def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
-                detunings_hz, t_now, last):
+                detunings_hz, t_now, last, labels):
     """Apply events in time order to every shot of the batched state;
-    `last` holds the latest detected bits and counts per shot."""
+    `last` holds the latest detected bits and counts per shot, `labels`
+    the detected bits of each measurement label for branches to read."""
     def idle(st, dt_s):
         _noise_interval(st, dt_s, noise, rng, qubit_kind, detunings_hz)
 
@@ -748,14 +747,21 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
             idle(state, half)
         elif e.kind == "measure":
             last["bits"], last["counts"] = detect(state, noise.detection, rng)
+            # A copy: a branch body writes its own readout into last["bits"].
+            labels[e.label] = last["bits"].copy()
         elif e.kind == "branch_point":
-            fire = predicate_matches(e.predicate, last["bits"])
+            fire = predicate_matches(e.predicate, labels[e.label])
             if fire.any():
                 body = [replace(b, start=b.start + e.start) for b in e.body]
                 sub = state.subset(fire)
                 sub_last = {k: v[fire] for k, v in last.items()}
                 t_end = _run_events(body, sub, noise, rng, crosstalk, qubit_kind,
-                                    detunings_hz, e.start, sub_last)
+                                    detunings_hz, e.start, sub_last,
+                                    {k: v[fire] for k, v in labels.items()})
+                # The body's virtual RZs become real ones on the shots that fired.
+                for b in body:
+                    if b.kind == "frame_advance":
+                        apply_rz(sub, b.targets, b.angle)
                 state.psi[fire] = sub.psi
                 for k, v in sub_last.items():
                     last[k][fire] = v
@@ -784,8 +790,8 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
 
     Each chunk of at most _CHUNK_BYTES of state is one batched state with
     its own random stream keyed by (seed, chunk index).  A BRANCH runs its
-    body on the shots whose detected bits match.  MS events are ideal gates
-    plus depolarizing (see apply_ms_bichromatic).
+    body on the shots whose detected bits at the MEASURE it names match.
+    MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
 
     `phonon` and `threads` have no effect.  No operator of the interpreter
     couples spin and motion, and a jump channel on one tensor factor leaves
@@ -807,7 +813,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
         last = {"bits": None, "counts": None}
         _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
-                    detunings, 0, last)
+                    detunings, 0, last, {})
         if last["bits"] is None:
             last["bits"], last["counts"] = detect(state, noise.detection, rng)
         bits += last["bits"].tolist()
@@ -828,7 +834,7 @@ def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.
         raise ValueError("statevector mode supports branch-free, measure-free schedules")
     state = RegisterState(machine.n_qubits)
     _run_events(schedule.events, state, _QUIET, np.random.default_rng(0), None,
-                "optical", None, 0, {})
+                "optical", None, 0, {}, {})
     apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)
     return state.psi[0]
 
@@ -839,14 +845,11 @@ def circuit_statevector(instructions, n_qubits: int) -> np.ndarray:
     state = RegisterState(n_qubits)
     for ins in instructions:
         if isinstance(ins, c.R):
-            tg = range(n_qubits) if ins.targets == "all" else ins.targets
-            apply_rotation(state, tg, ins.theta, ins.phi)
+            apply_rotation(state, expand_targets(ins.targets, n_qubits), ins.theta, ins.phi)
         elif isinstance(ins, c.RZ):
-            tg = range(n_qubits) if ins.targets == "all" else ins.targets
-            apply_rz(state, tg, ins.theta)
+            apply_rz(state, expand_targets(ins.targets, n_qubits), ins.theta)
         elif isinstance(ins, c.MS):
-            tg = range(n_qubits) if ins.targets == "all" else ins.targets
-            apply_ms_ideal(state, tg, ins.chi)
+            apply_ms_ideal(state, expand_targets(ins.targets, n_qubits), ins.chi)
         elif isinstance(ins, (c.PrepareAll, c.Delay)):
             pass
         else:

@@ -44,10 +44,6 @@ class FockLeakage(IonTrapBenchError):
         self.leakage = leakage
 
 
-class StepTooCoarse(IonTrapBenchError):
-    """Requested integration step violates the step-size rule."""
-
-
 class FitFailure(IonTrapBenchError):
     """Weighted fit did not converge; carries the best iterate if available."""
 

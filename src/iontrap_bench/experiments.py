@@ -104,25 +104,29 @@ GRADIENT_WAIT_S = 1e-3  # Ramsey wait of each gradient-scan point
 
 def run_gradient_scan(spec: ExperimentSpec, positions_um) -> ExperimentResult:
     """Ramsey fringe frequency vs ion displacement; linear fit gives the
-    field gradient in Hz/um (ground-state qubit)."""
+    field gradient in Hz/um (ground-state qubit).  The fringe phase accrues
+    between the centres of the two pi/2 pulses, GRADIENT_WAIT_S plus one
+    pulse length apart, and is divided by that spacing."""
     positions = np.asarray(positions_um, dtype=float)
     if np.any(np.abs(positions) > 100.0):
         raise ValueError("positions must lie within +-100 um")
     machine = replace(spec.machine, n_qubits=1)
+    schedules = [comp.compile_circuit(_ramsey_circuit(GRADIENT_WAIT_S * 1e6, phi), machine)
+                 for phi in (0.0, math.pi / 2)]
+    first, second = (e for e in schedules[0].events if e.kind == "carrier")
+    spacing_s = (second.start + second.end - first.start - first.end) / 2 * 1e-9
     freqs, ferr = [], []
     for i, z in enumerate(positions):
         quadratures = []
-        for j, phi in enumerate((0.0, math.pi / 2)):
-            sched = comp.compile_circuit(
-                _ramsey_circuit(GRADIENT_WAIT_S * 1e6, phi), machine)
+        for j, sched in enumerate(schedules):
             recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
                                     seed=spec.seed + 2 * i + j,
                                     qubit_kind="ground", positions_um=[z])
             quadratures.append(_contrast(recs))
         (c, se_c), (s, se_s) = quadratures
-        f = math.atan2(s, c) / (2.0 * math.pi * GRADIENT_WAIT_S)
+        f = math.atan2(s, c) / (2.0 * math.pi * spacing_s)
         r2 = max(c**2 + s**2, 1e-6)
-        var_f = (c**2 * se_s**2 + s**2 * se_c**2) / (r2**2 * (2 * math.pi * GRADIENT_WAIT_S) ** 2)
+        var_f = (c**2 * se_s**2 + s**2 * se_c**2) / (r2**2 * (2 * math.pi * spacing_s) ** 2)
         freqs.append(f)
         ferr.append(max(math.sqrt(var_f), 1e-9))
     ds = Dataset(positions, np.array(freqs), np.array(ferr),
@@ -170,23 +174,6 @@ CLIFFORD_PULSES = _clifford_table()
 CLIFFORD_AVG_COST = sum(len(s) for s in CLIFFORD_PULSES) / len(CLIFFORD_PULSES)
 
 
-def _product(unitaries) -> np.ndarray:
-    """Product of 2x2 unitaries applied in iteration order."""
-    return functools.reduce(lambda u, m: m @ u, unitaries, np.eye(2, dtype=complex))
-
-
-CLIFFORD_UNITARIES = [_product(eng.rotation_matrix(t, p) for t, p in seq)
-                      for seq in CLIFFORD_PULSES]
-
-
-def _inverse_clifford(u: np.ndarray) -> int:
-    target = u.conj().T
-    for k, c in enumerate(CLIFFORD_UNITARIES):
-        if abs(abs(np.trace(c.conj().T @ target))) > 2.0 - 1e-9:
-            return k
-    raise RuntimeError("Clifford table is not closed under inversion")
-
-
 def _gate(n: int, apply) -> np.ndarray:
     """Row-convention matrix (psi @ u) of the gate that apply(state) runs,
     read off an n-qubit batch whose shots are the basis states."""
@@ -199,12 +186,25 @@ CLIFFORD_GATES = [[_gate(1, lambda st: eng.apply_rotation(st, [0], *p)) for p in
                   for seq in CLIFFORD_PULSES]
 
 
+# Each Clifford's gate product in order: its unitary, in the same row convention.
+_CLIFFORD_PRODUCTS = [functools.reduce(np.matmul, seq) for seq in CLIFFORD_GATES]
+
+
+def _inverse_clifford(u: np.ndarray) -> int:
+    """Index of the Clifford that undoes the row-convention unitary u
+    (psi @ u), up to a global phase."""
+    for k, c in enumerate(_CLIFFORD_PRODUCTS):
+        if abs(np.trace(u @ c)) > 2.0 - 1e-9:
+            return k
+    raise RuntimeError("Clifford table is not closed under inversion")
+
+
 def _run_rb_sequence(cliffords, eps, shots, rng):
     """Survival count of one sequence: all shots propagate as one batched
     state, with a depolarizing draw per shot per pulse slot."""
-    inverse = _inverse_clifford(_product(CLIFFORD_UNITARIES[k] for k in cliffords))
+    u = functools.reduce(np.matmul, (_CLIFFORD_PRODUCTS[k] for k in cliffords), np.eye(2))
+    gates = [g for k in [*cliffords, _inverse_clifford(u)] for g in CLIFFORD_GATES[k]]
     state = eng.RegisterState(1, shots=shots)
-    gates = [g for k in [*cliffords, inverse] for g in CLIFFORD_GATES[k]]
     eng.apply_noisy_gates(state, gates, [0], eps, rng)
     return int(np.sum(eng.project_bits(state, rng)))
 
@@ -382,6 +382,9 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
             product_state: tuple = None) -> ExperimentResult:
     """GHZ witness: P from populations, C from a fixed-frequency parity
     fit over the analysis-phase scan, F = (P+C)/2, witness F > 0.5.
+
+    The gates are ideal: of spec.noise only the detection model acts, so
+    no coherence, depolarizing, SPAM or heating setting changes the state.
 
     product_state optionally replaces the MS step by per-qubit rotations
     (theta, phi), for witness-soundness studies.

@@ -217,7 +217,10 @@ def test_simulate_zero_qubit_register_is_one_error_line(tmp_path, circuit_file, 
                                   "BRANCH m0 q0=grey { R 1 0 0 }",
                                   "BRANCH m0 q0=bright { R 1 }",
                                   "RZ nan 0", "DELAY inf", "R nan 0.0 0",
-                                  "MS -inf 0,1", "BRANCH m0 q0=bright { R inf 0 0 }"])
+                                  "MS -inf 0,1", "BRANCH m0 q0=bright { R inf 0 0 }",
+                                  "R 1e308 0.0 0", "DELAY 1e308", "R 1.57 0.0 0 1",
+                                  "RZ 1 0 2", "MS 0.5 0,1 axial 1", "PREPARE all",
+                                  "BRANCH m0 q0=bright { RZ 1 0 1 }"])
 def test_malformed_circuit_line_is_one_error_line(tmp_path, capsys, line):
     bad = tmp_path / "bad.circ"
     bad.write_text(f"PREPARE\nMEASURE m0\n{line}\n")

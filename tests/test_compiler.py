@@ -1,4 +1,4 @@
-"""Compiler: IR validation, scheduling, phase frames, branches, text format."""
+"""Compiler: instruction checks, scheduling, phase frames, branches, text format."""
 
 import json
 import math
@@ -149,6 +149,17 @@ def test_measure_and_branch_latency():
     assert tail.start >= bp2.start + bp2.body[-1].end
 
 
+def test_rz_in_a_branch_body_leaves_the_frames_outside_it():
+    sched = compile_([comp.MeasureAll("m0"),
+                      comp.Branch("m0", ((0, "bright"),),
+                                  (comp.RZ(1.0, (1,)), comp.R(PI, 0.0, (1,)))),
+                      comp.R(PI / 2, 0.0, (1,))])
+    bp = next(e for e in sched.events if e.kind == "branch_point")
+    assert [e.phase for e in bp.body if e.kind == "carrier"] == [-1.0]
+    assert [e.phase for e in sched.events if e.kind == "carrier"] == [0.0]
+    assert sched.frames == (0.0, 0.0)
+
+
 def test_branch_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         compile_([comp.Branch("m9", ((0, "bright"),), (comp.R(PI, 0.0, (0,)),))])
@@ -157,21 +168,27 @@ def test_branch_unknown_label_rejected():
 def test_branch_nesting_cap():
     inner = comp.Branch("m1", ((0, "dark"),), (comp.R(PI, 0.0, (0,)),))
     outer = comp.Branch("m0", ((0, "bright"),), (comp.MeasureAll("m1"), inner))
-    circuit = comp.CircuitIR((comp.MeasureAll("m0"), outer))
     with pytest.raises(ValueError):
-        circuit.validate(2)
+        compile_([comp.MeasureAll("m0"), outer])
 
 
 def test_branch_predicate_checked():
     for predicate in (((2, "bright"),), ((0, "grey"),)):
-        circuit = comp.CircuitIR((comp.MeasureAll("m0"), comp.Branch("m0", predicate, ())))
         with pytest.raises(ValueError):
-            circuit.validate(2)
+            compile_([comp.MeasureAll("m0"), comp.Branch("m0", predicate, ())])
 
 
 def test_target_out_of_range():
     with pytest.raises(UnsupportedTarget):
         compile_([comp.R(PI, 0.0, (5,))])
+
+
+@pytest.mark.parametrize("instruction, machine", [
+    (comp.R(1e308, 0.0, (0,)), M), (comp.Delay(1e308), M),
+    (comp.R(1e9, 0.0, (0,)), comp.MachineConfig(t_half_pi_us=1e300))])
+def test_non_finite_duration_is_a_grid_violation(instruction, machine):
+    with pytest.raises(GridViolation, match="not finite"):
+        compile_([instruction], machine)
 
 
 def test_machine_grid_representability():

@@ -438,6 +438,40 @@ def test_run_schedule_branch_conditional_flip():
     assert dark >= 392
 
 
+FLIP = comp.R(PI, 0.0, (0,))
+
+
+@pytest.mark.parametrize("middle", [
+    # m1 reads q0 dark; the branch on m0 (bright) fires and flips q0 back.
+    (comp.R(PI, 0.0, "all"), comp.MeasureAll("m1"), comp.Branch("m0", ((0, "bright"),), (FLIP,))),
+    # A body flips q0 dark and reads it; the next branch still reads m0.
+    (comp.Branch("m0", ((0, "bright"),), (FLIP, comp.MeasureAll("m1"))),
+     comp.Branch("m0", ((0, "bright"),), (FLIP,)))])
+def test_branch_reads_the_measurement_it_names(middle):
+    machine = comp.MachineConfig(n_qubits=1)
+    sched = _compile([comp.PrepareAll(), comp.MeasureAll("m0"), *middle,
+                      comp.MeasureAll("m2")], machine)
+    recs = eng.run_schedule(sched, machine, QUIET, 400, seed=5)
+    assert sum(r.bits == (1,) for r in recs) >= 392
+
+
+@pytest.mark.parametrize("rz_mode", ["virtual", "ac_stark"])
+def test_rz_in_a_branch_body_acts_only_on_the_shots_that_fire(rz_mode):
+    # q1 takes R(pi/2) twice: dark at the end, unless the branch fired and
+    # put RZ(pi) between the pulses, which undoes the flip.
+    machine = comp.MachineConfig(rz_mode=rz_mode)
+    half = PI / 2
+    sched = _compile([comp.PrepareAll(), comp.R(half, 0.0, (0,)), comp.MeasureAll("m0"),
+                      comp.R(half, 0.0, (1,)),
+                      comp.Branch("m0", ((0, "bright"),), (comp.RZ(PI, (1,)),)),
+                      comp.R(half, 0.0, (1,)), comp.MeasureAll("m1")], machine)
+    bits = np.array([r.bits for r in eng.run_schedule(sched, machine, QUIET, 1000, seed=7)])
+    fired = bits[:, 0] == 1
+    assert 400 < fired.sum() < 600
+    assert bits[~fired, 1].mean() < 0.02
+    assert bits[fired, 1].mean() > 0.98
+
+
 def test_run_schedule_determinism_and_threads():
     machine = comp.MachineConfig()
     sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MS(PI / 4, (0, 1)),

@@ -2,6 +2,7 @@
 addressing scans.  Statistical assertions use 3-sigma windows at fixed seeds."""
 
 import collections
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,9 @@ def _proj_equal(u, v):
 
 
 def test_clifford_table_structure():
-    us = exp.CLIFFORD_UNITARIES
+    us = exp._CLIFFORD_PRODUCTS
+    np.testing.assert_array_equal(
+        us, [functools.reduce(np.matmul, seq) for seq in exp.CLIFFORD_GATES])
     assert len(us) == 24
     # distinct up to global phase
     for i in range(24):
@@ -46,10 +49,10 @@ def test_clifford_table_structure():
 
 
 def test_clifford_closure_and_inversion():
-    us = exp.CLIFFORD_UNITARIES
+    us = exp._CLIFFORD_PRODUCTS
     for i in range(24):
         inv = exp._inverse_clifford(us[i])
-        assert _proj_equal(us[inv] @ us[i], np.eye(2))
+        assert _proj_equal(us[i] @ us[inv], np.eye(2))
         for j in range(0, 24, 5):
             prod = us[j] @ us[i]
             assert any(_proj_equal(prod, c) for c in us)
@@ -188,6 +191,19 @@ def test_gradient_scan_recovery_and_compensation():
     res2 = exp.run_gradient_scan(_spec("gradient", comp, 400, seed=4),
                                  np.linspace(-40.0, 40.0, 9))
     assert abs(res2.extra["slope_hz_per_um"]) <= 0.3
+
+
+def test_gradient_slope_divides_by_the_pulse_centre_spacing():
+    # The detuning phase accrues over 1015 us, the wait plus one 15 us pi/2
+    # pulse; dividing by the 1 ms wait alone read the slope 1.5 % high,
+    # about 5 of its errors at this shot count.
+    raw = eng.NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf,
+                          collision_rate=0.0, gradient_compensation=False)
+    res = exp.run_gradient_scan(_spec("gradient", raw, 20000, seed=0),
+                                [-80.0, -40.0, 40.0, 80.0])
+    s, se = res.extra["slope_hz_per_um"], res.extra["slope_err"]
+    assert abs(s - 3.1) < 3.0 * se
+    assert abs(s / 3.1 - 1.0) < 0.006
 
 
 def test_gradient_zero_field_flat():

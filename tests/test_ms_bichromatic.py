@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iontrap_bench import engine as eng
-from iontrap_bench.errors import FockLeakage, StepTooCoarse
+from iontrap_bench.errors import FockLeakage
 from oracles import bichromatic_midpoint
 
 PI = math.pi
@@ -116,12 +116,6 @@ def test_ms_inputs_checked_where_they_enter(target, bad):
                                              "etas": (ETA, ETA), "t": T_GATE}
     with pytest.raises(ValueError, match="need finite"):
         func(**{**args, **bad})
-
-
-def test_step_too_coarse_rejected(omega_cal):
-    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=6))
-    with pytest.raises(StepTooCoarse):
-        eng.apply_ms_bichromatic(st, _params(omega_cal), steps_per_period=10)
 
 
 def test_fock_leakage_detected(omega_cal):

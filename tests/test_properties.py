@@ -1,14 +1,15 @@
 """Property-based tests: batched noise operators, batched against single
 states, noisy gate sequences against the per-gate reference, the compiled
 schedule against the gate-level reference, spin outcomes with and without
-a phonon axis, config round-trips and circuit parsing.  Examples are
+a phonon axis, config round-trips, circuit parsing and compiling, and
+virtual against ac_stark RZ in branching circuits.  Examples are
 derandomized so that every run checks the same cases."""
 
 import copy
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -232,7 +233,7 @@ TOKENS = st.sampled_from(
     ["PREPARE", "R", "RZ", "MS", "DELAY", "MEASURE", "BRANCH", "prepare", "m0", "m1",
      "q0=bright", "q1=dark", "q0=grey", "3=bright", "{", "}", ";", "#", "=", "all",
      "0", "1", "2", "0,1", "1,,2", "-1", "1.5", "-0.25", "1e999", "nan", "inf",
-     "axial", "radial", "{ R 1 0 0 }", "{ R 1 0 0 ; MEASURE m2 }"])
+     "axial", "radial", "{ R 1 0 0 }", "{ R 1 0 0 ; MEASURE m2 }", "1e308", "{ RZ 1 0 }"])
 CIRCUIT_TEXT = st.one_of(
     st.lists(st.lists(st.one_of(TOKENS, st.text(max_size=4)), max_size=7).map(" ".join),
              max_size=6).map("\n".join),
@@ -241,9 +242,58 @@ CIRCUIT_TEXT = st.one_of(
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(CIRCUIT_TEXT)
+@example("PREPARE\nR 1e308 0.0 0")
+@example("PREPARE\nMEASURE m0\nBRANCH m0 q0=bright { RZ 1 0 ; DELAY 1e308 }")
 def test_parse_circuit_returns_ir_or_raises_a_reported_error(text):
+    """Parsing, then compiling on a 3-qubit machine, gives a schedule that
+    passes the schedule check, or a ValueError or package error."""
+    machine = comp.MachineConfig(n_qubits=3)
     try:
         circuit = comp.parse_circuit(text)
+        assert isinstance(circuit, comp.CircuitIR)
+        schedule = comp.compile_circuit(circuit, machine)
     except (ValueError, IonTrapBenchError):
         return
-    assert isinstance(circuit, comp.CircuitIR)
+    assert comp.validate(schedule, machine) == []
+
+
+@st.composite
+def branching_circuits(draw):
+    """Gates, MEASURE m0, gates, a BRANCH on m0 whose body mixes R and RZ,
+    gates and a final MEASURE, on 1 to 3 qubits."""
+    n = draw(st.integers(1, 3))
+    qubits = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(tuple)
+    one_qubit = [st.builds(comp.R, ANGLES, ANGLES, st.one_of(st.just("all"), qubits)),
+                 st.builds(comp.RZ, ANGLES, st.one_of(st.just("all"), qubits))]
+    kinds = one_qubit + ([st.builds(comp.MS, ANGLES, st.permutations(range(n)).map(
+        lambda p: tuple(p[:2])))] if n > 1 else [])
+    gates = st.lists(st.one_of(kinds), max_size=4)
+    predicate = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(["bright", "dark"])),
+                         min_size=1, max_size=n, unique_by=lambda p: p[0]).map(tuple)
+    body = st.lists(st.one_of(one_qubit), min_size=1, max_size=4).map(tuple)
+    return n, (comp.PrepareAll(), *draw(gates), comp.MeasureAll("m0"), *draw(gates),
+               comp.Branch("m0", draw(predicate), draw(body)), *draw(gates),
+               comp.MeasureAll("m1"))
+
+
+NO_NOISE = eng.NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf,
+                           collision_rate=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=branching_circuits(), seed=st.integers(0, 2**32 - 1))
+@example(case=(2, (comp.PrepareAll(), comp.R(PI / 2, 0.0, (0,)), comp.MeasureAll("m0"),
+                   comp.R(PI / 2, 0.0, (1,)), comp.Branch("m0", ((0, "bright"),),
+                                                         (comp.RZ(PI, (1,)),)),
+                   comp.R(PI / 2, 0.0, (1,)), comp.MeasureAll("m1"))), seed=0)
+def test_virtual_and_ac_stark_rz_give_the_same_bits(case, seed):
+    """A virtual RZ moves a phase frame, an ac_stark RZ is a pulse; without
+    noise both run the same unitaries, so a seed gives the same bits, also
+    where a branch body holds the RZ."""
+    n, instructions = case
+    bits = []
+    for rz_mode in ("virtual", "ac_stark"):
+        machine = comp.MachineConfig(n_qubits=n, rz_mode=rz_mode)
+        schedule = comp.compile_circuit(comp.CircuitIR(instructions), machine)
+        bits.append([r.bits for r in eng.run_schedule(schedule, machine, NO_NOISE, 40, seed)])
+    assert bits[0] == bits[1]
