@@ -24,12 +24,6 @@ from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
 from .results import RunManifest, write_json, write_results, write_shot_records
 
 
-def _common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="no effect on results")
-    parser.add_argument("--out", default=None, help="output file or directory")
-
-
 def _build_parser():
     p = argparse.ArgumentParser(prog="iontrap-bench",
                                 description="Trapped-ion pulse-level simulation bench")
@@ -40,18 +34,16 @@ def _build_parser():
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--fax", type=float, default=1.0e6, help="axial COM frequency, Hz")
     c.add_argument("--frad", type=float, default=3.0e6, help="radial COM frequency, Hz")
-    _common(c)
 
     k = sub.add_parser("compile", help="compile a circuit file to a pulse schedule")
     k.add_argument("--circuit", required=True)
     k.add_argument("--machine", default=None, help="config file for machine keys")
-    _common(k)
 
     s = sub.add_parser("simulate", help="run a circuit through the noisy engine")
     s.add_argument("--circuit", required=True)
     s.add_argument("--config", default=None)
     s.add_argument("--shots", type=int, default=100)
-    _common(s)
+    s.add_argument("--threads", type=int, default=1, help="no effect on results")
 
     e = sub.add_parser("experiment", help="run a characterization experiment")
     e.add_argument("kind", choices=exp.EXPERIMENT_KINDS)
@@ -62,7 +54,6 @@ def _build_parser():
     e.add_argument("--bus", choices=("axial", "radial"), default="axial")
     e.add_argument("--ghz-n", type=int, default=4)
     e.add_argument("--nbar", type=float, default=0.02)
-    _common(e)
 
     f = sub.add_parser("fit", help="fit a points.csv dataset")
     f.add_argument("--model", required=True,
@@ -70,7 +61,10 @@ def _build_parser():
                             "power_law", "linear"))
     f.add_argument("--data", required=True, help="CSV with x,y,yerr")
     f.add_argument("--frequency", type=float, default=1.0, help="fringe fixed frequency")
-    _common(f)
+    for parser in (s, e):
+        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    for parser in (c, k, s, e, f):
+        parser.add_argument("--out", default=None, help="output file or directory")
     return p
 
 
@@ -116,8 +110,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     machine = build_machine(cfg)
     records = eng.run_schedule(_compile_file(args.circuit, machine), machine,
-                               build_noise(cfg), args.shots, seed=args.seed,
-                               threads=args.threads)
+                               build_noise(cfg), args.shots, seed=args.seed)
     bits = eng.valid_bits(records)
     m = len(bits)
     out = args.out or "."
@@ -136,6 +129,12 @@ def cmd_simulate(args) -> int:
                            outputs=("shots.csv", "summary.json"))
     write_json(os.path.join(out, "manifest.json"), manifest.to_dict())
     return 0
+
+
+def _ghz_phases(n: int) -> np.ndarray:
+    """16 phases over one parity period 2 pi / n (run_ghz rejects n < 2).
+    Over 2 pi, n phi is a multiple of pi for n = 8, 16, 24: no sin quadrature."""
+    return np.linspace(0.0, 2.0 * math.pi / max(n, 1), 16)
 
 
 def cmd_experiment(args) -> int:
@@ -162,8 +161,7 @@ def cmd_experiment(args) -> int:
             spec, np.linspace(0.2, 2.0, 5),
             [0.7e6, 1.05e6, 1.6e6, 2.4e6, 3.2e6], nbar0=args.nbar)
     elif args.kind == "ghz":
-        phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        result = exp.run_ghz(spec, args.ghz_n, phases)
+        result = exp.run_ghz(spec, args.ghz_n, _ghz_phases(args.ghz_n))
     elif args.kind == "gate_decay":
         result = exp.run_gate_decay(spec, [1, 3, 5, 7, 9, 11, 13], bus=args.bus)
     else:  # addressing_scan
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (IonTrapBenchError, ValueError, OSError) as exc:
+    except (IonTrapBenchError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,9 @@ from .errors import GridViolation, UnknownLabel, UnsupportedTarget
 
 GLOBAL_CHANNEL = "g"
 _MAX_BRANCH_DEPTH = 1  # branch bodies may not branch again
+# Largest angle (rad), delay or machine duration (us): far past any run
+# (1e9 us is over 1000 s), yet a duration in ns stays far from float overflow.
+_MAX_OPERAND = 1e9
 
 
 def addressed_channel(q: int) -> str:
@@ -94,14 +97,14 @@ class MachineConfig:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        for v in (self.t_half_pi_us, self.t_ms_us, self.branch_latency_us, self.t_measure_us):
-            if v <= 0:
-                raise ValueError("durations must be positive")
         if self.timing_grid_ns <= 0:
             raise ValueError("timing grid must be positive")
         if self.rz_mode not in ("virtual", "ac_stark"):
             raise ValueError("rz_mode must be 'virtual' or 'ac_stark'")
-        for us in (self.t_half_pi_us, self.t_ms_us, self.branch_latency_us, self.t_measure_us):
+        for name in ("t_half_pi_us", "t_ms_us", "branch_latency_us", "t_measure_us"):
+            us = getattr(self, name)
+            if not 0 < us <= _MAX_OPERAND:
+                raise ValueError(f"{name} must lie in (0, {_MAX_OPERAND:g}] us, got {us}")
             ns = us * 1000.0
             if abs(ns / self.timing_grid_ns - round(ns / self.timing_grid_ns)) > 1e-9:
                 raise GridViolation(f"duration {us} us not representable on {self.timing_grid_ns} ns grid")
@@ -389,9 +392,6 @@ def predicate_matches(predicate, outcome_bits):
 _BRANCH_RE = re.compile(r"^BRANCH\s+(\S+)\s+(.*?)\s*\{(.*)\}\s*$")
 _PREDICATE_RE = re.compile(r"^q?(\d+)=(bright|dark)$")
 _OPERANDS = {"PREPARE": 0, "R": 3, "RZ": 2, "MS": 2, "DELAY": 1, "MEASURE": 1}
-# Largest angle (rad) or delay (us) of a line: far past any run (1e9 us is
-# over 1000 s), yet its duration in ns stays far from float overflow.
-_MAX_OPERAND = 1e9
 
 
 def _number(tok: str) -> float:

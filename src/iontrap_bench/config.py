@@ -129,11 +129,6 @@ def dump_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_config(path: str, cfg: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_config(cfg))
-
-
 def config_digest(cfg: dict) -> str:
     """Digest of the canonical serialization; stable under key reordering."""
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()

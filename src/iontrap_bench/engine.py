@@ -714,17 +714,21 @@ def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
 
 def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 detunings_hz, t_now, last, labels):
-    """Apply events in time order to every shot of the batched state;
-    `last` holds the latest detected bits and counts per shot, `labels`
-    the detected bits of each measurement label for branches to read."""
-    def idle(st, dt_s):
-        _noise_interval(st, dt_s, noise, rng, qubit_kind, detunings_hz)
+    """Apply events in time order to every shot of the batched state; return
+    the time (ns) the state has idled to, from t_now.  A pulse acts at its
+    centre, a MEASURE at its start, and one noise interval spans the time
+    since the previous operation: dephasing, T1 decay and the gradient phase
+    compose exactly over adjacent intervals, so the ensemble is that of
+    idling through every gap and pulse.  `last` holds the latest detected
+    bits and counts per shot, `labels` those of each measurement label."""
+    def idle(st, t_ns):
+        _noise_interval(st, (t_ns - t_now) * 1e-9, noise, rng, qubit_kind, detunings_hz)
 
-    for e in sorted(events, key=lambda ev: (ev.start, ev.kind != "frame_advance")):
-        idle(state, (e.start - t_now) * 1e-9)
-        half = e.duration * 1e-9 / 2
+    for e in sorted(events, key=lambda ev: ev.start):
         if e.kind in ("carrier", "ac_stark", "bichromatic"):
-            idle(state, half)
+            centre = e.start + e.duration / 2
+            idle(state, centre)
+            t_now = max(t_now, centre)
             if e.kind == "bichromatic":
                 targets, weights = e.targets, None
                 if crosstalk is not None and e.bus == "radial":
@@ -744,11 +748,12 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                     apply_rz(state, targets, e.angle, scale=scale)
                 eps = noise.eps_1q * abs(e.angle) / (math.pi / 2)
                 apply_depolarizing(state, e.targets, eps, rng)
-            idle(state, half)
         elif e.kind == "measure":
+            idle(state, e.start)
             last["bits"], last["counts"] = detect(state, noise.detection, rng)
             # A copy: a branch body writes its own readout into last["bits"].
             labels[e.label] = last["bits"].copy()
+            t_now = max(t_now, e.end)
         elif e.kind == "branch_point":
             fire = predicate_matches(e.predicate, labels[e.label])
             if fire.any():
@@ -756,7 +761,7 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 sub = state.subset(fire)
                 sub_last = {k: v[fire] for k, v in last.items()}
                 t_end = _run_events(body, sub, noise, rng, crosstalk, qubit_kind,
-                                    detunings_hz, e.start, sub_last,
+                                    detunings_hz, t_now, sub_last,
                                     {k: v[fire] for k, v in labels.items()})
                 # The body's virtual RZs become real ones on the shots that fired.
                 for b in body:
@@ -766,13 +771,11 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 for k, v in sub_last.items():
                     last[k][fire] = v
                 if not fire.all():
-                    # The other shots idle through the slot the body takes.
+                    # The other shots idle as long as the body's shots did.
                     rest = state.subset(~fire)
-                    idle(rest, (t_end - e.start) * 1e-9)
+                    idle(rest, t_end)
                     state.psi[~fire] = rest.psi
                 t_now = t_end
-                continue
-        t_now = max(t_now, e.end)
     return t_now
 
 
@@ -812,9 +815,12 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             state.psi[:] = 0.0
             state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
         last = {"bits": None, "counts": None}
-        _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
-                    detunings, 0, last, {})
+        t_now = _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
+                            detunings, 0, last, {})
         if last["bits"] is None:
+            # No MEASURE: the final readout follows the end of the last pulse.
+            _noise_interval(state, (schedule.duration_ns - t_now) * 1e-9, noise, rng,
+                            qubit_kind, detunings)
             last["bits"], last["counts"] = detect(state, noise.detection, rng)
         bits += last["bits"].tolist()
         counts += last["counts"].tolist()

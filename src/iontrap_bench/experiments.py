@@ -15,6 +15,7 @@ and the point index, and aggregation is ordered.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,6 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    kind: str
     datasets: dict
     fits: dict
     extra: dict = field(default_factory=dict)
@@ -92,10 +92,9 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s) -> Experimen
         c, se = _contrast(recs)
         y.append(c)
         yerr.append(se)
-    ds = Dataset(waits, np.array(y), np.array(yerr),
-                 meta={"label": f"ramsey_{qubit_kind}", "ylabel": "contrast"})
+    ds = Dataset(waits, np.array(y), np.array(yerr))
     fit = fit_decay(ds, form="exp")
-    return ExperimentResult("ramsey", {"points": ds}, {"decay": fit},
+    return ExperimentResult({"points": ds}, {"decay": fit},
                             {"t2_s": fit["tau"], "t2_err_s": fit.error("tau")})
 
 
@@ -129,10 +128,9 @@ def run_gradient_scan(spec: ExperimentSpec, positions_um) -> ExperimentResult:
         var_f = (c**2 * se_s**2 + s**2 * se_c**2) / (r2**2 * (2 * math.pi * spacing_s) ** 2)
         freqs.append(f)
         ferr.append(max(math.sqrt(var_f), 1e-9))
-    ds = Dataset(positions, np.array(freqs), np.array(ferr),
-                 meta={"label": "gradient", "ylabel": "fringe frequency Hz"})
+    ds = Dataset(positions, np.array(freqs), np.array(ferr))
     fit = fit_linear(ds)
-    return ExperimentResult("gradient", {"points": ds}, {"linear": fit},
+    return ExperimentResult({"points": ds}, {"linear": fit},
                             {"slope_hz_per_um": fit["slope"],
                              "slope_err": fit.error("slope")})
 
@@ -239,14 +237,13 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
             n_total += shots_per_seq
         y.append(k_total / n_total)
         yerr.append(float(binomial_se(k_total, n_total)))
-    ds = Dataset(np.array(lengths, dtype=float), np.array(y), np.array(yerr),
-                 meta={"label": "rb", "ylabel": "survival"})
+    ds = Dataset(np.array(lengths, dtype=float), np.array(y), np.array(yerr))
     fit = fit_decay(ds, form="power", fixed_offset=0.5)
     p = fit["p"]
     r_clif = (1.0 - p) * (1.0 - 0.5)
     f_gate = 1.0 - r_clif / CLIFFORD_AVG_COST
     f_gate_err = fit.error("p") * 0.5 / CLIFFORD_AVG_COST
-    return ExperimentResult("rb", {"points": ds}, {"decay": fit},
+    return ExperimentResult({"points": ds}, {"decay": fit},
                             {"p": p, "r_clifford": r_clif,
                              "gate_fidelity": f_gate,
                              "gate_fidelity_err": f_gate_err,
@@ -295,9 +292,8 @@ def run_sideband_thermometry(spec: ExperimentSpec, nbar_true: float) -> Experime
     rng = np.random.default_rng([spec.seed, 0])
     ns = _sample_thermal_n(nbar_true, spec.shots, rng)
     nbar, se, flagged = estimate_nbar(ns, rng)
-    ds = Dataset(np.array([0.0]), np.array([nbar]), np.array([max(se, 1e-12)]),
-                 meta={"label": "thermometry"})
-    return ExperimentResult("thermometry", {"points": ds}, {},
+    ds = Dataset(np.array([0.0]), np.array([nbar]), np.array([max(se, 1e-12)]))
+    return ExperimentResult({"points": ds}, {},
                             {"nbar": nbar, "nbar_err": se, "flagged": flagged,
                              "nbar_true": nbar_true})
 
@@ -324,17 +320,15 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
                 raise FitFailure(f"thermometry undefined at f={f}, t={t}")
             ys.append(nbar)
             es.append(max(se, 1e-9))
-        ds = Dataset(waits, np.array(ys), np.array(es),
-                     meta={"label": f"heating_{f:g}"})
+        ds = Dataset(waits, np.array(ys), np.array(es))
         lin = fit_linear(ds)
         point_sets[f"nbar_vs_wait_{i}"] = ds
         rates.append(lin["slope"])
         rate_errs.append(max(lin.error("slope"), 1e-9))
-    rate_ds = Dataset(freqs, np.array(rates), np.array(rate_errs),
-                      meta={"label": "heating_rates"})
+    rate_ds = Dataset(freqs, np.array(rates), np.array(rate_errs))
     plaw = fit_power_law(rate_ds)
     point_sets["points"] = rate_ds
-    return ExperimentResult("heating", point_sets, {"power_law": plaw},
+    return ExperimentResult(point_sets, {"power_law": plaw},
                             {"rates_per_s": list(map(float, rates)),
                              "alpha": plaw["alpha"],
                              "alpha_err": plaw.error("alpha")})
@@ -344,13 +338,13 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
 # GHZ and gate decay
 # ---------------------------------------------------------------------------
 
-def ghz_prepare(state: eng.RegisterState, targets=None):
-    """Single collective MS(pi/4); odd register sizes need a trailing
-    collective R(pi/2, 0) to rotate onto the GHZ axis (verified against
-    the state-vector oracle)."""
-    targets = list(range(state.n)) if targets is None else list(targets)
+def ghz_prepare(state: eng.RegisterState):
+    """Single collective MS(pi/4) on every qubit; odd register sizes need a
+    trailing collective R(pi/2, 0) to rotate onto the GHZ axis (verified
+    against the state-vector oracle)."""
+    targets = range(state.n)
     eng.apply_ms_ideal(state, targets, math.pi / 4)
-    if len(targets) % 2 == 1:
+    if state.n % 2 == 1:
         eng.apply_rotation(state, targets, math.pi / 2, 0.0)
     return state
 
@@ -383,39 +377,38 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     """GHZ witness: P from populations, C from a fixed-frequency parity
     fit over the analysis-phase scan, F = (P+C)/2, witness F > 0.5.
 
+    The register is prepared once, by ghz_prepare or, with product_state,
+    by per-qubit rotations (theta, phi) for witness-soundness studies; the
+    populations sample it, each analysis phase a copy after R(pi/2, phi).
+
     The gates are ideal: of spec.noise only the detection model acts, so
     no coherence, depolarizing, SPAM or heating setting changes the state.
-
-    product_state optionally replaces the MS step by per-qubit rotations
-    (theta, phi), for witness-soundness studies.
     """
     if n < 2:
         raise ValueError("need N >= 2")
     phases = np.asarray(analysis_phases, dtype=float)
     if phases.max() - phases.min() < 2.0 * math.pi / n * (1.0 - 1e-9):
         raise ValueError("phases must span at least one parity period")
+    prepared = eng.RegisterState(n)
+    if product_state is None:
+        ghz_prepare(prepared)
+    else:
+        for q, (theta, phi_q) in enumerate(product_state):
+            eng.apply_rotation(prepared, [q], theta, phi_q)
 
-    def measured(phi, rng):
-        st = eng.RegisterState(n)
-        if product_state is None:
-            ghz_prepare(st)
-        else:
-            for q, (theta, phi_q) in enumerate(product_state):
-                eng.apply_rotation(st, [q], theta, phi_q)
-        if phi is not None:
-            eng.apply_rotation(st, range(n), math.pi / 2, phi)
-        return eng.measure(st, spec.shots, spec.noise.detection, rng)[0]
+    def measured(state, rng):
+        return eng.measure(state, spec.shots, spec.noise.detection, rng)[0]
 
     p_pop, se_pop, ds, fringe = _witness(
-        measured(None, np.random.default_rng([spec.seed, 0])),
-        [measured(phi, np.random.default_rng([spec.seed, 1, i]))
+        measured(prepared, np.random.default_rng([spec.seed, 0])),
+        [measured(eng.apply_rotation(copy.deepcopy(prepared), range(n), math.pi / 2, phi),
+                  np.random.default_rng([spec.seed, 1, i]))
          for i, phi in enumerate(phases)], phases, n)
-    ds.meta["label"] = f"ghz_parity_N{n}"
     c = min(fringe["amplitude"], 1.0)
     se_c = fringe.error("amplitude")
     f = (p_pop + c) / 2.0
     se_f = 0.5 * math.hypot(se_pop, se_c)
-    return ExperimentResult("ghz", {"points": ds}, {"fringe": fringe},
+    return ExperimentResult({"points": ds}, {"fringe": fringe},
                             {"N": n, "P": p_pop, "C": c, "F": f,
                              "P_err": se_pop, "C_err": se_c, "F_err": se_f,
                              "witness": bool(f > 0.5)})
@@ -463,13 +456,12 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
         c = min(fr["amplitude"], 1.0)
         ys.append((p_pop + c) / 2.0)
         es.append(max(0.5 * math.hypot(se_pop, fr.error("amplitude")), 1e-9))
-    ds = Dataset(np.array(counts, dtype=float), np.array(ys), np.array(es),
-                 meta={"label": f"gate_decay_{bus}"})
+    ds = Dataset(np.array(counts, dtype=float), np.array(ys), np.array(es))
     fit = fit_decay(ds, form="power", fixed_offset=0.25)
     p = fit["p"]
     per_gate = 1.0 - 0.75 * (1.0 - p)
     per_gate_err = 0.75 * fit.error("p")
-    return ExperimentResult("gate_decay", {"points": ds}, {"decay": fit},
+    return ExperimentResult({"points": ds}, {"decay": fit},
                             {"bus": bus, "per_gate_fidelity": per_gate,
                              "per_gate_fidelity_err": per_gate_err})
 
@@ -515,8 +507,7 @@ def _fit_rabi_profile(offsets_um, counts, shots) -> tuple:
                  [_proxy_error(p, k, shots) for p, k in zip(p_hat, counts)])
     y_fit = np.maximum(gaussian(ds.x, *fit_gaussian(ds).values), 0.0)
     p_fit = [math.sin(_SCAN_PULSE_AREA * math.sqrt(y) / 2.0) ** 2 for y in y_fit]
-    ds = Dataset(ds.x, ds.y, [_proxy_error(p, p * shots, shots) for p in p_fit],
-                 meta={"label": "addressing_profile"})
+    ds = Dataset(ds.x, ds.y, [_proxy_error(p, p * shots, shots) for p in p_fit])
     return ds, fit_gaussian(ds)
 
 
@@ -549,11 +540,10 @@ def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
             centers.append(cal["center"])
             cerrs.append(max(cal.error("center"), 1e-6))
         cal_ds = Dataset(np.asarray(calibration_tones_mhz, dtype=float),
-                         np.array(centers), np.array(cerrs),
-                         meta={"label": "aod_calibration"})
+                         np.array(centers), np.array(cerrs))
         lin = fit_linear(cal_ds)
         datasets["aod_calibration"] = cal_ds
         fits["slope"] = lin
         extra["slope_um_per_mhz"] = lin["slope"]
         extra["slope_err"] = lin.error("slope")
-    return ExperimentResult("addressing_scan", datasets, fits, extra)
+    return ExperimentResult(datasets, fits, extra)

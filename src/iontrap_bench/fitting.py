@@ -7,7 +7,7 @@ weighted covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -20,7 +20,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     yerr: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .config import config_digest
@@ -29,13 +29,12 @@ class RunManifest:
     config: dict
     inputs: tuple = ()
     outputs: tuple = ()
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "config_digest": config_digest(self.config),
-            "tool_version": self.version,
+            "tool_version": __version__,
             "inputs": sorted(self.inputs),
             "outputs": sorted(self.outputs),
         }
@@ -79,8 +78,7 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
         summary.update(extra)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     written.append("summary.json")
-    manifest = RunManifest(manifest.seed, manifest.config, manifest.inputs,
-                           tuple(written), manifest.version)
+    manifest = replace(manifest, outputs=tuple(written))
     write_json(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
     written.append("manifest.json")
     return written

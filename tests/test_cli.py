@@ -1,14 +1,20 @@
 """End-to-end CLI: every subcommand, deterministic artifacts, error paths."""
 
+import ast
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import iontrap_bench
+from iontrap_bench import cli
 from iontrap_bench.cli import main
+from iontrap_bench.config import SCHEMA
 
 CIRCUIT = """PREPARE
 R 1.5707963267948966 0.0 all
@@ -283,3 +289,103 @@ def test_rb_with_fewer_shots_than_sequences_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: rb needs shots >= 20") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_ghz_default_phases_resolve_the_fringe(n):
+    phases = cli._ghz_phases(n)
+    design = np.column_stack([np.ones_like(phases), np.cos(n * phases), np.sin(n * phases)])
+    assert np.linalg.matrix_rank(design) == 3
+    assert phases.max() - phases.min() == pytest.approx(2.0 * math.pi / n)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_experiment_ghz_at_default_phases_sees_the_fringe(tmp_path, n):
+    # Over 2 pi the parity fit of these N has no sin quadrature: F near 0.5.
+    out = tmp_path / "ghz"
+    assert main(["experiment", "ghz", "--ghz-n", str(n), "--shots", "100",
+                 "--seed", "0", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["F"] > 0.9 and summary["witness"]
+
+
+def _args_read(name: str, defs: dict) -> set:
+    """Attributes of `args` read by the module-level definition `name` of
+    cli.py and by every module-level definition it names, transitively."""
+    read, seen, todo = set(), set(), [name]
+    while todo:
+        node = defs.get(todo.pop())
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.Name):
+                todo.append(sub.id)
+    return read
+
+
+# Accepted and ignored: the determinism criterion passes --threads to simulate.
+UNREAD_OPTIONS = {("simulate", "threads")}
+
+
+def test_every_cli_option_has_a_reader():
+    defs = {}
+    for node in ast.parse(inspect.getsource(cli)).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if a.dest == "command").choices
+    unread = set()
+    for command, parser in subparsers.items():
+        read = _args_read(f"cmd_{command}", defs)
+        unread |= {(command, a.dest) for a in parser._actions
+                   if a.dest != "help" and a.dest not in read}
+    assert unread == UNREAD_OPTIONS
+
+
+_EXTREMES = {float: ["inf", "-inf", "0", "-1", "1e308", "1e-308"], int: ["0", "-1", "40"]}
+
+
+@pytest.mark.parametrize("key", [k for k, (typ, _) in SCHEMA.items() if typ in _EXTREMES])
+def test_extreme_config_value_exits_cleanly(tmp_path, circuit_file, capsys, key):
+    """compile, simulate and experiment ramsey either succeed or print one
+    `error:` line for every extreme value of a numeric key."""
+    cfg, out = tmp_path / "x.cfg", str(tmp_path / "out")
+    runs = {"compile": ["compile", "--circuit", circuit_file, "--machine", str(cfg),
+                        "--out", os.path.join(out, "schedule.json")],
+            "simulate": ["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                         "--shots", "20", "--out", out],
+            "ramsey": ["experiment", "ramsey", "--config", str(cfg), "--shots", "20",
+                       "--out", out]}
+    for value in _EXTREMES[SCHEMA[key][0]]:
+        cfg.write_text(f"{key} = {value}\n")
+        for name, argv in runs.items():
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), \
+                (name, value, err)
+
+
+@pytest.mark.parametrize("key, value", [("machine.t_ms_us", "inf"),
+                                        ("machine.t_measure_us", "1e300")])
+def test_machine_duration_out_of_range_is_one_error_line(tmp_path, circuit_file, capsys,
+                                                         key, value):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["compile", "--circuit", circuit_file, "--machine", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key.split('.')[1]} must lie in (0, 1e+09] us")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, message", [("0", "need N >= 2"), ("1", "need N >= 2"),
+                                        ("31", "state exceeds the memory cap")])
+def test_ghz_register_size_out_of_range_is_one_error_line(tmp_path, capsys, n, message):
+    out = tmp_path / "out"
+    assert main(["experiment", "ghz", "--ghz-n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -185,7 +185,7 @@ def test_target_out_of_range():
 
 @pytest.mark.parametrize("instruction, machine", [
     (comp.R(1e308, 0.0, (0,)), M), (comp.Delay(1e308), M),
-    (comp.R(1e9, 0.0, (0,)), comp.MachineConfig(t_half_pi_us=1e300))])
+    (comp.R(1e300, 0.0, (0,)), comp.MachineConfig(t_half_pi_us=1e9))])
 def test_non_finite_duration_is_a_grid_violation(instruction, machine):
     with pytest.raises(GridViolation, match="not finite"):
         compile_([instruction], machine)

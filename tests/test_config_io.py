@@ -13,7 +13,7 @@ from iontrap_bench.compiler import MachineConfig
 from iontrap_bench.config import (SCHEMA, build_addressing, build_machine,
                                   build_noise, build_trap, config_digest,
                                   default_config, dump_config, load_config,
-                                  parse_config, write_config)
+                                  parse_config)
 from iontrap_bench.engine import NoiseConfig
 from iontrap_bench.errors import SchemaError
 from iontrap_bench.fitting import Dataset, fit_linear
@@ -119,7 +119,7 @@ def test_round_trip_identity(tmp_path):
     cfg["noise.t2_ground_s"] = 0.0213456789012345678
     cfg["experiment.shots"] = 777
     path = tmp_path / "cfg.txt"
-    write_config(str(path), cfg)
+    path.write_text(dump_config(cfg), encoding="utf-8")
     again = load_config(str(path))
     assert again == cfg
     assert dump_config(again) == dump_config(cfg)

@@ -472,6 +472,58 @@ def test_rz_in_a_branch_body_acts_only_on_the_shots_that_fire(rz_mode):
     assert bits[fired, 1].mean() > 0.98
 
 
+def _noise_intervals(monkeypatch):
+    """Record the length (s) of every noise interval _run_events idles."""
+    seen, inner = [], eng._noise_interval
+
+    def record(state, dt_s, *args):
+        if dt_s > 0:
+            seen.append(dt_s)
+        return inner(state, dt_s, *args)
+
+    monkeypatch.setattr(eng, "_noise_interval", record)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("measured", [True, False])
+def test_back_to_back_pulses_idle_once_between_operations(monkeypatch, k, measured):
+    # k pulses with no gap: one interval up to each pulse centre, then one up
+    # to the MEASURE (or, without one, to the end of the last pulse).
+    machine = comp.MachineConfig(n_qubits=1)
+    tail = [comp.MeasureAll("m0")] if measured else []
+    sched = _compile([comp.R(PI / 2, 0.0, (0,))] * k + tail, machine)
+    seen = _noise_intervals(monkeypatch)
+    eng.run_schedule(sched, machine, eng.NoiseConfig(), 10, seed=0)
+    assert len(seen) == k + 1
+    pulse_s = machine.t_half_pi_us * 1e-6
+    assert seen == pytest.approx([pulse_s / 2] + [pulse_s] * (k - 1) + [pulse_s / 2])
+
+
+def test_ramsey_noise_matches_the_density_matrix_oracle():
+    # R(pi/2), wait, R(pi/2) under dephasing and T1, read out without error;
+    # the oracle composes both channels over the pulse-centre intervals.
+    t2, t1, wait_us, shots = 0.4e-3, 1.0e-3, 300.0, 4000
+    perfect = eng.DetectionModel(bright_rate=1e12, window=1e-9, dark_mean=0.0)
+    noise = eng.NoiseConfig(t2_optical=t2, t1=t1, collision_rate=0.0, detection=perfect)
+    machine = comp.MachineConfig(n_qubits=1)
+    sched = _compile([comp.R(PI / 2, 0.0, (0,)), comp.Delay(wait_us),
+                      comp.R(PI / 2, 0.0, (0,)), comp.MeasureAll("m0")], machine)
+    recs = eng.run_schedule(sched, machine, noise, shots, seed=12)
+    p_dark = np.mean([r.bits[0] == 0 for r in recs])
+
+    pulse = machine.t_half_pi_us * 1e-6
+    u = eng.rotation_matrix(PI / 2, 0.0)
+    rho = np.diag([0.0, 1.0]).astype(complex)  # |S>
+    for dt, gate in ((pulse / 2, u), (pulse + wait_us * 1e-6, u), (pulse / 2, None)):
+        rho = t1_channel(dephasing_channel(rho, dt, t2), dt, t1)
+        if gate is not None:
+            rho = gate @ rho @ gate.conj().T
+    expected = float(np.real(rho[0, 0]))
+    sigma = math.sqrt(expected * (1.0 - expected) / shots)
+    assert abs(p_dark - expected) < 4.0 * sigma
+
+
 def test_run_schedule_determinism_and_threads():
     machine = comp.MachineConfig()
     sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MS(PI / 4, (0, 1)),

@@ -318,6 +318,39 @@ def test_ghz_witness_sound_on_product_states():
         assert res.extra["F"] <= 0.5 + 3.0 * res.extra["F_err"]
 
 
+def test_run_ghz_prepares_the_register_once(monkeypatch):
+    calls, inner = [], exp.ghz_prepare
+
+    def counted(state):
+        calls.append(state.n)
+        return inner(state)
+
+    monkeypatch.setattr(exp, "ghz_prepare", counted)
+    exp.run_ghz(_spec("ghz", QUIET, shots=50), 4, np.linspace(0.0, 2.0 * PI, 16))
+    assert calls == [4]
+
+
+# run_ghz extras at one seed, the GHZ state (odd N) and a product state.
+GHZ_PINNED = {
+    None: {"N": 5, "P": 1.0, "C": 0.9965053030171968, "F": 0.9982526515085983,
+           "P_err": 0.002351148809032321, "C_err": 0.004812880713163899,
+           "F_err": 0.0026782326953309686, "witness": True},
+    ((1.0, 0.1), (2.0, -0.3), (0.5, 1.2)): {
+        "N": 3, "P": 0.24333333333333335, "C": 0.07839868678548166,
+        "F": 0.1608660100594075, "P_err": 0.024773791408275413,
+        "C_err": 0.023451059792832435, "F_err": 0.017056471983881535, "witness": False},
+}
+
+
+@pytest.mark.parametrize("product", list(GHZ_PINNED), ids=["ghz", "product"])
+def test_run_ghz_extras_are_pinned(product):
+    expected = GHZ_PINNED[product]
+    spec = exp.ExperimentSpec("ghz", shots=300, seed=7)
+    res = exp.run_ghz(spec, expected["N"], np.linspace(0.0, 2.0 * PI, 12, endpoint=False),
+                      product_state=product)
+    assert res.extra == expected
+
+
 def test_ghz_phase_span_validation():
     spec = _spec("ghz", QUIET, shots=100)
     with pytest.raises(ValueError):
