@@ -148,6 +148,9 @@ def cmd_experiment(args) -> int:
 
     if args.kind == "ramsey":
         t2 = noise.t2(args.qubit_kind)
+        if not math.isfinite(2.2 * t2):
+            raise ValueError(f"ramsey waits span 0.1-2.2 T2 and need a finite T2, "
+                             f"got {t2} s for the {args.qubit_kind} qubit")
         waits = np.linspace(0.1 * t2, 2.2 * t2, 8)
         result = exp.run_ramsey(spec, args.qubit_kind, waits)
     elif args.kind == "gradient":

@@ -3,6 +3,11 @@
 Noise enters through Monte-Carlo wave-function trajectories (Dalibard,
 Castin & Moelmer, PRL 68, 580 (1992)) on one state or on a batch of shots;
 operators act on the last two axes and draw one random number per shot.
+A one-qubit gate is an elementwise 2x2 update of the qubit's two amplitude
+halves.  T1 decays its targets in turn by the unnormalized unraveling
+(Plenio & Knight, RMP 70, 101 (1998)): each shot's squared norm is tracked
+through the jumps and the state renormalized once.  Dephasing multiplies
+the state once by a per-shot diagonal of all the targets' kicks.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -16,7 +21,6 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
 
 from .compiler import PulseSchedule, MachineConfig, expand_targets, predicate_matches
 from .errors import FockLeakage, NoValidShots
@@ -49,6 +53,10 @@ class DetectionModel:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.dark_mean < math.inf:
             raise ValueError(f"dark_mean must be finite and non-negative, got {self.dark_mean}")
+        if not math.isfinite(self.bright_mean):
+            raise ValueError(f"bright_rate * window + dark_mean must be finite, got "
+                             f"bright_rate={self.bright_rate}, window={self.window}, "
+                             f"dark_mean={self.dark_mean}")
 
     @property
     def bright_mean(self) -> float:
@@ -61,14 +69,18 @@ class DetectionModel:
 
     @cached_property
     def threshold(self) -> int:
-        """Count threshold minimizing total dark/bright misclassification."""
-        best_k, best_err = 1, np.inf
-        for k in range(1, int(self.bright_mean) + 1):
-            # Dark counts reaching k, plus bright counts below k.
-            err = pdtrc(k - 1, self.dark_mean) + pdtr(k - 1, self.bright_mean)
-            if err < best_err:
-                best_k, best_err = k, err
-        return best_k
+        """Count threshold minimizing total dark/bright misclassification,
+        P(dark >= k) + P(bright < k), over k in [1, bright_mean].
+
+        Raising k by one changes the error by P(bright = k) - P(dark = k),
+        which is negative below the logarithmic mean of the two means and
+        non-negative from it on, so the minimizer is the first integer at
+        or above that mean (the lowest k of a tie)."""
+        if self.dark_mean == 0.0:
+            return 1  # no dark counts: every raise of k only loses bright ones
+        signal = self.bright_rate * self.window
+        k = math.ceil(signal / math.log1p(signal / self.dark_mean))
+        return max(1, min(k, int(self.bright_mean)))
 
     def sample_counts(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Photon counts for an array of projected bits (1 = bright S)."""
@@ -224,9 +236,13 @@ def _flat(state: RegisterState) -> np.ndarray:
 
 
 def _apply_1q(psi: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
-    """The 2x2 matrix m on qubit q of every state in psi."""
+    """The 2x2 matrix m on qubit q of every state in psi, elementwise:
+    output half a is m[a, 0] v0 + m[a, 1] v1 for the qubit's amplitude
+    halves v0, v1, both halves at once by broadcasting over a."""
     v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
-    return np.einsum("ab,fxbq->fxaq", m, v).reshape(psi.shape)
+    out = v[:, :, :1] * m[:, :1]
+    out += v[:, :, 1:] * m[:, 1:]
+    return out.reshape(psi.shape)
 
 
 _DENSE_QUBITS = 3
@@ -328,19 +344,36 @@ def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
     """Stochastic Z kick per shot; the shot ensemble dephases as exp(-dt/T2).
 
     detuning_hz adds a deterministic per-target phase ramp (field gradients).
+    The kicks of all targets are drawn at once, in target order, and act
+    through one per-shot diagonal over the basis, built by Kronecker
+    doubling from the lowest qubit up: one pass over the state.
     """
     if dt < 0 or not t2 > 0:
         raise ValueError(f"need dt >= 0 and t2 > 0, got dt={dt}, t2={t2}")
     if dt == 0:
         return state
+    targets = list(targets)
     sigma = math.sqrt(2.0 * dt / t2)
-    for i, q in enumerate(targets):
-        phase = rng.normal(0.0, sigma, size=state.batch_shape) if sigma > 0 else 0.0
-        if detuning_hz is not None:
-            phase = phase + 2.0 * math.pi * detuning_hz[i] * dt
-        if np.any(phase != 0.0):
-            v = state.qubit_view(q)
-            v[..., 1, :] *= np.expand_dims(np.exp(1j * phase), (-3, -2, -1))
+    shape = (len(targets),) + state.batch_shape
+    phase = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
+    if detuning_hz is not None:
+        ramp = 2.0 * math.pi * np.asarray(detuning_hz[:len(targets)], dtype=float) * dt
+        phase += ramp.reshape(shape[:1] + (1,) * len(state.batch_shape))
+    if not phase.any():
+        return state
+    kicks = [None] * state.n
+    for q, kick in zip(targets, np.exp(1j * phase)):
+        kicks[q] = kick if kicks[q] is None else kicks[q] * kick
+    # diag[..., i] is the product of the kicks of the qubits set in i.
+    diag = np.empty(state.batch_shape + (2**state.n,), dtype=complex)
+    diag[..., 0] = 1.0
+    for q, kick in enumerate(kicks):
+        low, high = diag[..., :2**q], diag[..., 2**q:2 ** (q + 1)]
+        if kick is None:
+            high[...] = low
+        else:
+            np.multiply(low, kick[..., None], out=high)
+    state.psi *= diag[..., None, :]
     return state
 
 
@@ -444,24 +477,35 @@ def apply_noisy_gates(state: RegisterState, gates, targets, eps: float,
 
 def apply_t1_decay(state: RegisterState, targets, dt: float,
                    rng: np.random.Generator, t1: float):
-    """Amplitude damping D -> S unraveled as a quantum jump per shot;
-    a zero jump probability (dt = 0 or t1 = inf) draws nothing."""
+    """Amplitude damping D -> S unraveled as a quantum jump per shot and
+    target; a zero jump probability (dt = 0 or t1 = inf) draws nothing.
+
+    The state enters normalized.  The targets decay in turn without
+    renormalizing in between (the unnormalized unraveling: Dalibard, Castin
+    & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)):
+    norm2 tracks each shot's squared norm, a target jumps with probability
+    p * dark2 / norm2 for dark2 its unnormalized D population, and the
+    state is renormalized once at the end.
+    """
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
     p = 1.0 - math.exp(-dt / t1)
     if p == 0.0:
         return state
+    norm2 = 1.0
     for q in targets:
         v = state.qubit_view(q)
-        p_dark = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
-        jump = rng.random(state.batch_shape) < p * p_dark
+        dark2 = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
+        jump = rng.random(state.batch_shape) < p * dark2 / norm2
         if np.any(jump):  # jump: D collapses to S
-            jump = np.expand_dims(jump, (-3, -2, -1))
-            v[..., 1, :] = np.where(jump, v[..., 0, :], v[..., 1, :])
-            v[..., 0, :] = np.where(jump, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
+            mask = np.expand_dims(jump, (-3, -2, -1))
+            v[..., 1, :] = np.where(mask, v[..., 0, :], v[..., 1, :])
+            v[..., 0, :] = np.where(mask, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
+            norm2 = np.where(jump, dark2, norm2 - p * dark2)
         else:
             v[..., 0, :] *= math.sqrt(1.0 - p)
-        state.renormalize()
+            norm2 = norm2 - p * dark2
+    state.renormalize()
     return state
 
 

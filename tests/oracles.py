@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import pdtr, pdtrc
 
 from iontrap_bench import engine as eng
 
@@ -72,3 +73,50 @@ def noisy_gates_per_gate(state, gates, targets, eps, rng):
         state.psi = eng._linear(state.psi, state.n, lambda p: p @ u)
         eng.apply_depolarizing(state, targets, eps, rng)
     return state
+
+
+def apply_1q_einsum(psi, n, q, m):
+    """Reference for engine._apply_1q: the 2x2 matrix m on qubit q of every
+    state in psi as one einsum over the qubit's axis."""
+    v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
+    return np.einsum("ab,fxbq->fxaq", m, v).reshape(psi.shape)
+
+
+def t1_decay_per_qubit(state, targets, dt, rng, t1):
+    """Reference for engine.apply_t1_decay: one jump or no-jump step per
+    target, each followed by a renormalization of the whole batch."""
+    p = 1.0 - math.exp(-dt / t1)
+    if p == 0.0:
+        return state
+    for q in targets:
+        v = state.qubit_view(q)
+        p_dark = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
+        jump = np.expand_dims(rng.random(state.batch_shape) < p * p_dark, (-3, -2, -1))
+        v[..., 1, :] = np.where(jump, v[..., 0, :], v[..., 1, :])
+        v[..., 0, :] = np.where(jump, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
+        state.renormalize()
+    return state
+
+
+def dephasing_per_qubit(state, targets, dt, t2, rng, detuning_hz=None):
+    """Reference for engine.apply_dephasing: one normal draw per shot for
+    each target in turn, plus its ramp, as a phase on the target's S half."""
+    sigma = math.sqrt(2.0 * dt / t2)
+    for i, q in enumerate(targets):
+        phase = rng.normal(0.0, sigma, size=state.batch_shape) if sigma > 0 else 0.0
+        if detuning_hz is not None:
+            phase = phase + 2.0 * math.pi * detuning_hz[i] * dt
+        v = state.qubit_view(q)
+        v[..., 1, :] *= np.expand_dims(np.exp(1j * phase), (-3, -2, -1))
+    return state
+
+
+def detection_threshold_scan(det):
+    """Reference for DetectionModel.threshold: the first k in [1, bright
+    mean] with the least dark-above plus bright-below error, by scanning."""
+    best_k, best_err = 1, np.inf
+    for k in range(1, int(det.bright_mean) + 1):
+        err = pdtrc(k - 1, det.dark_mean) + pdtr(k - 1, det.bright_mean)
+        if err < best_err:
+            best_k, best_err = k, err
+    return best_k

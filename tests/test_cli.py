@@ -1,12 +1,14 @@
 """End-to-end CLI: every subcommand, deterministic artifacts, error paths."""
 
 import ast
+import hashlib
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +115,30 @@ def test_simulate_deterministic_across_threads(tmp_path, circuit_file):
     summary = json.loads((tmp_path / "t1" / "summary.json").read_text())
     assert summary["shots"] == 50
     assert summary["provenance"]["seed"] == 5
+
+
+GHZ_CIRCUIT = """PREPARE
+MS 0.7853981633974483 all
+R 1.5707963267948966 0.0 all
+MEASURE m0
+"""
+
+
+# SHA-256 of shots.csv, pinned bitwise: a change to the engine's arithmetic
+# must keep every bit and count of these runs (criterion 11's circuit, and
+# a 12-ion GHZ state under the default noise).
+@pytest.mark.parametrize("circuit, n, shots, seed, digest", [
+    (CIRCUIT, 2, 100, 11, "0c79eb0f3fef1e75c3dbf007c90c84caa953f3cd7fc2723c3e650572d0a897b4"),
+    (GHZ_CIRCUIT, 12, 200, 3,
+     "2ea9e09737db24b197a1d2a77a59c3e0a74ee04bf6e63c1e2fb33b8fc2983386"),
+], ids=["criterion_11", "ghz_12"])
+def test_simulate_shots_are_pinned(tmp_path, circuit, n, shots, seed, digest):
+    circ, cfg, out = tmp_path / "c.circ", tmp_path / "n.cfg", tmp_path / "out"
+    circ.write_text(circuit)
+    cfg.write_text(f"machine.n_qubits = {n}\n")
+    assert main(["simulate", "--circuit", str(circ), "--config", str(cfg),
+                 "--shots", str(shots), "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "shots.csv").read_bytes()).hexdigest() == digest
 
 
 def test_simulate_seed_changes_shots(tmp_path, circuit_file):
@@ -248,6 +274,35 @@ def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: t") and "must be positive" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "1e308"])
+def test_ramsey_without_finite_waits_is_one_error_line(tmp_path, capsys, value):
+    cfg = tmp_path / "t2.cfg"
+    cfg.write_text(f"noise.t2_ground_s = {value}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["experiment", "ramsey", "--noise", str(cfg), "--shots", "10",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ramsey waits span 0.1-2.2 T2 and need a finite T2")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_detection_window_overflow_is_one_error_line(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("noise.detection_window_s = 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bright_rate * window + dark_mean must be finite")
     assert err.count("\n") == 1
 
 

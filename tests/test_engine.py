@@ -1,6 +1,7 @@
 """Dynamics engine: propagators, noise trajectories, detection, scheduling."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import poisson
 
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
-from oracles import (dephasing_channel, depolarizing_channel,
+from oracles import (dephasing_channel, depolarizing_channel, detection_threshold_scan,
                      ensemble_density, t1_channel)
 
 PI = math.pi
@@ -359,6 +360,37 @@ def test_detection_means_and_threshold():
     for other in (k - 5, k + 5):
         alt = poisson.sf(other - 1, det.dark_mean) + poisson.cdf(other - 1, det.bright_mean)
         assert err <= alt
+
+
+@pytest.mark.parametrize("dark_mean", [0.5, 1.0, 2.0, 3.3, 5.0])
+def test_threshold_closed_form_matches_scan(dark_mean):
+    for window in np.geomspace(1e-5, 1e-3, 41):
+        for rate in (1e5, 5e5):
+            det = eng.DetectionModel(bright_rate=rate, window=float(window),
+                                     dark_mean=dark_mean)
+            assert det.threshold == detection_threshold_scan(det), (window, rate)
+
+
+def test_threshold_default_and_edges():
+    assert eng.DetectionModel().threshold == 35
+    assert eng.DetectionModel(dark_mean=0.0).threshold == 1
+    # A bright mean below one count leaves only k = 1, as the scan does.
+    det = eng.DetectionModel(bright_rate=1e3, window=1e-4, dark_mean=0.5)
+    assert det.threshold == detection_threshold_scan(det) == 1
+
+
+def test_threshold_of_a_long_window_is_immediate():
+    det = eng.DetectionModel(window=100.0)
+    t0 = time.perf_counter()
+    k = det.threshold
+    assert time.perf_counter() - t0 < 0.01
+    assert det.dark_mean < k < det.bright_mean
+
+
+def test_detection_rejects_an_overflowing_bright_mean():
+    with pytest.raises(ValueError, match=r"bright_rate \* window \+ dark_mean must be finite"
+                                         r".*bright_rate=500000.0, window=1e\+308"):
+        eng.DetectionModel(window=1e308)
 
 
 def test_d_decay_probability_analytic():

@@ -1,9 +1,11 @@
 """Property-based tests: batched noise operators, batched against single
-states, noisy gate sequences against the per-gate reference, the compiled
-schedule against the gate-level reference, spin outcomes with and without
-a phonon axis, config round-trips, circuit parsing and compiling, and
-virtual against ac_stark RZ in branching circuits.  Examples are
-derandomized so that every run checks the same cases."""
+states, noisy gate sequences against the per-gate reference, the
+elementwise qubit update, T1 decay and dephasing against their per-qubit
+references, the compiled schedule against the gate-level reference, spin
+outcomes with and without a phonon axis, config round-trips, circuit
+parsing and compiling, and virtual against ac_stark RZ in branching
+circuits.  Examples are derandomized so that every run checks the same
+cases."""
 
 import copy
 import math
@@ -17,7 +19,8 @@ from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
 from iontrap_bench.config import SCHEMA, dump_config, parse_config
 from iontrap_bench.errors import IonTrapBenchError
-from oracles import noisy_gates_per_gate
+from oracles import (apply_1q_einsum, dephasing_per_qubit, noisy_gates_per_gate,
+                     t1_decay_per_qubit)
 
 PI = math.pi
 ANGLES = st.floats(-2 * PI, 2 * PI)
@@ -122,6 +125,57 @@ def test_noisy_gates_match_per_gate_reference(state, n_gates, eps, seed, data):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if eps == 0.0:
         assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=7),
+       entries=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4),
+       data=st.data())
+def test_elementwise_1q_update_matches_einsum(state, entries, data):
+    q = data.draw(st.integers(0, state.n - 1))
+    m = np.array(entries).reshape(2, 2)
+    got = eng._apply_1q(state.psi, state.n, q, m)
+    np.testing.assert_allclose(got, apply_1q_einsum(state.psi, state.n, q, m),
+                               rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=7), p=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_t1_single_renormalize_matches_per_qubit_reference(state, p, seed, data):
+    """Same draws, same jumps: a target that jumped holds no D population
+    after the call, one that did not keeps its D population."""
+    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
+                                 max_size=state.n, unique=True))
+    dt = -math.log1p(-p)  # jump probability p at t1 = 1
+    ref = copy.deepcopy(state)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    eng.apply_t1_decay(state, targets, dt, rng, t1=1.0)
+    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
+
+    def undecayed(s):
+        return np.array([np.abs(s.qubit_view(q)[..., 0, :]).sum(axis=(-3, -2, -1)) > 0
+                         for q in targets])
+    np.testing.assert_array_equal(undecayed(state), undecayed(ref))
+    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=7), dt=st.floats(0.0, 0.02),
+       t2=st.sampled_from([0.018, 0.09, math.inf]), ramp=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_dephasing_diagonal_matches_per_qubit_kicks(state, dt, t2, ramp, seed, data):
+    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
+                                 max_size=state.n + 1))
+    detuning = (data.draw(st.lists(st.floats(-200.0, 200.0), min_size=len(targets),
+                                   max_size=len(targets))) if ramp else None)
+    ref = copy.deepcopy(state)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    eng.apply_dephasing(state, targets, dt, t2, rng, detuning_hz=detuning)
+    dephasing_per_qubit(ref, targets, dt, t2, ref_rng, detuning_hz=detuning)
+    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @st.composite
