@@ -104,6 +104,38 @@ def test_compile_schedule_json(tmp_path, circuit_file):
     assert data["n_qubits"] == 2
 
 
+# Every event kind and optional field: global and addressed carriers, a
+# frame_advance or ac_stark RZ, MS with nonzero frames, a branch body with
+# RZ and MEASURE, an empty body and a zero-angle RZ.
+COMPILE_CIRCUIT = """PREPARE
+R 1.5707963267948966 0 all
+RZ 1.047 0
+R 0.3 0.2 all
+MS 0.7853981633974483 0,1 radial
+MS 0.5 all
+DELAY 50
+MEASURE m0
+BRANCH m0 q0=bright q2=dark { R 3.141592653589793 0 0 ; RZ 0.5 1 ; MEASURE m1 }
+BRANCH m0 q1=dark { }
+RZ 0.0 2
+MEASURE m2
+"""
+
+
+# SHA-256 of the schedule JSON, pinned bitwise in both RZ modes.
+@pytest.mark.parametrize("rz_mode, digest", [
+    ("virtual", "5c595a276bdcd8cfcefa9e49e6e8375ff958cc6e9f537458378b8468846d5fbf"),
+    ("ac_stark", "0d626f605278c5625662b9b953820048fe432bfa4ce7edfa4895c92f6f3a137a"),
+])
+def test_compile_schedule_json_is_pinned(tmp_path, rz_mode, digest):
+    circ, cfg, out = tmp_path / "c.circ", tmp_path / "m.cfg", tmp_path / "schedule.json"
+    circ.write_text(COMPILE_CIRCUIT)
+    cfg.write_text(f"machine.n_qubits = 3\nmachine.rz_mode = {rz_mode}\n")
+    assert main(["compile", "--circuit", str(circ), "--machine", str(cfg),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_deterministic_across_threads(tmp_path, circuit_file):
     outs = {}
     for name, threads in (("t1", "1"), ("t4", "4"), ("t1b", "1")):

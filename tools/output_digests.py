@@ -1,0 +1,110 @@
+"""SHA-256 of every file the CLI writes for a fixed set of runs, so a
+byte-identity claim is one command run on two checkouts.
+
+    python3 tools/output_digests.py
+
+Runs, each in a fresh Python process importing the package from this
+checkout's src/, with one BLAS thread, inside one temporary directory:
+
+- `compile` of COMPILE_CIRCUIT on 3 qubits, in both rz_modes;
+- `simulate` of criterion 11's Bell circuit (2 qubits, 100 shots, seed 11)
+  and of a 12-ion GHZ circuit (200 shots, seed 3), the runs that
+  tests/test_cli.py pins;
+- every `experiment` kind at its CLI defaults.
+
+Paths passed to the CLI are relative to that directory, so manifests hold
+no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
+the machine.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Global and addressed carriers, frame_advance or ac_stark, MS with nonzero
+# frames, a branch body with RZ and MEASURE, an empty body, a zero-angle RZ.
+COMPILE_CIRCUIT = """PREPARE
+R 1.5707963267948966 0 all
+RZ 1.047 0
+R 0.3 0.2 all
+MS 0.7853981633974483 0,1 radial
+MS 0.5 all
+DELAY 50
+MEASURE m0
+BRANCH m0 q0=bright q2=dark { R 3.141592653589793 0 0 ; RZ 0.5 1 ; MEASURE m1 }
+BRANCH m0 q1=dark { }
+RZ 0.0 2
+MEASURE m2
+"""
+BELL = """PREPARE
+R 1.5707963267948966 0.0 all
+MS 0.7853981633974483 0,1 axial
+MEASURE m0
+"""
+GHZ = """PREPARE
+MS 0.7853981633974483 all
+R 1.5707963267948966 0.0 all
+MEASURE m0
+"""
+EXPERIMENT_KINDS = ("ramsey", "gradient", "rb", "thermometry", "heating",
+                    "ghz", "gate_decay", "addressing_scan")
+
+
+def _write(workdir: str, name: str, text: str) -> str:
+    with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return name
+
+
+def _cli(workdir: str, *argv: str):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "iontrap_bench.cli", *argv], cwd=workdir,
+                          env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv)} failed: {proc.stderr.strip()}")
+
+
+def runs(workdir: str) -> list:
+    """(run name, argv) of every CLI run; writes the inputs they read."""
+    circuit = _write(workdir, "compile.circ", COMPILE_CIRCUIT)
+    out = []
+    for mode in ("virtual", "ac_stark"):
+        cfg = _write(workdir, f"{mode}.cfg", f"machine.n_qubits = 3\nmachine.rz_mode = {mode}\n")
+        out.append((f"compile_{mode}", ["compile", "--circuit", circuit, "--machine", cfg,
+                                        "--out", f"compile_{mode}/schedule.json"]))
+    for name, text, n, shots, seed in (("bell", BELL, 2, 100, 11), ("ghz_12", GHZ, 12, 200, 3)):
+        circ = _write(workdir, f"{name}.circ", text)
+        cfg = _write(workdir, f"{name}.cfg", f"machine.n_qubits = {n}\n")
+        out.append((f"simulate_{name}", ["simulate", "--circuit", circ, "--config", cfg,
+                                         "--shots", str(shots), "--seed", str(seed),
+                                         "--out", f"simulate_{name}"]))
+    out += [(f"experiment_{kind}", ["experiment", kind, "--out", f"experiment_{kind}"])
+            for kind in EXPERIMENT_KINDS]
+    return out
+
+
+def main() -> int:
+    os.environ.update(THREADS)  # for the runs, and before machine_info loads numpy
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from worker import machine_info
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argv in runs(workdir):
+            _cli(workdir, *argv)
+            run_dir = os.path.join(workdir, name)
+            for fname in sorted(os.listdir(run_dir)):
+                with open(os.path.join(run_dir, fname), "rb") as fh:
+                    digests[f"{name}/{fname}"] = hashlib.sha256(fh.read()).hexdigest()
+    print(json.dumps({"digests": digests, "machine": machine_info()}, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
