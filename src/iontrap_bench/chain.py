@@ -80,11 +80,16 @@ def _scaled_gradient(u: np.ndarray) -> np.ndarray:
     return u - inv2.sum(axis=1)
 
 
-def _scaled_hessian(u: np.ndarray) -> np.ndarray:
-    """Hessian of the dimensionless axial potential."""
+def _inverse_cubed_distances(u: np.ndarray) -> np.ndarray:
+    """The matrix 1/|u_i-u_j|^3, zero on the diagonal."""
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
-    inv3 = 1.0 / np.abs(d) ** 3
+    return 1.0 / np.abs(d) ** 3
+
+
+def _scaled_hessian(u: np.ndarray) -> np.ndarray:
+    """Hessian of the dimensionless axial potential."""
+    inv3 = _inverse_cubed_distances(u)
     h = -2.0 * inv3
     np.fill_diagonal(h, 1.0 + 2.0 * inv3.sum(axis=1))
     return h
@@ -146,17 +151,13 @@ def radial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
 
     Raises ZigzagInstability when the linear configuration is unstable.
     """
-    u = chain.scaled_positions
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    inv3 = 1.0 / np.abs(d) ** 3
+    h = _inverse_cubed_distances(chain.scaled_positions)
     a = (chain.trap.omega_rad / chain.trap.omega_ax) ** 2
-    h = inv3.copy()
-    np.fill_diagonal(h, a - inv3.sum(axis=1))
+    np.fill_diagonal(h, a - h.sum(axis=1))
     evals, evecs = np.linalg.eigh(h)
     if evals[0] <= 0:
         raise ZigzagInstability(
-            f"linear chain of {len(u)} ions is unstable (zigzag)",
+            f"linear chain of {len(h)} ions is unstable (zigzag)",
             min_sq_freq=float(evals[0]) * chain.trap.omega_ax**2,
         )
     freqs = chain.trap.omega_ax * np.sqrt(evals)

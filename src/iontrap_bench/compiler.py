@@ -1,6 +1,6 @@
-"""Circuit IR, machine description, and the circuit-to-pulse compiler.
+"""Circuit instructions, machine description and the circuit-to-pulse compiler.
 
-The compiler translates gate-level instructions into a timed,
+The compiler translates a circuit, a sequence of instructions, into a timed,
 channel-resolved schedule, checking each instruction as it goes.
 Scheduling is strictly sequential; per-qubit phase frames implement
 virtual Z rotations; branches reserve a time slot for their conditional
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class Branch:
     body: tuple  # sub-circuit instructions
 
 
-@dataclass(frozen=True)
-class CircuitIR:
-    instructions: tuple
-
-
 # ---------------------------------------------------------------------------
 # Machine configuration
 # ---------------------------------------------------------------------------
@@ -126,6 +121,9 @@ class MachineConfig:
 
 @dataclass(frozen=True)
 class Event:
+    """One pulse, frame advance, readout or branch point.  The fields from
+    `targets` on are None where an event's kind does not set them."""
+
     channel: str
     start: int  # ns
     duration: int  # ns
@@ -133,42 +131,24 @@ class Event:
     amplitude: float = 0.0  # dimensionless Rabi scale
     phase: float = 0.0  # rad
     tones: tuple = ()  # frequency offsets, rad/s; (+1.0, -1.0) = symbolic sidebands
-    targets: tuple = ()
-    angle: float = 0.0  # exact rotation/gate angle carried for the dynamics engine
-    bus: str = ""
-    label: str = ""
-    predicate: tuple = ()
-    body: tuple = ()  # compiled continuation events (start-relative), branch_point only
-    frames: tuple = ()  # per-qubit virtual frames a bichromatic gate runs in, if any is nonzero
+    targets: tuple = None
+    angle: float = None  # exact rotation/gate angle carried for the dynamics engine
+    bus: str = None
+    label: str = None
+    predicate: tuple = None  # None: the branch fires on every shot
+    body: tuple = None  # compiled continuation events (start-relative), branch_point only
+    frames: tuple = None  # per-qubit virtual frames a bichromatic gate runs in, if any is nonzero
 
     @property
     def end(self) -> int:
         return self.start + self.duration
 
     def to_dict(self) -> dict:
-        d = {
-            "channel": self.channel,
-            "start": self.start,
-            "duration": self.duration,
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "phase": self.phase,
-            "tones": list(self.tones),
-        }
-        if self.targets:
-            d["targets"] = list(self.targets)
-        if self.kind in ("carrier", "bichromatic", "ac_stark", "frame_advance"):
-            d["angle"] = self.angle
-        if self.bus:
-            d["bus"] = self.bus
-        if self.label:
-            d["label"] = self.label
-        if self.predicate:
-            d["predicate"] = [[q, s] for q, s in self.predicate]
-        if self.kind == "branch_point":
+        """Every field that is set, the body's events as dicts."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if getattr(self, f.name) is not None}
+        if self.body is not None:
             d["body"] = [e.to_dict() for e in self.body]
-        if self.frames:
-            d["frames"] = list(self.frames)
         return d
 
 
@@ -285,7 +265,7 @@ class _Compiler:
                 channel=GLOBAL_CHANNEL, start=self.cursor, duration=dur,
                 kind="bichromatic", amplitude=1.0, tones=(+1.0, -1.0),
                 targets=targets, angle=ins.chi, bus=ins.bus,
-                frames=tuple(self.frames) if any(self.frames) else (),
+                frames=tuple(self.frames) if any(self.frames) else None,
             ))
             return
         if isinstance(ins, Delay):
@@ -317,7 +297,8 @@ class _Compiler:
                 sub.compile_instruction(sub_ins)
             self.events.append(Event(
                 channel=GLOBAL_CHANNEL, start=start, duration=0, kind="branch_point",
-                label=ins.label, predicate=tuple(ins.predicate), body=tuple(sub.events),
+                label=ins.label, predicate=tuple(ins.predicate) or None,
+                body=tuple(sub.events),
             ))
             # Reserve the slot whether or not the branch fires.
             self.cursor = start + sub.cursor
@@ -325,11 +306,11 @@ class _Compiler:
         raise TypeError(f"unknown instruction {ins!r}")
 
 
-def compile_circuit(circuit: CircuitIR, machine: MachineConfig) -> PulseSchedule:
-    """Translate a circuit into a validated pulse schedule, checking each
-    instruction's targets, MS bus, and branch label, predicate and depth."""
+def compile_circuit(instructions, machine: MachineConfig) -> PulseSchedule:
+    """Translate a sequence of instructions into a validated pulse schedule,
+    checking each one's targets, MS bus, and branch label, predicate and depth."""
     c = _Compiler(machine)
-    for ins in circuit.instructions:
+    for ins in instructions:
         c.compile_instruction(ins)
     schedule = PulseSchedule(tuple(c.events), tuple(c.frames),
                              machine.timing_grid_ns, machine.n_qubits)
@@ -370,10 +351,11 @@ def validate(schedule: PulseSchedule, machine: MachineConfig) -> list:
 
 
 def predicate_matches(predicate, outcome_bits):
-    """Per-qubit bright/dark conjunction, per shot if bits have a shot axis."""
+    """Per-qubit bright/dark conjunction, per shot if bits have a shot axis;
+    a None predicate matches every shot."""
     bits = np.asarray(outcome_bits)
     ok = np.ones(bits.shape[:-1], dtype=bool)
-    for q, want in predicate:
+    for q, want in predicate or ():
         ok &= bits[..., q] == (1 if want == "bright" else 0)
     return ok
 
@@ -436,8 +418,9 @@ def _parse_line(line: str):
     return MeasureAll(parts[1])
 
 
-def parse_circuit(text: str) -> CircuitIR:
-    """Parse the line-oriented circuit format; errors name the 1-based line."""
+def parse_circuit(text: str) -> tuple:
+    """Parse the line-oriented circuit format into a tuple of instructions;
+    errors name the 1-based line."""
     instructions = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -446,4 +429,4 @@ def parse_circuit(text: str) -> CircuitIR:
                 instructions.append(_parse_line(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-    return CircuitIR(tuple(instructions))
+    return tuple(instructions)

@@ -22,7 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .compiler import PulseSchedule, MachineConfig, expand_targets, predicate_matches
+from .compiler import (GLOBAL_CHANNEL, Event, MachineConfig, PulseSchedule,
+                       expand_targets, predicate_matches)
 from .errors import FockLeakage, NoValidShots
 
 _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
@@ -783,7 +784,7 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 apply_depolarizing(state, e.targets, noise.eps_2q, rng)
             else:
                 targets, scale = e.targets, None
-                if e.channel != "g" and crosstalk is not None:
+                if e.channel != GLOBAL_CHANNEL and crosstalk is not None:
                     col = crosstalk[:, e.targets[0]]
                     targets, scale = range(state.n), (col if e.kind == "carrier" else col**2)
                 if e.kind == "carrier":
@@ -839,6 +840,9 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     its own random stream keyed by (seed, chunk index).  A BRANCH runs its
     body on the shots whose detected bits at the MEASURE it names match.
     MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
+    A schedule without a top-level MEASURE is read out by one at its end.
+    crosstalk is n x n and positions_um has one entry per qubit, for the
+    machine's n qubits, which must be the schedule's.
 
     `phonon` and `threads` have no effect.  No operator of the interpreter
     couples spin and motion, and a jump channel on one tensor factor leaves
@@ -846,9 +850,22 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     change a bit or a count.
     """
     n = machine.n_qubits
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if schedule.n_qubits != n:
+        raise ValueError(f"schedule is compiled for {schedule.n_qubits} qubits, "
+                         f"the machine has {n}")
+    if crosstalk is not None and np.shape(crosstalk) != (n, n):
+        raise ValueError(f"crosstalk must be {n} x {n}, got shape {np.shape(crosstalk)}")
+    if positions_um is not None and np.shape(positions_um) != (n,):
+        raise ValueError(f"positions_um must hold {n} positions, got shape "
+                         f"{np.shape(positions_um)}")
     detunings = (np.zeros(n) if positions_um is None else
                  np.asarray(positions_um, dtype=float) * noise.gradient_for(qubit_kind))
     lam = noise.collision_rate * n * (schedule.duration_ns * 1e-9)
+    events = schedule.events
+    if not any(e.kind == "measure" for e in events):
+        events += (Event(GLOBAL_CHANNEL, schedule.duration_ns, 0, "measure"),)
     chunk = max(1, _CHUNK_BYTES // (2**n * 16))
     bits, counts, valid = [], [], []
     for c, start in enumerate(range(0, shots, chunk)):
@@ -858,14 +875,8 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             basis = np.where(rng.random((size, n)) < noise.spam_prep, 0, 1 << np.arange(n))
             state.psi[:] = 0.0
             state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
-        last = {"bits": None, "counts": None}
-        t_now = _run_events(schedule.events, state, noise, rng, crosstalk, qubit_kind,
-                            detunings, 0, last, {})
-        if last["bits"] is None:
-            # No MEASURE: the final readout follows the end of the last pulse.
-            _noise_interval(state, (schedule.duration_ns - t_now) * 1e-9, noise, rng,
-                            qubit_kind, detunings)
-            last["bits"], last["counts"] = detect(state, noise.detection, rng)
+        last = {}
+        _run_events(events, state, noise, rng, crosstalk, qubit_kind, detunings, 0, last, {})
         bits += last["bits"].tolist()
         counts += last["counts"].tolist()
         valid += (rng.poisson(lam, size=size) == 0).tolist()

@@ -60,14 +60,14 @@ class ExperimentResult:
 # Ramsey coherence and field-gradient scans
 # ---------------------------------------------------------------------------
 
-def _ramsey_circuit(wait_us: float, second_phase: float) -> comp.CircuitIR:
-    return comp.CircuitIR((
+def _ramsey_circuit(wait_us: float, second_phase: float) -> tuple:
+    return (
         comp.PrepareAll(),
         comp.R(math.pi / 2, 0.0, "all"),
         comp.Delay(wait_us),
         comp.R(math.pi / 2, second_phase, "all"),
         comp.MeasureAll("m0"),
-    ))
+    )
 
 
 def _contrast(records) -> tuple:
@@ -287,8 +287,8 @@ def estimate_nbar(ns: np.ndarray, rng) -> tuple:
 
 
 def run_sideband_thermometry(spec: ExperimentSpec, nbar_true: float) -> ExperimentResult:
-    if nbar_true > 2.0:
-        raise ValueError("estimator validity requires nbar <= 2")
+    if not 0.0 <= nbar_true <= 2.0:
+        raise ValueError(f"nbar_true must lie in [0, 2] for estimator validity, got {nbar_true}")
     rng = np.random.default_rng([spec.seed, 0])
     ns = _sample_thermal_n(nbar_true, spec.shots, rng)
     nbar, se, flagged = estimate_nbar(ns, rng)
@@ -307,6 +307,8 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
     waits = np.asarray(wait_times_s, dtype=float)
     if len(freqs) < 3:
         raise ValueError("need >= 3 frequencies")
+    if not 0.0 <= nbar0 < math.inf:
+        raise ValueError(f"nbar0 must be finite and non-negative, got {nbar0}")
     rates, rate_errs = [], []
     point_sets = {}
     for i, f in enumerate(freqs):
@@ -359,7 +361,9 @@ def ghz_state_fidelity(n: int) -> float:
 
 
 def _witness(pop_bits, parity_bits, phases, n: int) -> tuple:
-    """(P, its error, parity dataset, fringe fit at frequency n) from bits."""
+    """(witness, parity dataset, fringe fit at frequency n) from bits.  The
+    witness holds P, C = min(fringe amplitude, 1), F = (P+C)/2 and, under
+    <name>_err, the error of each."""
     shots = len(pop_bits)
     sums = pop_bits.sum(axis=1)
     k_pop = int(np.sum((sums == 0) | (sums == n)))
@@ -369,7 +373,11 @@ def _witness(pop_bits, parity_bits, phases, n: int) -> tuple:
         par.append(float(np.mean(parity)))
         err.append(max(2.0 * float(binomial_se(int(np.sum(parity > 0)), shots)), 1e-9))
     ds = Dataset(phases, np.array(par), np.array(err))
-    return k_pop / shots, float(binomial_se(k_pop, shots)), ds, fit_fringe(ds, float(n))
+    fringe = fit_fringe(ds, float(n))
+    p, se_p = k_pop / shots, float(binomial_se(k_pop, shots))
+    c, se_c = min(fringe["amplitude"], 1.0), fringe.error("amplitude")
+    return ({"P": p, "C": c, "F": (p + c) / 2.0, "P_err": se_p, "C_err": se_c,
+             "F_err": 0.5 * math.hypot(se_p, se_c)}, ds, fringe)
 
 
 def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
@@ -399,19 +407,13 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     def measured(state, rng):
         return eng.measure(state, spec.shots, spec.noise.detection, rng)[0]
 
-    p_pop, se_pop, ds, fringe = _witness(
+    w, ds, fringe = _witness(
         measured(prepared, np.random.default_rng([spec.seed, 0])),
         [measured(eng.apply_rotation(copy.deepcopy(prepared), range(n), math.pi / 2, phi),
                   np.random.default_rng([spec.seed, 1, i]))
          for i, phi in enumerate(phases)], phases, n)
-    c = min(fringe["amplitude"], 1.0)
-    se_c = fringe.error("amplitude")
-    f = (p_pop + c) / 2.0
-    se_f = 0.5 * math.hypot(se_pop, se_c)
     return ExperimentResult({"points": ds}, {"fringe": fringe},
-                            {"N": n, "P": p_pop, "C": c, "F": f,
-                             "P_err": se_pop, "C_err": se_c, "F_err": se_f,
-                             "witness": bool(f > 0.5)})
+                            {"N": n, **w, "witness": bool(w["F"] > 0.5)})
 
 
 GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
@@ -449,13 +451,12 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
 
     ys, es = [], []
     for i, k in enumerate(counts):
-        p_pop, se_pop, _, fr = _witness(
+        w, _, _ = _witness(
             survival_bits(k, None, np.random.default_rng([spec.seed, i, 0])),
             [survival_bits(k, phi, np.random.default_rng([spec.seed, i, 1 + j]))
              for j, phi in enumerate(GATE_DECAY_PHASES)], GATE_DECAY_PHASES, 2)
-        c = min(fr["amplitude"], 1.0)
-        ys.append((p_pop + c) / 2.0)
-        es.append(max(0.5 * math.hypot(se_pop, fr.error("amplitude")), 1e-9))
+        ys.append(w["F"])
+        es.append(max(w["F_err"], 1e-9))
     ds = Dataset(np.array(counts, dtype=float), np.array(ys), np.array(es))
     fit = fit_decay(ds, form="power", fixed_offset=0.25)
     p = fit["p"]

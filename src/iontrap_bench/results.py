@@ -57,13 +57,13 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
                   manifest: RunManifest, extra: dict = None) -> list:
     """Write all artifacts; returns the list of files written.
 
-    datasets: name -> Dataset ('points' becomes points.csv, others
-    <name>.csv).  fits: name -> FitResult, serialized into summary.json.
+    datasets: name -> Dataset, written as <name>.csv.  fits: name ->
+    FitResult, serialized into summary.json.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, ds in datasets.items():
-        fname = "points.csv" if name == "points" else f"{name}.csv"
+        fname = f"{name}.csv"
         path = os.path.join(out_dir, fname)
         write_points_csv(path, ds)
         written.append(fname)

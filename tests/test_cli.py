@@ -266,6 +266,30 @@ def test_simulate_all_shots_invalid_is_one_error_line(tmp_path, circuit_file, ca
     assert err.startswith("error: no valid shots") and err.count("\n") == 1
 
 
+def test_simulate_zero_shots_is_one_error_line(tmp_path, circuit_file, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--circuit", circuit_file, "--shots", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: shots must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, nbar, name", [("thermometry", "-1", "nbar_true"),
+                                              ("thermometry", "nan", "nbar_true"),
+                                              ("heating", "-1", "nbar0"),
+                                              ("heating", "nan", "nbar0"),
+                                              ("heating", "inf", "nbar0")])
+def test_unphysical_nbar_is_one_error_line(tmp_path, capsys, kind, nbar, name):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["experiment", kind, "--nbar", nbar, "--shots", "10", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_zero_qubit_register_is_one_error_line(tmp_path, circuit_file, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("machine.n_qubits = 0\n")

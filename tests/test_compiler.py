@@ -15,7 +15,7 @@ M = comp.MachineConfig()
 
 
 def compile_(instructions, machine=M):
-    return comp.compile_circuit(comp.CircuitIR(tuple(instructions)), machine)
+    return comp.compile_circuit(instructions, machine)
 
 
 def test_global_half_pi_pulse():
@@ -228,12 +228,12 @@ def test_parse_circuit_roundtrip():
     BRANCH m0 q0=bright { R 3.141592653589793 0.0 0 ; RZ 0.5 1 }
     """
     circuit = comp.parse_circuit(text)
-    kinds = [type(i).__name__ for i in circuit.instructions]
+    kinds = [type(i).__name__ for i in circuit]
     assert kinds == ["PrepareAll", "R", "RZ", "MS", "Delay", "MeasureAll", "Branch"]
-    br = circuit.instructions[-1]
+    br = circuit[-1]
     assert br.predicate == ((0, "bright"),)
     assert len(br.body) == 2
-    sched = compile_(circuit.instructions)
+    sched = compile_(circuit)
     assert comp.validate(sched, M) == []
 
 

@@ -437,7 +437,7 @@ QUIET = eng.NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf,
 
 
 def _compile(instructions, machine):
-    return comp.compile_circuit(comp.CircuitIR(tuple(instructions)), machine)
+    return comp.compile_circuit(instructions, machine)
 
 
 def test_run_schedule_empty_measures_bright():
@@ -446,6 +446,22 @@ def test_run_schedule_empty_measures_bright():
     recs = eng.run_schedule(sched, machine, QUIET, 200, seed=1)
     assert all(r.bits == (1, 1) for r in recs)
     assert all(r.valid for r in recs)
+
+
+@pytest.mark.parametrize("kwargs, schedule_qubits, match", [
+    ({"shots": 0}, 3, "shots must be >= 1"),
+    ({"crosstalk": np.eye(2)}, 3, "crosstalk must be 3 x 3"),
+    ({"positions_um": [0.0]}, 3, "positions_um must hold 3 positions"),
+    ({"positions_um": [0.0, 1.0, 2.0, 3.0]}, 3, "positions_um must hold 3 positions"),
+    ({}, 2, "schedule is compiled for 2 qubits, the machine has 3"),
+], ids=["zero_shots", "small_crosstalk", "short_positions", "long_positions",
+        "register_mismatch"])
+def test_run_schedule_rejects_inputs_that_do_not_fit(kwargs, schedule_qubits, match):
+    machine = comp.MachineConfig(n_qubits=3)
+    sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MeasureAll("m0")],
+                     comp.MachineConfig(n_qubits=schedule_qubits))
+    with pytest.raises(ValueError, match=match):
+        eng.run_schedule(sched, machine, QUIET, **{"shots": 10, "seed": 0, **kwargs})
 
 
 def test_run_schedule_pi_pulse_all_dark():

@@ -255,6 +255,15 @@ def test_thermometry_flags_undefined_ratio():
     assert flagged or nbar > 2.0  # estimator refuses or is clearly invalid
 
 
+@pytest.mark.parametrize("nbar", [-1.0, math.nan, math.inf])
+def test_thermometry_and_heating_reject_an_unphysical_nbar(nbar):
+    with pytest.raises(ValueError, match="nbar_true must lie in"):
+        exp.run_sideband_thermometry(exp.ExperimentSpec("thermometry"), nbar)
+    with pytest.raises(ValueError, match="nbar0 must be finite and non-negative"):
+        exp.run_heating_scan(exp.ExperimentSpec("heating"), [0.5, 1.0],
+                             [0.7e6, 1.05e6, 1.6e6], nbar0=nbar)
+
+
 def test_heating_keeps_thermal_and_recovers_rate():
     """The engine's heating unraveling keeps thermal Fock starts Fock-diagonal
     and thermal at nbar0 + r t, the law the heating scan samples."""
