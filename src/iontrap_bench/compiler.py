@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,8 +145,7 @@ class Event:
 
     def to_dict(self) -> dict:
         """Every field that is set, the body's events as dicts."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if getattr(self, f.name) is not None}
+        d = {name: value for name, value in vars(self).items() if value is not None}
         if self.body is not None:
             d["body"] = [e.to_dict() for e in self.body]
         return d
