@@ -141,13 +141,19 @@ class NoiseConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
 
+    @staticmethod
+    def _is_ground(qubit_kind: str) -> bool:
+        if qubit_kind not in ("ground", "optical"):
+            raise ValueError(f"qubit_kind must be 'ground' or 'optical', got {qubit_kind!r}")
+        return qubit_kind == "ground"
+
     def t2(self, qubit_kind: str) -> float:
-        return self.t2_ground if qubit_kind == "ground" else self.t2_optical
+        return self.t2_ground if self._is_ground(qubit_kind) else self.t2_optical
 
     def gradient_for(self, qubit_kind: str) -> float:
         g = (self.gradient_compensated_hz_per_um if self.gradient_compensation
              else self.gradient_hz_per_um)
-        return g if qubit_kind == "ground" else g * _SENSITIVITY_RATIO
+        return g if self._is_ground(qubit_kind) else g * _SENSITIVITY_RATIO
 
     def heating_rate(self, omega: float) -> float:
         return self.heating_rate_ref * (self.heating_omega_ref / omega) ** self.heating_alpha
@@ -618,6 +624,23 @@ class BichromaticParams:
             raise ValueError(f"need finite parameters with nu > 0 and t > 0, got {self}")
 
 
+def ms_steps(params: BichromaticParams) -> tuple:
+    """(n_steps, m, q, r) of the bichromatic gate: n_steps midpoint steps of
+    at most 1/_STEPS_PER_PERIOD of the faster of tone and mode period, m
+    steps per tone period, and q whole periods then r single steps before
+    the closing half step (q = 0 when a period is not a whole number of
+    steps)."""
+    tone = params.nu + params.delta
+    dt = 2.0 * math.pi / (_STEPS_PER_PERIOD * max(abs(tone), params.nu))
+    # The tolerance keeps a ratio that rounds just above an integer, such as
+    # 1800.0000000000002, at that integer: one more step would break the period.
+    n_steps = max(1, math.ceil(params.t / dt - 1e-9))
+    period = 2.0 * math.pi * n_steps / (abs(tone) * params.t) if tone else 1.0
+    m = round(period)
+    q, r = divmod(n_steps - 1, m) if abs(period - m) <= 1e-9 else (0, n_steps - 1)
+    return n_steps, m, q, r
+
+
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
                          leakage_threshold: float = 1e-6):
     """Integrate the two-tone interaction Hamiltonian in the truncated
@@ -631,6 +654,13 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     P(t_{k+1})† P(t_k) = P(dt)†: one eigendecomposition serves the gate,
     and a step is a phase per eigenvector then a product with the
     constant W = V† P(dt)† V.
+
+    In V's basis step k is S_k = W diag(exp(-i dt drive_k w)), and the
+    drive repeats every tone period (Soerensen & Moelmer, PRA 62, 022311
+    (2000)).  When a period is a whole number m of steps (m = 1 for the
+    constant drive at tone 0), the period map B = S_{m-1}...S_0 is built
+    once and its power B^q, by repeated squaring, takes every shot through
+    the q whole periods; the remaining steps run one at a time.
     """
     if state.phonon is None:
         raise ValueError("phonon mode must be attached")
@@ -640,8 +670,7 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     if len(params.etas) != n:
         raise ValueError("one Lamb-Dicke parameter per addressed ion")
     tone = params.nu + params.delta
-    dt = 2.0 * math.pi / (_STEPS_PER_PERIOD * max(abs(tone), params.nu))
-    n_steps = max(1, int(math.ceil(params.t / dt)))
+    n_steps, m, q, _ = ms_steps(params)
     dt = params.t / n_steps
 
     a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1)
@@ -671,7 +700,12 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     wdt = -1j * dt * w[:, None]
     psi = _flat(state).reshape(-1, fock_dim * 2**n).T  # one column per shot
     phi = v.conj().T @ (frame(-0.5 * dt) * psi)
-    for d in drive[:-1]:
+    if q:
+        b = np.eye(len(w), dtype=complex)
+        for d in drive[:m]:
+            b = step @ (np.exp(d * wdt) * b)
+        phi = np.linalg.matrix_power(b, q) @ phi
+    for d in drive[q * m:-1]:
         phi = step @ (np.exp(d * wdt) * phi)
     psi = frame((n_steps - 0.5) * dt) * (v @ (np.exp(drive[-1] * wdt) * phi))
 
@@ -748,16 +782,15 @@ def _apply_ms_event(state, e, targets, weights=None):
         apply_rz(state, range(len(e.frames)), -1.0, scale=e.frames)
 
 
-def _noise_interval(state, dt_s, noise, rng, qubit_kind, detunings_hz):
+def _noise_interval(state, dt_s, noise, rng, t2, detunings_hz):
     if dt_s <= 0:
         return
     targets = range(state.n)
-    apply_dephasing(state, targets, dt_s, noise.t2(qubit_kind), rng,
-                    detuning_hz=detunings_hz)
+    apply_dephasing(state, targets, dt_s, t2, rng, detuning_hz=detunings_hz)
     apply_t1_decay(state, targets, dt_s, rng, t1=noise.t1)
 
 
-def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
+def _run_events(events, state, noise, rng, crosstalk, t2,
                 detunings_hz, t_now, last, labels):
     """Apply events in time order to every shot of the batched state; return
     the time (ns) the state has idled to, from t_now.  A pulse acts at its
@@ -767,7 +800,7 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
     idling through every gap and pulse.  `last` holds the latest detected
     bits and counts per shot, `labels` those of each measurement label."""
     def idle(st, t_ns):
-        _noise_interval(st, (t_ns - t_now) * 1e-9, noise, rng, qubit_kind, detunings_hz)
+        _noise_interval(st, (t_ns - t_now) * 1e-9, noise, rng, t2, detunings_hz)
 
     for e in sorted(events, key=lambda ev: ev.start):
         if e.kind in ("carrier", "ac_stark", "bichromatic"):
@@ -805,7 +838,7 @@ def _run_events(events, state, noise, rng, crosstalk, qubit_kind,
                 body = [replace(b, start=b.start + e.start) for b in e.body]
                 sub = state.subset(fire)
                 sub_last = {k: v[fire] for k, v in last.items()}
-                t_end = _run_events(body, sub, noise, rng, crosstalk, qubit_kind,
+                t_end = _run_events(body, sub, noise, rng, crosstalk, t2,
                                     detunings_hz, t_now, sub_last,
                                     {k: v[fire] for k, v in labels.items()})
                 # The body's virtual RZs become real ones on the shots that fired.
@@ -842,7 +875,8 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
     A schedule without a top-level MEASURE is read out by one at its end.
     crosstalk is n x n and positions_um has one entry per qubit, for the
-    machine's n qubits, which must be the schedule's.
+    machine's n qubits, which must be the schedule's; qubit_kind is
+    "ground" or "optical".
 
     `phonon` and `threads` have no effect.  No operator of the interpreter
     couples spin and motion, and a jump channel on one tensor factor leaves
@@ -850,6 +884,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     change a bit or a count.
     """
     n = machine.n_qubits
+    t2 = noise.t2(qubit_kind)  # also checks qubit_kind
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if schedule.n_qubits != n:
@@ -876,7 +911,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             state.psi[:] = 0.0
             state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
         last = {}
-        _run_events(events, state, noise, rng, crosstalk, qubit_kind, detunings, 0, last, {})
+        _run_events(events, state, noise, rng, crosstalk, t2, detunings, 0, last, {})
         bits += last["bits"].tolist()
         counts += last["counts"].tolist()
         valid += (rng.poisson(lam, size=size) == 0).tolist()
@@ -895,7 +930,7 @@ def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.
         raise ValueError("statevector mode supports branch-free, measure-free schedules")
     state = RegisterState(machine.n_qubits)
     _run_events(schedule.events, state, _QUIET, np.random.default_rng(0), None,
-                "optical", None, 0, {}, {})
+                math.inf, None, 0, {}, {})
     apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)
     return state.psi[0]
 

@@ -307,6 +307,8 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
     waits = np.asarray(wait_times_s, dtype=float)
     if len(freqs) < 3:
         raise ValueError("need >= 3 frequencies")
+    if not np.all((freqs > 0) & np.isfinite(freqs)):
+        raise ValueError(f"frequencies_hz must be finite and positive, got {freqs.tolist()}")
     if not 0.0 <= nbar0 < math.inf:
         raise ValueError(f"nbar0 must be finite and non-negative, got {nbar0}")
     rates, rate_errs = [], []

@@ -178,6 +178,20 @@ def test_ramsey_optical_slower_than_ground():
     assert res_o.extra["t2_s"] > 3.0 * res_g.extra["t2_s"]
 
 
+def test_misspelt_qubit_kind_is_rejected_not_run_as_optical():
+    # "Ground" used to run with the optical T2 and gradient.
+    noise = eng.NoiseConfig(collision_rate=0.0)
+    machine = comp.MachineConfig(n_qubits=1)
+    sched = comp.compile_circuit(exp._ramsey_circuit(100.0, 0.0), machine)
+    calls = [lambda kind: exp.run_ramsey(_spec("ramsey", noise, 20), kind, [1e-3, 2e-3]),
+             lambda kind: eng.run_schedule(sched, machine, noise, 10, seed=0, qubit_kind=kind),
+             noise.t2, noise.gradient_for]
+    for call in calls:
+        for kind in ("Ground", "", "radial"):
+            with pytest.raises(ValueError, match="'ground' or 'optical'"):
+                call(kind)
+
+
 def test_gradient_scan_recovery_and_compensation():
     base = dict(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf,
                 collision_rate=0.0)
@@ -280,6 +294,13 @@ def test_heating_keeps_thermal_and_recovers_rate():
     p0 = 1.0 / (1.0 + nbar)
     assert abs(ns.mean() - nbar) < 3.0 * math.sqrt(nbar * (1.0 + nbar) / shots)
     assert abs(np.mean(ns == 0) - p0) < 3.0 * math.sqrt(p0 * (1.0 - p0) / shots)
+
+
+@pytest.mark.parametrize("freqs", [[0.0, 1e6, 2e6], [-1e6, 1e6, 2e6], [math.nan, 1e6, 2e6],
+                                   [math.inf, 1e6, 2e6]])
+def test_heating_scan_rejects_a_non_positive_or_non_finite_frequency(freqs):
+    with pytest.raises(ValueError, match="frequencies_hz must be finite and positive"):
+        exp.run_heating_scan(_spec("heating", QUIET, shots=100), [0.5, 1.0], freqs)
 
 
 def test_heating_scan_rate_and_alpha():

@@ -148,17 +148,51 @@ def test_leakage_checked_on_every_shot(omega_cal):
     assert err.value.leakage > 0.5
 
 
-@pytest.mark.parametrize("etas, n0", [((0.095, 0.07), 1), ((ETA, ETA, ETA), 0)])
-def test_gate_matches_per_step_expm_oracle(etas, n0):
-    # About 300 steps with strong tones: the state leaves its start and
-    # reaches the Fock cutoff, so every term of the Hamiltonian acts.
-    omega, t, n_max = 2 * PI * 200e3, 300.5 * DT_MIN, 4
+# Unequal etas from Fock 1, and three ions sharing one eta from Fock 0.
+ORACLE_CASES = [((0.095, 0.07), 1), ((ETA, ETA, ETA), 0)]
+
+
+def _matches_oracle(etas, n0, t, n_steps, delta=DELTA, omega=2 * PI * 200e3, n_max=4):
+    """The gate against the per-step oracle run at n_steps, to 1e-10; the
+    state must move, so every term of the Hamiltonian acts."""
     st = eng.RegisterState(len(etas), phonon=eng.PhononMode(NU, n_max=n_max), fock_index=n0)
     start = st.psi.copy()
-    eng.apply_ms_bichromatic(st, _params(omega, t=t, etas=etas), leakage_threshold=1.0)
-    ref = bichromatic_midpoint(start, etas, omega, NU, DELTA, t, math.ceil(t / DT_MIN), n_max)
+    eng.apply_ms_bichromatic(st, eng.BichromaticParams(
+        omega_rabi=omega, nu=NU, delta=delta, etas=etas, t=t), leakage_threshold=1.0)
+    ref = bichromatic_midpoint(start, etas, omega, NU, delta, t, n_steps, n_max)
     assert abs(np.vdot(start, ref)) ** 2 < 0.9
     assert np.max(np.abs(st.psi - ref)) <= 1e-10
+    return st
+
+
+@pytest.mark.parametrize("etas, n0", ORACLE_CASES)
+def test_gate_matches_per_step_expm_oracle(etas, n0):
+    # About 300 steps with strong tones: the state leaves its start and
+    # reaches the Fock cutoff.  No tone period ends on a step boundary of
+    # 301 steps, so every step runs one at a time.
+    _matches_oracle(etas, n0, 300.5 * DT_MIN, 301)
+
+
+# 300 steps: five whole tone periods by the period map's power, then 49
+# single steps; 325 steps: six periods, then half a period.
+@pytest.mark.parametrize("steps", [300, 325])
+@pytest.mark.parametrize("etas, n0", ORACLE_CASES)
+def test_whole_tone_periods_match_per_step_expm_oracle(etas, n0, steps):
+    _matches_oracle(etas, n0, steps * DT_MIN, steps)
+
+
+def test_zero_tone_stays_normalized_and_matches_oracle():
+    # delta = -nu puts both tones on the carrier: the drive is constant, so
+    # its period is one step.  The step bound is then the mode period's.
+    dt = 2 * PI / (50 * NU)
+    st = _matches_oracle((ETA, 0.07), 1, 40.5 * dt, 41, delta=-NU, omega=2 * PI * 400e3)
+    assert abs(st.norm() - 1.0) <= 1e-12
+
+
+def test_duration_just_above_a_whole_step_count_runs_that_count():
+    # t = N dt in floats can give t / dt = N + 1 ulp; the gate still runs N steps.
+    n_steps = next(n for n in range(200, 400) if (n * DT_MIN) / DT_MIN > n)  # 213
+    _matches_oracle((0.095, 0.07), 1, n_steps * DT_MIN, n_steps)
 
 
 def test_eigendecompositions_per_gate_do_not_grow_with_duration(monkeypatch):
