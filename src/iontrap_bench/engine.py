@@ -17,8 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +29,8 @@ _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
 _MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
 _SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
 _STEPS_PER_PERIOD = 50  # MS integrator steps per period of the faster of tone and mode
+# Largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX), about 9.22e18.
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,12 @@ class DetectionModel:
             raise ValueError(f"bright_rate * window + dark_mean must be finite, got "
                              f"bright_rate={self.bright_rate}, window={self.window}, "
                              f"dark_mean={self.dark_mean}")
+        # dark_mean first: a dark mean past the limit is the one named.
+        for name, mean in (("dark_mean", self.dark_mean),
+                           ("bright_rate * window + dark_mean", self.bright_mean)):
+            if mean > _POISSON_MAX:
+                raise ValueError(f"{name} must be at most {_POISSON_MAX:.4g}, the largest "
+                                 f"Poisson mean numpy samples, got {mean:.4g}")
 
     @property
     def bright_mean(self) -> float:
@@ -252,19 +259,6 @@ def _apply_1q(psi: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
     return out.reshape(psi.shape)
 
 
-_DENSE_QUBITS = 3
-
-
-def _linear(psi: np.ndarray, n: int, op) -> np.ndarray:
-    """op(psi) for a linear map op on the last axis.  A batch of states of
-    at most _DENSE_QUBITS qubits, where numpy's per-qubit passes would run
-    short inner loops, gets op's matrix (op of the basis) as one product."""
-    if psi.ndim == 2 or n > _DENSE_QUBITS:
-        return op(psi)
-    u = op(np.eye(2**n, dtype=complex))
-    return (psi.reshape(-1, 2**n) @ u).reshape(psi.shape)
-
-
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array(
@@ -291,7 +285,7 @@ def _apply_scaled(state, targets, theta, scale, matrix):
     for q, s in zip(targets, [1.0] * len(targets) if scale is None else scale):
         if s != 0.0:
             m = matrix(theta * s)
-            state.psi = _linear(state.psi, state.n, lambda p: _apply_1q(p, state.n, q, m))
+            state.psi = _apply_1q(state.psi, state.n, q, m)
     return state
 
 
@@ -326,13 +320,9 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
     # Hadamards on the targets, as unnormalized butterflies: the two layers'
     # factor 2**-k scales the phase exactly.
     phase *= 2.0 ** -len(targets)
-
-    def ms(p):
-        p = _butterflies(p, state.n, targets)
-        p *= phase
-        return _butterflies(p, state.n, targets)
-
-    state.psi = _linear(state.psi, state.n, ms)
+    _butterflies(state.psi, state.n, targets)
+    state.psi *= phase
+    _butterflies(state.psi, state.n, targets)
     return state
 
 
@@ -388,26 +378,21 @@ _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]]
                     [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
 
 
-def _depolarizing_draws(rng: np.random.Generator, batch_shape, eps: float, k: int):
-    """The draws of one depolarizing channel on k targets: one uniform per
-    shot, then one integer in [0, 4**k) per hit shot.  Returns the flat
-    indices of the hit shots and their Pauli-string indices (None if no hit)."""
-    hit = np.flatnonzero(rng.random(batch_shape) < eps)
-    return hit, (rng.integers(4**k, size=hit.size) if hit.size else None)
-
-
 def apply_depolarizing(state: RegisterState, targets, eps: float,
                        rng: np.random.Generator):
     """With probability eps per shot apply a uniformly random Pauli string
-    (identity included), drawn by _depolarizing_draws: the base-4 digit i of
-    a hit shot's index picks the Pauli on targets[i]."""
+    (identity included): one uniform per shot, then one integer in
+    [0, 4**k) per hit shot, whose base-4 digit i picks the Pauli on
+    targets[i].  This is the channel rho -> (1 - eps) rho + eps I/d on the
+    targets, which commutes with every unitary on them."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if eps == 0.0:
         return state
     targets = list(targets)
-    hit, which = _depolarizing_draws(rng, state.batch_shape, eps, len(targets))
+    hit = np.flatnonzero(rng.random(state.batch_shape) < eps)
     if hit.size:
+        which = rng.integers(4 ** len(targets), size=hit.size)
         psi = _flat(state)
         sub = psi[hit]
         for i, q in enumerate(targets):
@@ -415,70 +400,6 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
             sub = np.einsum("sab,sxbq->sxaq", _PAULIS[which // 4**i % 4], v)
         psi[hit] = sub.reshape(-1, *psi.shape[1:])
         state.psi = psi.reshape(state.psi.shape)
-    return state
-
-
-@cache
-def _pauli_strings(n: int, targets: tuple) -> np.ndarray:
-    """The 4**k Pauli strings on targets, indexed as apply_depolarizing
-    draws them, as matrices in the row convention of _linear (psi @ m)."""
-    strings = np.empty((4 ** len(targets), 2**n, 2**n), dtype=complex)
-    for w in range(len(strings)):
-        m = np.eye(2**n, dtype=complex)
-        for i, q in enumerate(targets):
-            m = _apply_1q(m, n, q, _PAULIS[w // 4**i % 4])
-        strings[w] = m
-    strings.flags.writeable = False
-    return strings
-
-
-def apply_noisy_gates(state: RegisterState, gates, targets, eps: float,
-                      rng: np.random.Generator):
-    """Apply the gates in order, each followed by apply_depolarizing(state,
-    targets, eps, rng) with the same random draws, to a state of at most
-    _DENSE_QUBITS qubits.
-
-    gates are 2**n x 2**n unitaries shared by every shot, in the row
-    convention of _linear (psi @ u).  The arithmetic runs in the start
-    frame: with C_t = u_1 ... u_t, a Pauli string P hit after gate t acts
-    as C_t P C_t† applied before C_t.  Each hit shot takes its C_t P C_t†
-    in time order, then the whole batch takes C_T once.
-    """
-    if state.n > _DENSE_QUBITS:
-        raise ValueError(f"apply_noisy_gates takes at most {_DENSE_QUBITS} qubits, "
-                         f"got {state.n}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    if not len(gates):
-        return state
-    targets = tuple(_checked_targets(state, targets, 0.0))
-    d = 2**state.n
-    cum = np.array(list(accumulate(gates, np.matmul)))  # C_t
-    shot, which, steps, sizes = [], [], [], []
-    if eps > 0.0:
-        for t in range(len(gates)):
-            hit, w = _depolarizing_draws(rng, state.batch_shape, eps, len(targets))
-            if hit.size:
-                shot.append(hit)
-                which.append(w)
-                steps.append(t)
-                sizes.append(hit.size)
-    psi = _flat(state)
-    if shot:
-        shot, which = np.concatenate(shot), np.concatenate(which)
-        step = np.repeat(steps, sizes)
-        # Hits come in time order; rank r is a shot's (r+1)-th hit, so one
-        # pass per rank applies every shot's hits in its own time order.
-        order = np.argsort(shot, kind="stable")
-        by_shot = shot[order]
-        rank = np.arange(order.size) - np.searchsorted(by_shot, by_shot)
-        strings = _pauli_strings(state.n, targets)
-        for r in range(rank.max() + 1):
-            sel = order[rank == r]
-            rows, c = shot[sel], cum[step[sel]]
-            # psi @ C_t P C_t†, as three vector-matrix products.
-            psi[rows] = psi[rows] @ c @ strings[which[sel]] @ c.conj().transpose(0, 2, 1)
-    state.psi = (psi.reshape(-1, d) @ cum[-1]).reshape(state.psi.shape)
     return state
 
 
@@ -585,20 +506,22 @@ def detect(state: RegisterState, detection: DetectionModel,
     return detection.classify(counts), counts
 
 
-def measure(state: RegisterState, shots: int, detection: DetectionModel,
-            rng: np.random.Generator):
-    """Sample shots from a single state's basis distribution without
-    collapsing it, then run each projected bit pattern through the
-    Poisson-threshold detection model.
+def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generator):
+    """Sample shots from an outcome law over the 2**n basis states (a
+    state's probabilities(), or a noisy law built from them), then run each
+    bit pattern through the Poisson-threshold detection model.
 
     Returns (detected_bits, counts), both of shape (shots, n).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
+    probs = np.asarray(probs, dtype=float)
+    n = probs.size.bit_length() - 1
+    if probs.shape != (2**n,):
+        raise ValueError(f"need an outcome law over 2**n basis states, got shape {probs.shape}")
     probs = probs / probs.sum()
     idx = rng.choice(len(probs), p=probs, size=shots)
-    bits = ((idx[:, None] >> np.arange(state.n)[None, :]) & 1).astype(np.int8)
+    bits = ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     counts = detection.sample_counts(bits, rng)
     return detection.classify(counts), counts
 

@@ -3,14 +3,17 @@ benchmarking, sideband thermometry, heating, GHZ witnesses, gate decay,
 and addressing scans.
 
 Simulated shots run on the engine: ramsey and gradient through
-run_schedule; RB and gate decay as one engine.apply_noisy_gates call per
-sequence or setting (the pulse or MS gate matrices, each followed by
-depolarizing, on a batched state), then the engine's readout.  Heating
-samples its closed-form law: jump rates up r(n+1) and down r n keep a
-thermal ensemble thermal with mean nbar0 + r t, so each point draws Fock
-numbers from that thermal law.  Every run_* function is deterministic
-given (spec, seed): each point draws from its own stream keyed by the seed
-and the point index, and aggregation is ordered.
+run_schedule.  RB and gate decay sample their exact outcome law: the
+depolarizing channel (1 - eps) rho + eps I/d after each of G gates
+commutes with every unitary, so the law is w |<b|U|S...S>|^2 + (1 - w)/d
+with w = (1 - eps)**G; an RB sequence is one binomial draw, a gate-decay
+setting one engine.measure of that law (Magesan, Gambetta & Emerson, PRL
+106, 180504 (2011)).  Heating samples its closed-form law: jump rates up
+r(n+1) and down r n keep a thermal ensemble thermal with mean nbar0 + r t,
+so each point draws Fock numbers from that thermal law.  Every run_*
+function is deterministic given (spec, seed): each point draws from its
+own stream keyed by the seed and the point index, and aggregation is
+ordered.
 """
 
 from __future__ import annotations
@@ -172,20 +175,10 @@ CLIFFORD_PULSES = _clifford_table()
 CLIFFORD_AVG_COST = sum(len(s) for s in CLIFFORD_PULSES) / len(CLIFFORD_PULSES)
 
 
-def _gate(n: int, apply) -> np.ndarray:
-    """Row-convention matrix (psi @ u) of the gate that apply(state) runs,
-    read off an n-qubit batch whose shots are the basis states."""
-    state = eng.RegisterState(n, shots=2**n)
-    state.psi[:, 0] = np.eye(2**n)
-    return apply(state).psi[:, 0]
-
-
-CLIFFORD_GATES = [[_gate(1, lambda st: eng.apply_rotation(st, [0], *p)) for p in seq]
-                  for seq in CLIFFORD_PULSES]
-
-
-# Each Clifford's gate product in order: its unitary, in the same row convention.
-_CLIFFORD_PRODUCTS = [functools.reduce(np.matmul, seq) for seq in CLIFFORD_GATES]
+# Each Clifford's unitary in the row convention psi @ u of a state's
+# amplitudes: the product of its pulses' transposed rotation matrices, in order.
+_CLIFFORD_PRODUCTS = [functools.reduce(np.matmul, (eng.rotation_matrix(*p).T for p in seq))
+                      for seq in CLIFFORD_PULSES]
 
 
 def _inverse_clifford(u: np.ndarray) -> int:
@@ -197,14 +190,14 @@ def _inverse_clifford(u: np.ndarray) -> int:
     raise RuntimeError("Clifford table is not closed under inversion")
 
 
-def _run_rb_sequence(cliffords, eps, shots, rng):
-    """Survival count of one sequence: all shots propagate as one batched
-    state, with a depolarizing draw per shot per pulse slot."""
+def _rb_survival(cliffords, eps) -> float:
+    """Survival probability of one sequence closed by its inverse Clifford.
+    Depolarizing after each of its G pulse slots (the identity's and the
+    inverse's included) commutes with the gates, whose product is the
+    identity, so a shot survives with probability 1/2 + (1 - eps)**G / 2."""
     u = functools.reduce(np.matmul, (_CLIFFORD_PRODUCTS[k] for k in cliffords), np.eye(2))
-    gates = [g for k in [*cliffords, _inverse_clifford(u)] for g in CLIFFORD_GATES[k]]
-    state = eng.RegisterState(1, shots=shots)
-    eng.apply_noisy_gates(state, gates, [0], eps, rng)
-    return int(np.sum(eng.project_bits(state, rng)))
+    slots = sum(len(CLIFFORD_PULSES[k]) for k in [*cliffords, _inverse_clifford(u)])
+    return 0.5 + 0.5 * (1.0 - eps) ** slots
 
 
 RB_SEQUENCES = 20  # random sequences per length; each gets shots // 20
@@ -233,7 +226,7 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
         for s in range(RB_SEQUENCES):
             rng = np.random.default_rng([spec.seed, i, s])
             cliffords = rng.integers(24, size=n)
-            k_total += _run_rb_sequence(cliffords, eps, shots_per_seq, rng)
+            k_total += int(rng.binomial(shots_per_seq, _rb_survival(cliffords, eps)))
             n_total += shots_per_seq
         y.append(k_total / n_total)
         yerr.append(float(binomial_se(k_total, n_total)))
@@ -407,7 +400,7 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
             eng.apply_rotation(prepared, [q], theta, phi_q)
 
     def measured(state, rng):
-        return eng.measure(state, spec.shots, spec.noise.detection, rng)[0]
+        return eng.measure(state.probabilities(), spec.shots, spec.noise.detection, rng)[0]
 
     w, ds, fringe = _witness(
         measured(prepared, np.random.default_rng([spec.seed, 0])),
@@ -419,7 +412,19 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
 
 
 GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
-MS_GATE = _gate(2, lambda st: eng.apply_ms_ideal(st, [0, 1], math.pi / 4))
+
+
+def _gate_decay_law(k_gates: int, phi, eps: float) -> np.ndarray:
+    """Outcome law of two ions after k_gates MS(pi/4) gates, each followed
+    by depolarizing eps on both, then R(pi/2, phi) unless phi is None.
+    Depolarizing commutes with the gates, so the law is w of the ideal one
+    and 1 - w of uniform, w = (1 - eps)**k_gates; MS(pi/4)**k_gates is the
+    one gate MS(k_gates pi/4)."""
+    state = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * math.pi / 4)
+    if phi is not None:
+        eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
+    w = (1.0 - eps) ** k_gates
+    return w * state.probabilities() + (1.0 - w) / 4
 
 
 def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:
@@ -444,12 +449,8 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
         eps = min(eps + 2.0 * spec.addressing.floor**2, 1.0)
 
     def survival_bits(k_gates, phi, rng):
-        """Detected bits of all shots, one batched state, after k_gates."""
-        state = eng.RegisterState(2, shots=shots)
-        eng.apply_noisy_gates(state, [MS_GATE] * k_gates, [0, 1], eps, rng)
-        if phi is not None:
-            eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
-        return eng.detect(state, noise.detection, rng)[0]
+        """Detected bits of all shots after k_gates."""
+        return eng.measure(_gate_decay_law(k_gates, phi, eps), shots, noise.detection, rng)[0]
 
     ys, es = [], []
     for i, k in enumerate(counts):

@@ -6,8 +6,6 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
 
-from iontrap_bench import engine as eng
-
 
 def dephasing_channel(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
     """Single-qubit pure dephasing: off-diagonals decay as exp(-dt/T2)."""
@@ -64,15 +62,6 @@ def bichromatic_midpoint(psi, etas, omega, nu, delta, t, n_steps, n_max):
         h = 2.0 * omega * math.cos((nu + delta) * tm) * (h + h.conj().T)
         psi = expm(-1j * dt * h) @ psi
     return psi.reshape(n_max + 1, 2**n)
-
-
-def noisy_gates_per_gate(state, gates, targets, eps, rng):
-    """Per-gate reference for engine.apply_noisy_gates: each row-convention
-    gate u as psi @ u through engine._linear, then engine.apply_depolarizing."""
-    for u in gates:
-        state.psi = eng._linear(state.psi, state.n, lambda p: p @ u)
-        eng.apply_depolarizing(state, targets, eps, rng)
-    return state
 
 
 def apply_1q_einsum(psi, n, q, m):

@@ -375,6 +375,22 @@ def test_readout_without_signal_is_one_error_line(tmp_path, circuit_file, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("noise.detection_dark_mean", "1e19", "dark_mean"),
+    ("noise.detection_bright_rate", "1e300", "bright_rate * window + dark_mean")])
+def test_mean_past_numpy_poisson_limit_is_one_error_line(tmp_path, circuit_file, capsys,
+                                                         key, value, name):
+    # numpy's Poisson sampler takes means up to about 9.22e18.
+    cfg = tmp_path / "mean.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--circuit", circuit_file, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be at most 9.223e+18") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["experiment", "gradient"], "noise.gradient_compensated_hz_per_um"),
     (["experiment", "heating"], "noise.heating_rate_ref"),

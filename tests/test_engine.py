@@ -244,17 +244,6 @@ def test_depolarizing_eps_one_fully_mixed():
     assert abs(purity - 0.5) < 0.01
 
 
-def test_noisy_gates_reject_bad_register_eps_or_target():
-    rng = np.random.default_rng(0)
-    big = eng.RegisterState(eng._DENSE_QUBITS + 1, shots=2)
-    with pytest.raises(ValueError, match="at most 3 qubits"):
-        eng.apply_noisy_gates(big, [np.eye(2**big.n)], [0], 0.1, rng)
-    st = eng.RegisterState(1, shots=2)
-    for eps, targets in ((1.5, [0]), (math.nan, [0]), (0.1, [1])):
-        with pytest.raises(ValueError):
-            eng.apply_noisy_gates(st, [np.eye(2)], targets, eps, rng)
-
-
 @ENSEMBLES
 def test_t1_decay_vs_oracle(ensemble):
     t1, dt, shots = 1.168, 0.4, 20000
@@ -305,7 +294,8 @@ def test_noise_config_rejects_non_positive_lifetime(name, value):
         ("gradient_hz_per_um", math.nan), ("gradient_compensated_hz_per_um", -math.inf))],
     *[(eng.DetectionModel, name, value) for name, value in (
         ("bright_rate", math.nan), ("bright_rate", -5.0), ("bright_rate", 0.0),
-        ("window", math.inf), ("window", 0.0), ("dark_mean", math.nan))]])
+        ("window", math.inf), ("window", 0.0), ("dark_mean", math.nan),
+        ("dark_mean", 1e19))]])
 def test_noise_models_reject_nan_rate_and_non_finite_field(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         cls(**{name: value})
@@ -423,9 +413,31 @@ def test_detection_readout_error_vs_exact_oracle():
 def test_measure_shapes_and_bright_state():
     st = eng.RegisterState(2)  # all-bright
     det = eng.DetectionModel()
-    bits, counts = eng.measure(st, 500, det, np.random.default_rng(5))
+    bits, counts = eng.measure(st.probabilities(), 500, det, np.random.default_rng(5))
     assert bits.shape == (500, 2) and counts.shape == (500, 2)
     assert np.mean(bits) > 0.999
+
+
+def test_measure_never_draws_a_zero_probability_outcome():
+    # Outcome 2 (qubit 1 bright, qubit 0 dark) has no weight; a perfect
+    # readout (no dark counts, no decay in the window) shows the true bits.
+    det = eng.DetectionModel(dark_mean=0.0, t1=math.inf)
+    bits, _ = eng.measure([0.25, 0.5, 0.0, 0.25], 20000, det, np.random.default_rng(6))
+    idx = bits[:, 0] + 2 * bits[:, 1]
+    assert not np.any(idx == 2)
+    assert set(np.unique(idx)) == {0, 1, 3}
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [[0.5, 0.5]], 1.0, []])
+def test_measure_rejects_a_law_not_over_basis_states(probs):
+    with pytest.raises(ValueError, match=r"2\*\*n basis states"):
+        eng.measure(probs, 10, eng.DetectionModel(), np.random.default_rng(0))
+
+
+def test_detection_mean_just_below_numpy_poisson_limit_samples():
+    # numpy samples a Poisson mean up to about 9.223e18; 1e19 is rejected above.
+    det = eng.DetectionModel(dark_mean=9.22e18)
+    assert det.sample_counts(np.array([0, 1]), np.random.default_rng(0)).min() > 9e18
 
 
 # ---------------------------------------------------------------------------

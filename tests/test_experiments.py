@@ -1,8 +1,6 @@
 """Experiments: RB, Ramsey, gradient, thermometry, heating, GHZ, gate decay,
 addressing scans.  Statistical assertions use 3-sigma windows at fixed seeds."""
 
-import collections
-import functools
 import math
 
 import numpy as np
@@ -13,7 +11,6 @@ from iontrap_bench import engine as eng
 from iontrap_bench import experiments as exp
 from iontrap_bench.addressing import AOD, MICROOPTICS, AddressingUnit
 from iontrap_bench.errors import FitFailure
-from oracles import noisy_gates_per_gate
 
 PI = math.pi
 
@@ -36,8 +33,13 @@ def _proj_equal(u, v):
 
 def test_clifford_table_structure():
     us = exp._CLIFFORD_PRODUCTS
-    np.testing.assert_array_equal(
-        us, [functools.reduce(np.matmul, seq) for seq in exp.CLIFFORD_GATES])
+    # Row k of a product is the state the engine's pulses make of basis state k.
+    for u, pulses in zip(us, exp.CLIFFORD_PULSES):
+        state = eng.RegisterState(1, shots=2)
+        state.psi[:, 0] = np.eye(2)
+        for p in pulses:
+            eng.apply_rotation(state, [0], *p)
+        np.testing.assert_allclose(state.psi[:, 0], u, rtol=0.0, atol=1e-15)
     assert len(us) == 24
     # distinct up to global phase
     for i in range(24):
@@ -110,42 +112,6 @@ def test_rb_rejects_fewer_shots_than_sequences():
     spec = _spec("rb", QUIET, shots=exp.RB_SEQUENCES - 1)
     with pytest.raises(ValueError, match="shots >= 20"):
         exp.run_rb(spec, [2, 4, 8, 16])
-
-
-RB_LENGTHS = [2, 10, 25, 50]
-GATE_COUNTS = [1, 3, 5, 7, 9]
-
-
-def _rb_and_gate_decay(seed):
-    rb = exp.run_rb(_spec("rb", eng.NoiseConfig(eps_1q=0.01), 200, seed), RB_LENGTHS)
-    gd = exp.run_gate_decay(_spec("gate_decay", eng.NoiseConfig(eps_2q=0.02), 200, seed),
-                            GATE_COUNTS)
-    return rb.datasets["points"], gd.datasets["points"]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rb_and_gate_decay_match_per_gate_reference(monkeypatch, seed):
-    # apply_noisy_gates makes the per-gate loop's random draws, so the bits,
-    # and with them the datasets, are exactly those of the loop.
-    fast = _rb_and_gate_decay(seed)
-    monkeypatch.setattr(eng, "apply_noisy_gates", noisy_gates_per_gate)
-    for a, b in zip(fast, _rb_and_gate_decay(seed)):
-        assert (a.x.tolist(), a.y.tolist(), a.yerr.tolist()) == (
-            b.x.tolist(), b.y.tolist(), b.yerr.tolist())
-
-
-def test_rb_and_gate_decay_make_one_engine_call_per_sequence(monkeypatch):
-    calls = collections.Counter()
-    for name in ("apply_noisy_gates", "apply_rotation", "apply_depolarizing",
-                 "apply_ms_ideal"):
-        def counted(*args, _fn=getattr(eng, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(eng, name, counted)
-    _rb_and_gate_decay(0)
-    analysis = len(GATE_COUNTS) * len(exp.GATE_DECAY_PHASES)  # one pulse per phase
-    assert calls == {"apply_noisy_gates": len(RB_LENGTHS) * exp.RB_SEQUENCES
-                     + len(GATE_COUNTS) + analysis, "apply_rotation": analysis}
 
 
 # ---------------------------------------------------------------------------

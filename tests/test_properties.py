@@ -1,25 +1,28 @@
 """Property-based tests: batched noise operators, batched against single
-states, noisy gate sequences against the per-gate reference, the
-elementwise qubit update, T1 decay and dephasing against their per-qubit
-references, the compiled schedule against the gate-level reference, spin
-outcomes with and without a phonon axis, config round-trips, circuit
-parsing and compiling, and virtual against ac_stark RZ in branching
-circuits.  Examples are derandomized so that every run checks the same
-cases."""
+states, the outcome laws RB and gate decay sample against per-gate
+density matrices, the elementwise qubit update, T1 decay and dephasing
+against their per-qubit references, the compiled schedule against the
+gate-level reference, spin outcomes with and without a phonon axis, config
+round-trips, circuit parsing and compiling, and virtual against ac_stark
+RZ in branching circuits.  Examples are derandomized so that every run
+checks the same cases."""
 
 import copy
+import functools
 import math
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
+from iontrap_bench import experiments as exp
 from iontrap_bench.config import SCHEMA, dump_config, parse_config
 from iontrap_bench.errors import IonTrapBenchError
-from oracles import (apply_1q_einsum, dephasing_per_qubit, noisy_gates_per_gate,
+from oracles import (apply_1q_einsum, dephasing_per_qubit, depolarizing_channel,
                      t1_decay_per_qubit)
 
 PI = math.pi
@@ -88,8 +91,6 @@ def _apply(state, op, q, a, b, rng):
 @given(state=batched_states(), ops=st.lists(GATES, max_size=10),
        seed=st.integers(0, 2**32 - 1))
 def test_noise_free_batch_matches_single_states(state, ops, seed):
-    # Small batches take each gate as one dense product, so batch and single
-    # states agree to rounding.
     singles = []
     for psi in state.psi:
         single = eng.RegisterState(state.n, phonon=state.phonon)
@@ -103,28 +104,47 @@ def test_noise_free_batch_matches_single_states(state, ops, seed):
     np.testing.assert_allclose(state.psi, single_psi, rtol=0.0, atol=1e-12)
 
 
-def _random_unitaries(count, d, seed):
-    """count random d x d unitaries: Q factors of complex Gaussian matrices."""
-    z = np.random.default_rng(seed).normal(size=(2, count, d, d))
-    return np.linalg.qr(z[0] + 1j * z[1])[0]
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y = np.array([[0.0, -1j], [1j, 0.0]])
+EPS = st.sampled_from([0.0, 0.05, 1.0])
+
+
+def _pulse(theta, phi):
+    """exp(-i theta/2 (cos phi X + sin phi Y)) in the column convention."""
+    return expm(-0.5j * theta * (math.cos(phi) * _X + math.sin(phi) * _Y))
+
+
+def _noisy(rho, unitaries, eps):
+    """rho through each unitary in turn, each followed by the depolarizing
+    channel of the whole register."""
+    for u in unitaries:
+        rho = depolarizing_channel(u @ rho @ u.conj().T, eps)
+    return rho
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(state=batched_states(max_qubits=eng._DENSE_QUBITS), n_gates=st.integers(0, 12),
-       eps=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_noisy_gates_match_per_gate_reference(state, n_gates, eps, seed, data):
-    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
-                                 max_size=state.n, unique=True))
-    gates = list(_random_unitaries(n_gates, 2**state.n, [seed, 1]))
-    ref = copy.deepcopy(state)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    eng.apply_noisy_gates(state, gates, targets, eps, rng)
-    noisy_gates_per_gate(ref, gates, targets, eps, ref_rng)
-    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if eps == 0.0:
-        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+@given(cliffords=st.lists(st.integers(0, 23), max_size=6), eps=EPS)
+def test_rb_survival_matches_per_gate_density_matrix(cliffords, eps):
+    inverse = exp._inverse_clifford(functools.reduce(
+        np.matmul, (exp._CLIFFORD_PRODUCTS[k] for k in cliffords), np.eye(2)))
+    pulses = [p for k in [*cliffords, inverse] for p in exp.CLIFFORD_PULSES[k]]
+    rho = _noisy(np.diag([0.0, 1.0]), [_pulse(*p) for p in pulses], eps)  # from |S>
+    survival = exp._rb_survival(cliffords, eps)
+    np.testing.assert_allclose([1.0 - survival, survival], np.diag(rho).real,
+                               rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(0, 9), phi=st.one_of(st.none(), ANGLES), eps=EPS)
+def test_gate_decay_law_matches_per_gate_density_matrix(k, phi, eps):
+    sx = np.kron(_X, np.eye(2)) + np.kron(np.eye(2), _X)
+    ms = expm(-0.5j * (PI / 4) * (sx @ sx - 2.0 * np.eye(4)))  # MS(pi/4) on two ions
+    rho = _noisy(np.diag([0.0, 0.0, 0.0, 1.0]), [ms] * k, eps)  # from |SS>
+    if phi is not None:
+        r = np.kron(_pulse(PI / 2, phi), _pulse(PI / 2, phi))
+        rho = r @ rho @ r.conj().T
+    np.testing.assert_allclose(exp._gate_decay_law(k, phi, eps), np.diag(rho).real,
+                               rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
