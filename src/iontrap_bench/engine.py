@@ -3,11 +3,14 @@
 Noise enters through Monte-Carlo wave-function trajectories (Dalibard,
 Castin & Moelmer, PRL 68, 580 (1992)) on one state or on a batch of shots;
 operators act on the last two axes and draw one random number per shot.
-A one-qubit gate is an elementwise 2x2 update of the qubit's two amplitude
-halves.  T1 decays its targets in turn by the unnormalized unraveling
-(Plenio & Knight, RMP 70, 101 (1998)): each shot's squared norm is tracked
-through the jumps and the state renormalized once.  Dephasing multiplies
-the state once by a per-shot diagonal of all the targets' kicks.
+A layer of one-qubit gates is one dense pass per block of up to four
+qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
+are the Hadamard layers of the ideal MS gate.  T1 follows the
+unnormalized unraveling (Plenio & Knight, RMP 70, 101 (1998)): all its
+draws at once, every target's no-jump D population from one pass over
+the populations, one real diagonal scale and one renormalization; only
+shots that jump take the per-target rule.  Dephasing multiplies the
+state once by a per-shot diagonal of all the targets' kicks.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -210,14 +213,22 @@ class RegisterState:
         """() for a single state, (shots,) for a batch."""
         return self.psi.shape[:-2]
 
+    def _rows(self) -> np.ndarray:
+        """psi, made contiguous, as one real row per shot (a single state is
+        one row): a float view that writes through to psi."""
+        self.psi = np.ascontiguousarray(self.psi)
+        return self.psi.reshape(self.batch_shape + (-1,)).view(float)
+
     def norm(self):
-        """Norm of the state; an array of per-shot norms for a batch."""
-        if self.psi.ndim == 2:
-            return float(np.linalg.norm(self.psi))
-        return np.linalg.norm(self.psi.reshape(len(self.psi), -1).view(float), axis=1)
+        """Norm of the state; an array of per-shot norms for a batch.  Each
+        squared norm is one real reduction over the shot's float row."""
+        rows = self._rows()
+        norm = np.sqrt(np.einsum("...i,...i->...", rows, rows))
+        return float(norm) if self.psi.ndim == 2 else norm
 
     def renormalize(self):
-        self.psi /= np.expand_dims(self.norm(), (-2, -1))
+        rows = self._rows()
+        rows *= (1.0 / np.sqrt(np.einsum("...i,...i->...", rows, rows)))[..., None]
 
     def subset(self, mask) -> "RegisterState":
         """A batched state holding a copy of the shots that mask selects."""
@@ -249,14 +260,32 @@ def _flat(state: RegisterState) -> np.ndarray:
     return state.psi.reshape((-1,) + state.psi.shape[-2:])
 
 
-def _apply_1q(psi: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
-    """The 2x2 matrix m on qubit q of every state in psi, elementwise:
-    output half a is m[a, 0] v0 + m[a, 1] v1 for the qubit's amplitude
-    halves v0, v1, both halves at once by broadcasting over a."""
-    v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
-    out = v[:, :, :1] * m[:, :1]
-    out += v[:, :, 1:] * m[:, 1:]
-    return out.reshape(psi.shape)
+_BLOCK = 4  # qubits per dense pass of a 1-qubit layer: one 16 x 16 matrix
+_EYE = np.eye(2, dtype=complex)
+_SQRT2_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # unnormalized butterfly
+
+
+def _apply_layer(state: RegisterState, mats) -> RegisterState:
+    """The 2x2 matrix mats[q] on each qubit q of every state in state.psi
+    (None: the identity), as one dense pass per block of _BLOCK qubits from
+    q0, a multiple of _BLOCK, that holds a matrix: the Kronecker product of
+    the block's k matrices, highest qubit first, times a (-1, 2**k, 2**q0)
+    view of psi.  The lowest block is a single GEMM, and every other pass
+    multiplies rows of at least 2**_BLOCK amplitudes.  Each pass replaces
+    state.psi, so at most two copies are alive."""
+    for q0 in range(0, state.n, _BLOCK):
+        block = [_EYE if m is None else m for m in mats[q0:q0 + _BLOCK]]
+        if all(m is _EYE for m in block):
+            continue
+        u = block[0]
+        for m in block[1:]:
+            u = (m[:, None, :, None] * u[None, :, None, :]).reshape(2 * len(u), -1)  # kron(m, u)
+        psi = state.psi
+        if q0 == 0:
+            state.psi = (psi.reshape(-1, len(u)) @ u.T).reshape(psi.shape)
+        else:
+            state.psi = np.matmul(u, psi.reshape(-1, len(u), 2**q0)).reshape(psi.shape)
+    return state
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
@@ -271,7 +300,7 @@ def rz_matrix(theta: float) -> np.ndarray:
                      [0.0, np.exp(1j * theta / 2.0)]], dtype=complex)
 
 
-def _checked_targets(state: RegisterState, targets, angle: float) -> list:
+def _checked_targets(state: RegisterState, targets, angle: float = 0.0) -> list:
     targets = list(targets)
     if not math.isfinite(angle) or not all(0 <= q < state.n for q in targets):
         raise ValueError(f"need a finite angle and targets in [0, {state.n}): "
@@ -282,11 +311,12 @@ def _checked_targets(state: RegisterState, targets, angle: float) -> list:
 def _apply_scaled(state, targets, theta, scale, matrix):
     """Apply matrix(theta * s) to each target; s = 0 skips the target."""
     targets = _checked_targets(state, targets, theta)
+    mats = [None] * state.n
     for q, s in zip(targets, [1.0] * len(targets) if scale is None else scale):
         if s != 0.0:
             m = matrix(theta * s)
-            state.psi = _apply_1q(state.psi, state.n, q, m)
-    return state
+            mats[q] = m if mats[q] is None else m @ mats[q]  # repeats compose in order
+    return _apply_layer(state, mats)
 
 
 def apply_rotation(state: RegisterState, targets, theta: float, phi: float,
@@ -311,29 +341,25 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
     if len(set(targets)) != len(targets) or len(targets) < 2:
         raise ValueError("MS needs >= 2 distinct targets")
     weights = np.ones(len(targets)) if weights is None else np.asarray(weights, dtype=float)
-    idx = np.arange(2**state.n)
-    m = np.zeros(2**state.n)
+    # Hadamards on the targets, as unnormalized butterflies sqrt(2) H: the
+    # two layers' factor 2**-k scales the phase exactly.
+    hadamards = [None] * state.n
+    for q in targets:
+        hadamards[q] = _SQRT2_H
+    _apply_layer(state, hadamards)
+    state.psi *= _ms_phase(state.n, targets, weights, chi)
+    return _apply_layer(state, hadamards)
+
+
+def _ms_phase(n: int, targets, weights, chi: float) -> np.ndarray:
+    """exp(-i chi/2 (m**2 - sum w**2)) / 2**k over the 2**n basis states of
+    the Hadamard frame, m the weighted sum of +-1 per target (+1 for D)."""
+    idx = np.arange(2**n)
+    m = np.zeros(2**n)
     for q, w in zip(targets, weights):
         bit = (idx >> q) & 1
         m = m + w * np.where(bit == 0, 1.0, -1.0)
-    phase = np.exp(-1j * (chi / 2.0) * (m**2 - float(np.sum(weights**2))))
-    # Hadamards on the targets, as unnormalized butterflies: the two layers'
-    # factor 2**-k scales the phase exactly.
-    phase *= 2.0 ** -len(targets)
-    _butterflies(state.psi, state.n, targets)
-    state.psi *= phase
-    _butterflies(state.psi, state.n, targets)
-    return state
-
-
-def _butterflies(psi: np.ndarray, n: int, qubits) -> np.ndarray:
-    """sqrt(2) H on each of the qubits of every state in psi, in place."""
-    for q in qubits:
-        v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
-        total = v[:, :, 0] + v[:, :, 1]
-        np.subtract(v[:, :, 0], v[:, :, 1], out=v[:, :, 1])
-        v[:, :, 0] = total
-    return psi
+    return np.exp(-1j * (chi / 2.0) * (m**2 - float(np.sum(weights**2)))) * 2.0 ** -len(targets)
 
 
 def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
@@ -387,9 +413,9 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
     targets, which commutes with every unitary on them."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
+    targets = _checked_targets(state, targets)
     if eps == 0.0:
         return state
-    targets = list(targets)
     hit = np.flatnonzero(rng.random(state.batch_shape) < eps)
     if hit.size:
         which = rng.integers(4 ** len(targets), size=hit.size)
@@ -408,33 +434,108 @@ def apply_t1_decay(state: RegisterState, targets, dt: float,
     """Amplitude damping D -> S unraveled as a quantum jump per shot and
     target; a zero jump probability (dt = 0 or t1 = inf) draws nothing.
 
-    The state enters normalized.  The targets decay in turn without
+    The state enters normalized.  The targets decay in order without
     renormalizing in between (the unnormalized unraveling: Dalibard, Castin
     & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)):
     norm2 tracks each shot's squared norm, a target jumps with probability
     p * dark2 / norm2 for dark2 its unnormalized D population, and the
-    state is renormalized once at the end.
+    state is renormalized once at the end.  One uniform per target and shot
+    is drawn at once, in target order.  Until a shot jumps, every dark2
+    follows from its populations in one pass, and its state is one real
+    diagonal scale (_t1_run); only a shot that jumps takes the per-target
+    rule (_t1_in_turn).  A target repeated within the list starts a new run
+    of distinct targets.
     """
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
     p = 1.0 - math.exp(-dt / t1)
     if p == 0.0:
         return state
-    norm2 = 1.0
-    for q in targets:
-        v = state.qubit_view(q)
-        dark2 = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
-        jump = rng.random(state.batch_shape) < p * dark2 / norm2
-        if np.any(jump):  # jump: D collapses to S
-            mask = np.expand_dims(jump, (-3, -2, -1))
-            v[..., 1, :] = np.where(mask, v[..., 0, :], v[..., 1, :])
-            v[..., 0, :] = np.where(mask, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
-            norm2 = np.where(jump, dark2, norm2 - p * dark2)
-        else:
-            v[..., 0, :] *= math.sqrt(1.0 - p)
-            norm2 = norm2 - p * dark2
+    targets = _checked_targets(state, targets)
+    u = rng.random((len(targets),) + state.batch_shape).reshape(len(targets), -1)
+    psi = np.ascontiguousarray(_flat(state))
+    norm2, start = 1.0, 0
+    while start < len(targets):
+        stop = start + 1
+        while stop < len(targets) and targets[stop] not in targets[start:stop]:
+            stop += 1
+        norm2 = _t1_run(psi, state.n, targets[start:stop], p, u[start:stop], norm2)
+        start = stop
+    state.psi = psi.reshape(state.psi.shape)
     state.renormalize()
     return state
+
+
+def _scale_dark(psi, n: int, targets, s: float):
+    """Scale psi, (shots, fock, 2**n), in place by s ** (the number of
+    targets dark, bit 0, in each basis state): one real diagonal."""
+    scale = np.ones(2)  # over the (real, imaginary) pair of psi's float view
+    for q in range(n):
+        scale = np.concatenate([scale * s ** targets.count(q), scale])
+    x = psi.view(float)
+    x *= scale
+
+
+def _t1_run(psi, n, targets, p, u, norm2):
+    """Decay the distinct targets in order on psi, (shots, fock, 2**n), in
+    place, with uniforms u (targets, shots); returns the squared norms.
+
+    Before any jump, target j's dark2 is the sum of the populations with
+    its bit dark, each weighted by (1 - p) ** (number of earlier targets
+    dark in it).  The weights factor over the targets, so contracting one
+    target's axis at a time gives them all: the populations summed over
+    fock and the other qubits, then per target a sum of the dark half
+    (dark2) and the dark half times (1 - p) plus the bright half (the
+    next target's weighted populations)."""
+    shots, rest = len(psi), [q for q in range(n - 1, -1, -1) if q not in targets]
+    pops = np.square(psi.real)
+    pops += np.square(psi.imag)
+    # Fock and the other qubits first, then the targets with targets[0]
+    # least significant: axis 1 is fock and axis n + 1 - q qubit q.
+    order = rest + targets[::-1]
+    if order != sorted(order, reverse=True):
+        pops = pops.reshape((shots, -1) + (2,) * n).transpose(
+            [0, 1] + [n + 1 - q for q in order])
+    pops = pops.reshape(shots, -1, 2 ** len(targets))
+    pops = np.add.reduce(pops, axis=1) if pops.shape[1] > 1 else pops[:, 0]
+    dark2 = np.empty((len(targets), shots))
+    norms = np.empty((len(targets) + 1, shots))  # before each target and after the last
+    norms[0] = norm2
+    for j in range(len(targets)):
+        halves = pops.reshape(shots, -1, 2)
+        dark2[j] = np.add.reduce(halves[:, :, 0], axis=1)
+        norms[j + 1] = norms[j] - p * dark2[j]
+        if j + 1 < len(targets):
+            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
+    jump = u < p * dark2 / norms[:-1]
+    root, norm2 = math.sqrt(1.0 - p), norms[-1]
+    if not jump.any():
+        _scale_dark(psi, n, targets, root)
+        return norm2
+    # A shot that jumps redoes the run target by target from its start: up
+    # to its first jump those are the same no-jump steps.
+    jumped = np.logical_or.reduce(jump).nonzero()[0]
+    sub = psi[jumped]
+    _scale_dark(psi, n, targets, root)
+    norm2[jumped] = _t1_in_turn(sub, targets, p, u[:, jumped], norms[0, jumped])
+    psi[jumped] = sub
+    return norm2
+
+
+def _t1_in_turn(psi, targets, p, u, norm2):
+    """The per-target rule on psi, (shots, fock, 2**n), in place: each
+    target in turn jumps (its D amplitudes replace its S ones and leave D
+    empty; norm2 becomes dark2) or is scaled by sqrt(1 - p) on D (norm2
+    loses p * dark2).  Returns the squared norms."""
+    for q, uq in zip(targets, u):
+        v = psi.reshape(len(psi), -1, 2, 2**q)
+        dark2 = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
+        jump = uq < p * dark2 / norm2
+        mask = jump[:, None, None]
+        v[:, :, 1] = np.where(mask, v[:, :, 0], v[:, :, 1])
+        v[:, :, 0] = np.where(mask, 0.0, v[:, :, 0] * math.sqrt(1.0 - p))
+        norm2 = np.where(jump, dark2, norm2 - p * dark2)
+    return norm2
 
 
 def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,

@@ -65,7 +65,7 @@ def bichromatic_midpoint(psi, etas, omega, nu, delta, t, n_steps, n_max):
 
 
 def apply_1q_einsum(psi, n, q, m):
-    """Reference for engine._apply_1q: the 2x2 matrix m on qubit q of every
+    """Reference for engine._apply_layer: the 2x2 matrix m on qubit q of every
     state in psi as one einsum over the qubit's axis."""
     v = psi.reshape(-1, 2 ** (n - q - 1), 2, 2**q)
     return np.einsum("ab,fxbq->fxaq", m, v).reshape(psi.shape)

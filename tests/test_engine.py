@@ -11,7 +11,7 @@ from scipy.stats import poisson
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
 from oracles import (dephasing_channel, depolarizing_channel, detection_threshold_scan,
-                     ensemble_density, t1_channel)
+                     ensemble_density, t1_channel, t1_decay_per_qubit)
 
 PI = math.pi
 
@@ -151,6 +151,23 @@ def test_rotation_and_rz_reject_bad_target_or_angle(shots):
         assert np.array_equal(st.psi, eng.RegisterState(2, shots=shots).psi)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
+def test_depolarizing_and_t1_reject_a_target_outside_the_register(shots, eps):
+    """The named error of the gates, also where eps = 0 would act on nothing;
+    before any draw or change of the state."""
+    ops = (lambda st, tg, rng: eng.apply_depolarizing(st, tg, eps, rng),
+           lambda st, tg, rng: eng.apply_t1_decay(st, tg, 1e-3 + eps, rng, t1=1.0))
+    for op in ops:
+        for targets in ([1], [-1], [0, 5]):
+            st, rng = eng.RegisterState(1, shots=shots), np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"targets in \[0, 1\)"):
+                op(st, targets, rng)
+            assert rng.bit_generator.state == before
+            assert np.array_equal(st.psi, eng.RegisterState(1, shots=shots).psi)
+
+
 def test_register_state_memory_cap_checked_before_allocation():
     tracemalloc.start()
     try:
@@ -277,6 +294,33 @@ def test_t1_decay_at_infinite_lifetime_draws_nothing():
     eng.apply_t1_decay(st, [0, 1], 1e-3, rng, t1=math.inf)
     assert rng.bit_generator.state == before
     assert np.array_equal(st.psi, psi0)
+
+
+@pytest.mark.parametrize("n, targets, fock, bright_first", [
+    (3, [0, 1, 2], 1, False), (4, [2, 0, 3], 1, False), (3, [1, 0, 1, 2, 0], 1, False),
+    (2, [0, 1], 3, False), (3, [0, 1, 2], 1, True), (4, [2, 0, 3], 1, True)])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, fock, bright_first, p):
+    """Enough shots that each target jumps on many of them, first or after
+    another target's jump: same jumps, states and draws as the per-target
+    reference, for targets in order, out of order, repeated, with a Fock
+    axis, and with no D population on the first target, so that no shot's
+    first jump is at the first target."""
+    rng0 = np.random.default_rng(5)
+    phonon = eng.PhononMode(2 * PI * 1e6, n_max=fock - 1) if fock > 1 else None
+    st = eng.RegisterState(n, phonon=phonon, shots=2000)
+    st.psi = rng0.normal(size=st.psi.shape) + 1j * rng0.normal(size=st.psi.shape)
+    if bright_first:
+        st.qubit_view(targets[0])[..., 0, :] = 0.0
+    st.renormalize()
+    ref = eng.RegisterState(n, phonon=phonon, shots=2000)
+    ref.psi = st.psi.copy()
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    dt = -math.log1p(-p)
+    eng.apply_t1_decay(st, targets, dt, rng, t1=1.0)
+    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
+    np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])

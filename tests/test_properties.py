@@ -1,6 +1,6 @@
 """Property-based tests: batched noise operators, batched against single
 states, the outcome laws RB and gate decay sample against per-gate
-density matrices, the elementwise qubit update, T1 decay and dephasing
+density matrices, the 1-qubit layer kernel, T1 decay and dephasing
 against their per-qubit references, the compiled schedule against the
 gate-level reference, spin outcomes with and without a phonon axis, config
 round-trips, circuit parsing and compiling, and virtual against ac_stark
@@ -154,9 +154,32 @@ def test_gate_decay_law_matches_per_gate_density_matrix(k, phi, eps):
 def test_elementwise_1q_update_matches_einsum(state, entries, data):
     q = data.draw(st.integers(0, state.n - 1))
     m = np.array(entries).reshape(2, 2)
-    got = eng._apply_1q(state.psi, state.n, q, m)
-    np.testing.assert_allclose(got, apply_1q_einsum(state.psi, state.n, q, m),
-                               rtol=0.0, atol=1e-14)
+    mats = [None] * state.n
+    mats[q] = m
+    want = apply_1q_einsum(state.psi, state.n, q, m)
+    np.testing.assert_allclose(eng._apply_layer(state, mats).psi, want, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=9), gate=st.sampled_from(["R", "RZ"]),
+       theta=ANGLES, phi=ANGLES, data=st.data())
+def test_layer_matches_sequential_einsum(state, gate, theta, phi, data):
+    """A layer on up to 9 qubits, so blocks of four qubits and a partial
+    top block, with skipped qubits, zero scales and repeated targets,
+    against one einsum per target in order."""
+    targets = data.draw(st.lists(st.integers(0, state.n - 1), max_size=2 * state.n))
+    scale = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
+                               min_size=len(targets), max_size=len(targets)))
+    want = state.psi
+    for q, s in zip(targets, scale):
+        if s != 0.0:
+            m = eng.rotation_matrix(theta * s, phi) if gate == "R" else eng.rz_matrix(theta * s)
+            want = apply_1q_einsum(want, state.n, q, m)
+    if gate == "R":
+        eng.apply_rotation(state, targets, theta, phi, rabi_scale=scale)
+    else:
+        eng.apply_rz(state, targets, theta, scale=scale)
+    np.testing.assert_allclose(state.psi, want, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -168,6 +191,27 @@ def test_t1_single_renormalize_matches_per_qubit_reference(state, p, seed, data)
     targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
                                  max_size=state.n, unique=True))
     dt = -math.log1p(-p)  # jump probability p at t1 = 1
+    ref = copy.deepcopy(state)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    eng.apply_t1_decay(state, targets, dt, rng, t1=1.0)
+    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
+
+    def undecayed(s):
+        return np.array([np.abs(s.qubit_view(q)[..., 0, :]).sum(axis=(-3, -2, -1)) > 0
+                         for q in targets])
+    np.testing.assert_array_equal(undecayed(state), undecayed(ref))
+    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=9), p=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_t1_on_up_to_9_qubits_matches_per_qubit_reference(state, p, seed, data):
+    """As above on larger registers, with targets in any order and repeated."""
+    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
+                                 max_size=state.n + 2))
+    dt = -math.log1p(-p)
     ref = copy.deepcopy(state)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     eng.apply_t1_decay(state, targets, dt, rng, t1=1.0)
