@@ -353,7 +353,9 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
 
 def _ms_phase(n: int, targets, weights, chi: float) -> np.ndarray:
     """exp(-i chi/2 (m**2 - sum w**2)) / 2**k over the 2**n basis states of
-    the Hadamard frame, m the weighted sum of +-1 per target (+1 for D)."""
+    the Hadamard frame, m the weighted sum of +-1 per target (+1 for D).
+    Its own function so that its 2**n temporaries are freed before the
+    second Hadamard layer."""
     idx = np.arange(2**n)
     m = np.zeros(2**n)
     for q, w in zip(targets, weights):
