@@ -450,10 +450,10 @@ def apply_t1_decay(state: RegisterState, targets, dt: float,
     """
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
+    targets = _checked_targets(state, targets)
     p = 1.0 - math.exp(-dt / t1)
     if p == 0.0:
         return state
-    targets = _checked_targets(state, targets)
     u = rng.random((len(targets),) + state.batch_shape).reshape(len(targets), -1)
     psi = np.ascontiguousarray(_flat(state))
     norm2, start = 1.0, 0

@@ -154,10 +154,10 @@ def test_rotation_and_rz_reject_bad_target_or_angle(shots):
 @pytest.mark.parametrize("eps", [0.0, 1.0])
 @pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
 def test_depolarizing_and_t1_reject_a_target_outside_the_register(shots, eps):
-    """The named error of the gates, also where eps = 0 would act on nothing;
-    before any draw or change of the state."""
+    """The named error of the gates, also where eps = 0 or t1 = inf would
+    act on nothing; before any draw or change of the state."""
     ops = (lambda st, tg, rng: eng.apply_depolarizing(st, tg, eps, rng),
-           lambda st, tg, rng: eng.apply_t1_decay(st, tg, 1e-3 + eps, rng, t1=1.0))
+           lambda st, tg, rng: eng.apply_t1_decay(st, tg, 1e-3, rng, t1=1.0 if eps else math.inf))
     for op in ops:
         for targets in ([1], [-1], [0, 5]):
             st, rng = eng.RegisterState(1, shots=shots), np.random.default_rng(0)
