@@ -5,12 +5,13 @@ Castin & Moelmer, PRL 68, 580 (1992)) on one state or on a batch of shots;
 operators act on the last two axes and draw one random number per shot.
 A layer of one-qubit gates is one dense pass per block of up to four
 qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
-are the Hadamard layers of the ideal MS gate.  T1 follows the
+are the Hadamard layers of the ideal MS gate.  The idle noise, T1 and
+dephasing, acts on every qubit of the register.  T1 follows the
 unnormalized unraveling (Plenio & Knight, RMP 70, 101 (1998)): all its
-draws at once, every target's no-jump D population from one pass over
+draws at once, every qubit's no-jump D population from one pass over
 the populations, one real diagonal scale and one renormalization; only
-shots that jump take the per-target rule.  Dephasing multiplies the
-state once by a per-shot diagonal of all the targets' kicks.
+shots that jump take the per-qubit rule.  Dephasing multiplies the
+state once by a per-shot diagonal of every qubit's kicks.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -121,7 +122,7 @@ class NoiseConfig:
     t2_optical: float = 0.090  # s
     t2_ground: float = 0.018  # s
     t1: float = 1.168  # s
-    eps_1q: float = 0.0  # per-pi/2 depolarizing probability
+    eps_1q: float = 0.0  # depolarizing per pi/2 of angle in simulate, per pulse slot in rb
     eps_2q: float = 0.0  # per-MS depolarizing probability
     spam_prep: float = 0.0  # probability of preparing D instead of S
     heating_rate_ref: float = 0.221  # quanta/s at omega_ref
@@ -364,40 +365,35 @@ def _ms_phase(n: int, targets, weights, chi: float) -> np.ndarray:
     return np.exp(-1j * (chi / 2.0) * (m**2 - float(np.sum(weights**2)))) * 2.0 ** -len(targets)
 
 
-def apply_dephasing(state: RegisterState, targets, dt: float, t2: float,
+def apply_dephasing(state: RegisterState, dt: float, t2: float,
                     rng: np.random.Generator, detuning_hz=None):
-    """Stochastic Z kick per shot; the shot ensemble dephases as exp(-dt/T2).
+    """Stochastic Z kick per shot and qubit; the ensemble dephases as exp(-dt/T2).
 
-    detuning_hz adds a deterministic per-target phase ramp (field gradients).
-    The kicks of all targets are drawn at once, in target order, and act
-    through one per-shot diagonal over the basis, built by Kronecker
-    doubling from the lowest qubit up: one pass over the state.
+    detuning_hz, one entry per qubit, adds a deterministic phase ramp
+    (field gradients).  The kicks of all qubits are drawn at once, qubit 0
+    first, and act through one per-shot diagonal over the basis, built by
+    Kronecker doubling from the lowest qubit up: one pass over the state.
     """
     if dt < 0 or not t2 > 0:
         raise ValueError(f"need dt >= 0 and t2 > 0, got dt={dt}, t2={t2}")
+    if detuning_hz is not None and np.shape(detuning_hz) != (state.n,):
+        raise ValueError(f"detuning_hz must hold one entry per qubit ({state.n}), "
+                         f"got shape {np.shape(detuning_hz)}")
     if dt == 0:
         return state
-    targets = list(targets)
     sigma = math.sqrt(2.0 * dt / t2)
-    shape = (len(targets),) + state.batch_shape
+    shape = (state.n,) + state.batch_shape
     phase = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
     if detuning_hz is not None:
-        ramp = 2.0 * math.pi * np.asarray(detuning_hz[:len(targets)], dtype=float) * dt
+        ramp = 2.0 * math.pi * np.asarray(detuning_hz, dtype=float) * dt
         phase += ramp.reshape(shape[:1] + (1,) * len(state.batch_shape))
     if not phase.any():
         return state
-    kicks = [None] * state.n
-    for q, kick in zip(targets, np.exp(1j * phase)):
-        kicks[q] = kick if kicks[q] is None else kicks[q] * kick
     # diag[..., i] is the product of the kicks of the qubits set in i.
     diag = np.empty(state.batch_shape + (2**state.n,), dtype=complex)
     diag[..., 0] = 1.0
-    for q, kick in enumerate(kicks):
-        low, high = diag[..., :2**q], diag[..., 2**q:2 ** (q + 1)]
-        if kick is None:
-            high[...] = low
-        else:
-            np.multiply(low, kick[..., None], out=high)
+    for q, kick in enumerate(np.exp(1j * phase)):
+        np.multiply(diag[..., :2**q], kick[..., None], out=diag[..., 2**q:2 ** (q + 1)])
     state.psi *= diag[..., None, :]
     return state
 
@@ -431,105 +427,74 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
     return state
 
 
-def apply_t1_decay(state: RegisterState, targets, dt: float,
-                   rng: np.random.Generator, t1: float):
-    """Amplitude damping D -> S unraveled as a quantum jump per shot and
-    target; a zero jump probability (dt = 0 or t1 = inf) draws nothing.
+def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
+                   t1: float):
+    """Amplitude damping D -> S on every qubit, unraveled as a quantum jump
+    per shot and qubit; a zero jump probability (dt = 0 or t1 = inf) draws
+    nothing.
 
-    The state enters normalized.  The targets decay in order without
+    The state enters normalized.  The qubits decay in index order without
     renormalizing in between (the unnormalized unraveling: Dalibard, Castin
     & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)):
-    norm2 tracks each shot's squared norm, a target jumps with probability
+    norm2 tracks each shot's squared norm, qubit q jumps with probability
     p * dark2 / norm2 for dark2 its unnormalized D population, and the
-    state is renormalized once at the end.  One uniform per target and shot
-    is drawn at once, in target order.  Until a shot jumps, every dark2
-    follows from its populations in one pass, and its state is one real
-    diagonal scale (_t1_run); only a shot that jumps takes the per-target
-    rule (_t1_in_turn).  A target repeated within the list starts a new run
-    of distinct targets.
+    state is renormalized once at the end.  One uniform per qubit and shot
+    is drawn at once, qubit 0 first.
+
+    Before any jump, qubit q's dark2 is the sum of the populations with its
+    bit dark, each weighted by (1 - p) ** (number of lower qubits dark in
+    it).  The weights factor over the qubits, so contracting one qubit axis
+    at a time, lowest first, gives them all: the populations summed over
+    fock, then per qubit a sum of the dark half (dark2) and the dark half
+    times (1 - p) plus the bright half (the next qubit's weighted
+    populations).  Until a shot jumps its state is one real diagonal scale,
+    sqrt(1 - p) per dark bit; only a shot that jumps takes the per-qubit
+    rule (_t1_in_turn).
     """
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
-    targets = _checked_targets(state, targets)
     p = 1.0 - math.exp(-dt / t1)
     if p == 0.0:
         return state
-    u = rng.random((len(targets),) + state.batch_shape).reshape(len(targets), -1)
+    n = state.n
+    u = rng.random((n,) + state.batch_shape).reshape(n, -1)
     psi = np.ascontiguousarray(_flat(state))
-    norm2, start = 1.0, 0
-    while start < len(targets):
-        stop = start + 1
-        while stop < len(targets) and targets[stop] not in targets[start:stop]:
-            stop += 1
-        norm2 = _t1_run(psi, state.n, targets[start:stop], p, u[start:stop], norm2)
-        start = stop
+    shots = len(psi)
+    pops = np.square(psi.real)
+    pops += np.square(psi.imag)
+    pops = np.add.reduce(pops, axis=1) if pops.shape[1] > 1 else pops[:, 0]
+    dark2, norms = np.empty((n, shots)), np.ones((n, shots))  # norms: before each qubit
+    for q in range(n):
+        halves = pops.reshape(shots, -1, 2)
+        dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
+        if q + 1 < n:
+            norms[q + 1] = norms[q] - p * dark2[q]
+            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
+    jump = u < p * dark2 / norms
+    # A shot that jumps redoes the decay qubit by qubit from the start: up
+    # to its first jump those are the same no-jump steps.
+    jumped = np.logical_or.reduce(jump).nonzero()[0]
+    sub = psi[jumped]  # a copy, taken before the scale
+    root, scale = math.sqrt(1.0 - p), np.ones(2)  # over psi's (real, imaginary) pairs
+    for _ in range(n):
+        scale = np.concatenate([scale * root, scale])
+    x = psi.view(float)
+    x *= scale
+    if jumped.size:
+        _t1_in_turn(sub, p, u[:, jumped])
+        psi[jumped] = sub
     state.psi = psi.reshape(state.psi.shape)
     state.renormalize()
     return state
 
 
-def _scale_dark(psi, n: int, targets, s: float):
-    """Scale psi, (shots, fock, 2**n), in place by s ** (the number of
-    targets dark, bit 0, in each basis state): one real diagonal."""
-    scale = np.ones(2)  # over the (real, imaginary) pair of psi's float view
-    for q in range(n):
-        scale = np.concatenate([scale * s ** targets.count(q), scale])
-    x = psi.view(float)
-    x *= scale
-
-
-def _t1_run(psi, n, targets, p, u, norm2):
-    """Decay the distinct targets in order on psi, (shots, fock, 2**n), in
-    place, with uniforms u (targets, shots); returns the squared norms.
-
-    Before any jump, target j's dark2 is the sum of the populations with
-    its bit dark, each weighted by (1 - p) ** (number of earlier targets
-    dark in it).  The weights factor over the targets, so contracting one
-    target's axis at a time gives them all: the populations summed over
-    fock and the other qubits, then per target a sum of the dark half
-    (dark2) and the dark half times (1 - p) plus the bright half (the
-    next target's weighted populations)."""
-    shots, rest = len(psi), [q for q in range(n - 1, -1, -1) if q not in targets]
-    pops = np.square(psi.real)
-    pops += np.square(psi.imag)
-    # Fock and the other qubits first, then the targets with targets[0]
-    # least significant: axis 1 is fock and axis n + 1 - q qubit q.
-    order = rest + targets[::-1]
-    if order != sorted(order, reverse=True):
-        pops = pops.reshape((shots, -1) + (2,) * n).transpose(
-            [0, 1] + [n + 1 - q for q in order])
-    pops = pops.reshape(shots, -1, 2 ** len(targets))
-    pops = np.add.reduce(pops, axis=1) if pops.shape[1] > 1 else pops[:, 0]
-    dark2 = np.empty((len(targets), shots))
-    norms = np.empty((len(targets) + 1, shots))  # before each target and after the last
-    norms[0] = norm2
-    for j in range(len(targets)):
-        halves = pops.reshape(shots, -1, 2)
-        dark2[j] = np.add.reduce(halves[:, :, 0], axis=1)
-        norms[j + 1] = norms[j] - p * dark2[j]
-        if j + 1 < len(targets):
-            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
-    jump = u < p * dark2 / norms[:-1]
-    root, norm2 = math.sqrt(1.0 - p), norms[-1]
-    if not jump.any():
-        _scale_dark(psi, n, targets, root)
-        return norm2
-    # A shot that jumps redoes the run target by target from its start: up
-    # to its first jump those are the same no-jump steps.
-    jumped = np.logical_or.reduce(jump).nonzero()[0]
-    sub = psi[jumped]
-    _scale_dark(psi, n, targets, root)
-    norm2[jumped] = _t1_in_turn(sub, targets, p, u[:, jumped], norms[0, jumped])
-    psi[jumped] = sub
-    return norm2
-
-
-def _t1_in_turn(psi, targets, p, u, norm2):
-    """The per-target rule on psi, (shots, fock, 2**n), in place: each
-    target in turn jumps (its D amplitudes replace its S ones and leave D
-    empty; norm2 becomes dark2) or is scaled by sqrt(1 - p) on D (norm2
-    loses p * dark2).  Returns the squared norms."""
-    for q, uq in zip(targets, u):
+def _t1_in_turn(psi, p, u):
+    """The per-qubit rule on psi, (shots, fock, 2**n), in place, with
+    uniforms u (n, shots): each qubit in turn jumps (its D amplitudes
+    replace its S ones and leave D empty; norm2 becomes dark2) or is scaled
+    by sqrt(1 - p) on D (norm2 loses p * dark2)."""
+    norm2 = 1.0
+    for q, uq in enumerate(u):
         v = psi.reshape(len(psi), -1, 2, 2**q)
         dark2 = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
         jump = uq < p * dark2 / norm2
@@ -537,7 +502,6 @@ def _t1_in_turn(psi, targets, p, u, norm2):
         v[:, :, 1] = np.where(mask, v[:, :, 0], v[:, :, 1])
         v[:, :, 0] = np.where(mask, 0.0, v[:, :, 0] * math.sqrt(1.0 - p))
         norm2 = np.where(jump, dark2, norm2 - p * dark2)
-    return norm2
 
 
 def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
@@ -585,9 +549,9 @@ def project_bits(state: RegisterState, rng: np.random.Generator) -> np.ndarray:
     """Projective computational-basis measurement of every shot; collapses
     the state.  Returns bits of shape batch_shape + (n,)."""
     probs = state.probabilities()
-    probs = probs / probs.sum(axis=-1, keepdims=True)
-    # Inverse-CDF draw, as Generator.choice(p=probs) makes it.
-    cdf = np.cumsum(probs, axis=-1)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    # Inverse-CDF draw, as Generator.choice(p=probs) makes it, in place.
+    cdf = np.cumsum(probs, axis=-1, out=probs)
     cdf /= cdf[..., -1:]
     u = rng.random(state.batch_shape)
     idx = np.sum(cdf <= np.expand_dims(u, -1), axis=-1)
@@ -811,9 +775,8 @@ def _apply_ms_event(state, e, targets, weights=None):
 def _noise_interval(state, dt_s, noise, rng, t2, detunings_hz):
     if dt_s <= 0:
         return
-    targets = range(state.n)
-    apply_dephasing(state, targets, dt_s, t2, rng, detuning_hz=detunings_hz)
-    apply_t1_decay(state, targets, dt_s, rng, t1=noise.t1)
+    apply_dephasing(state, dt_s, t2, rng, detuning_hz=detunings_hz)
+    apply_t1_decay(state, dt_s, rng, t1=noise.t1)
 
 
 def _run_events(events, state, noise, rng, crosstalk, t2,

@@ -209,8 +209,11 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     Each length runs RB_SEQUENCES random sequences of shots // RB_SEQUENCES
     shots, so the shots round down to a multiple of RB_SEQUENCES; fewer
     than RB_SEQUENCES shots raise ValueError.  R_Clif = (1-p)/2; the
-    per-pulse (pi/2-equivalent) fidelity follows from the 1.875 average
-    Clifford cost.
+    per-pulse fidelity follows from the 1.875 average Clifford cost.
+    Every pulse slot, a pi pulse and the zero-angle identity slot alike,
+    costs one noise.eps_1q, where run_schedule (simulate) charges a carrier
+    eps_1q * |theta| / (pi/2): the same eps_1q is a different error rate
+    in experiment rb and in simulate.
     """
     lengths = [int(n) for n in sequence_lengths]
     if len(set(lengths)) < 4 or max(lengths) > 100:

@@ -153,19 +153,31 @@ def test_rotation_and_rz_reject_bad_target_or_angle(shots):
 
 @pytest.mark.parametrize("eps", [0.0, 1.0])
 @pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
-def test_depolarizing_and_t1_reject_a_target_outside_the_register(shots, eps):
-    """The named error of the gates, also where eps = 0 or t1 = inf would
-    act on nothing; before any draw or change of the state."""
-    ops = (lambda st, tg, rng: eng.apply_depolarizing(st, tg, eps, rng),
-           lambda st, tg, rng: eng.apply_t1_decay(st, tg, 1e-3, rng, t1=1.0 if eps else math.inf))
-    for op in ops:
-        for targets in ([1], [-1], [0, 5]):
-            st, rng = eng.RegisterState(1, shots=shots), np.random.default_rng(0)
-            before = rng.bit_generator.state
-            with pytest.raises(ValueError, match=r"targets in \[0, 1\)"):
-                op(st, targets, rng)
-            assert rng.bit_generator.state == before
-            assert np.array_equal(st.psi, eng.RegisterState(1, shots=shots).psi)
+def test_depolarizing_rejects_a_target_outside_the_register(shots, eps):
+    """The named error of the gates, also where eps = 0 would act on
+    nothing; before any draw or change of the state."""
+    for targets in ([1], [-1], [0, 5]):
+        st, rng = eng.RegisterState(1, shots=shots), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"targets in \[0, 1\)"):
+            eng.apply_depolarizing(st, targets, eps, rng)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(st.psi, eng.RegisterState(1, shots=shots).psi)
+
+
+@pytest.mark.parametrize("detuning", [[40.0], [40.0, 0.0, 0.0], 40.0],
+                         ids=["short", "long", "scalar"])
+@pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
+def test_dephasing_rejects_a_detuning_not_one_per_qubit(shots, detuning):
+    """Before any draw or change of the state, also at dt = 0."""
+    for dt in (1e-3, 0.0):
+        st, rng = eng.RegisterState(2, shots=shots), np.random.default_rng(0)
+        eng.apply_rotation(st, [0, 1], PI / 2, 0.0)
+        psi0, before = st.psi.copy(), rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^detuning_hz must hold one entry per qubit \(2\)"):
+            eng.apply_dephasing(st, dt, 0.018, rng, detuning_hz=detuning)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(st.psi, psi0)
 
 
 def test_register_state_memory_cap_checked_before_allocation():
@@ -218,7 +230,7 @@ def _single_qubit_ensemble(channel_fn, shots, seed, ensemble=_loop):
 def test_dephasing_vs_oracle(ensemble):
     t2, dt, shots = 0.018, 0.009, 20000
     rho = _single_qubit_ensemble(
-        lambda st, rng: eng.apply_dephasing(st, [0], dt, t2, rng), shots, 11, ensemble)
+        lambda st, rng: eng.apply_dephasing(st, dt, t2, rng), shots, 11, ensemble)
     st0 = eng.RegisterState(1)
     eng.apply_rotation(st0, [0], PI / 2, 0.0)
     oracle = dephasing_channel(np.outer(st0.psi[0], st0.psi[0].conj()), dt, t2)
@@ -230,7 +242,7 @@ def test_dephasing_vs_oracle(ensemble):
 def test_dephasing_contrast_at_t2():
     shots, t2 = 20000, 0.05
     rho = _single_qubit_ensemble(
-        lambda st, rng: eng.apply_dephasing(st, [0], t2, t2, rng), shots, 12)
+        lambda st, rng: eng.apply_dephasing(st, t2, t2, rng), shots, 12)
     contrast = 2.0 * abs(rho[0, 1])
     assert abs(contrast - math.exp(-1.0)) < 0.02
 
@@ -239,7 +251,7 @@ def test_dephasing_dt_zero_identity():
     st = eng.RegisterState(1)
     eng.apply_rotation(st, [0], PI / 2, 0.2)
     psi0 = st.psi.copy()
-    eng.apply_dephasing(st, [0], 0.0, 0.018, np.random.default_rng(0))
+    eng.apply_dephasing(st, 0.0, 0.018, np.random.default_rng(0))
     assert np.array_equal(st.psi, psi0)
 
 
@@ -270,7 +282,7 @@ def test_t1_decay_vs_oracle(ensemble):
         st.psi[..., 0, :] = [1.0, 0.0]
         return st
 
-    psi = ensemble(dark, lambda st, rng: eng.apply_t1_decay(st, [0], dt, rng, t1=t1),
+    psi = ensemble(dark, lambda st, rng: eng.apply_t1_decay(st, dt, rng, t1=t1),
                    shots, 15)
     rho = ensemble_density(psi[:, 0])
     oracle = t1_channel(np.diag([1.0, 0.0]).astype(complex), dt, t1)
@@ -281,7 +293,7 @@ def test_t1_examples():
     assert 1.0 - math.exp(-3e-4 / 1.168) == pytest.approx(2.568e-4, rel=1e-3)
     st = eng.RegisterState(1)
     psi0 = st.psi.copy()
-    eng.apply_t1_decay(st, [0], 0.0, np.random.default_rng(0), t1=1.168)
+    eng.apply_t1_decay(st, 0.0, np.random.default_rng(0), t1=1.168)
     assert np.array_equal(st.psi, psi0)
 
 
@@ -291,33 +303,33 @@ def test_t1_decay_at_infinite_lifetime_draws_nothing():
     psi0 = st.psi.copy()
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    eng.apply_t1_decay(st, [0, 1], 1e-3, rng, t1=math.inf)
+    eng.apply_t1_decay(st, 1e-3, rng, t1=math.inf)
     assert rng.bit_generator.state == before
     assert np.array_equal(st.psi, psi0)
 
 
 @pytest.mark.parametrize("n, targets, fock, bright_first", [
-    (3, [0, 1, 2], 1, False), (4, [2, 0, 3], 1, False), (3, [1, 0, 1, 2, 0], 1, False),
-    (2, [0, 1], 3, False), (3, [0, 1, 2], 1, True), (4, [2, 0, 3], 1, True)])
+    (3, [0, 1, 2], 1, False), (1, [0], 1, False), (5, [0, 1, 2, 3, 4], 1, False),
+    (2, [0, 1], 3, False), (3, [0, 1, 2], 1, True), (6, [0, 1, 2, 3, 4, 5], 1, True)])
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
 def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, fock, bright_first, p):
-    """Enough shots that each target jumps on many of them, first or after
-    another target's jump: same jumps, states and draws as the per-target
-    reference, for targets in order, out of order, repeated, with a Fock
-    axis, and with no D population on the first target, so that no shot's
-    first jump is at the first target."""
+    """Enough shots that each qubit jumps on many of them, first or after
+    another qubit's jump: same jumps, states and draws as the per-target
+    reference over every qubit in order (targets), on registers of 1 to 6
+    qubits, with a Fock axis, and with no D population on qubit 0, so that
+    no shot's first jump is at qubit 0."""
     rng0 = np.random.default_rng(5)
     phonon = eng.PhononMode(2 * PI * 1e6, n_max=fock - 1) if fock > 1 else None
     st = eng.RegisterState(n, phonon=phonon, shots=2000)
     st.psi = rng0.normal(size=st.psi.shape) + 1j * rng0.normal(size=st.psi.shape)
     if bright_first:
-        st.qubit_view(targets[0])[..., 0, :] = 0.0
+        st.qubit_view(0)[..., 0, :] = 0.0
     st.renormalize()
     ref = eng.RegisterState(n, phonon=phonon, shots=2000)
     ref.psi = st.psi.copy()
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     dt = -math.log1p(-p)
-    eng.apply_t1_decay(st, targets, dt, rng, t1=1.0)
+    eng.apply_t1_decay(st, dt, rng, t1=1.0)
     t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
     np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -352,9 +364,9 @@ def test_lifetime_consumers_reject_non_positive_lifetime(value):
     with pytest.raises(ValueError, match="t1 must be positive"):
         eng.DetectionModel(t1=value)
     with pytest.raises(ValueError, match="t1 > 0"):
-        eng.apply_t1_decay(st, [0], 1e-3, rng, t1=value)
+        eng.apply_t1_decay(st, 1e-3, rng, t1=value)
     with pytest.raises(ValueError, match="t2 > 0"):
-        eng.apply_dephasing(st, [0], 1e-3, value, rng)
+        eng.apply_dephasing(st, 1e-3, value, rng)
 
 
 @ENSEMBLES
@@ -695,7 +707,7 @@ def test_invalid_channel_args():
     with pytest.raises(ValueError):
         eng.apply_depolarizing(st, [0], 1.5, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        eng.apply_dephasing(st, [0], -1.0, 0.018, np.random.default_rng(0))
+        eng.apply_dephasing(st, -1.0, 0.018, np.random.default_rng(0))
     with pytest.raises(ValueError):
         eng.NoiseConfig(eps_1q=2.0)
     with pytest.raises(ValueError):

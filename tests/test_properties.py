@@ -46,9 +46,9 @@ def batched_states(draw, max_qubits=4):
 
 NOISE = {
     "dephasing": lambda s, x, rng: eng.apply_dephasing(
-        s, range(s.n), 0.01 * x, 0.018, rng, detuning_hz=[40.0] * s.n),
+        s, 0.01 * x, 0.018, rng, detuning_hz=[40.0] * s.n),
     "depolarizing": lambda s, x, rng: eng.apply_depolarizing(s, range(s.n), x, rng),
-    "t1": lambda s, x, rng: eng.apply_t1_decay(s, range(s.n), x, rng, t1=0.5),
+    "t1": lambda s, x, rng: eng.apply_t1_decay(s, x, rng, t1=0.5),
     "heating": lambda s, x, rng: eng.evolve_phonon_heating(s, 0.2 * x, 5.0, rng),
 }
 
@@ -62,9 +62,9 @@ def test_batched_noise_keeps_every_shot_normalized(state, op, x, seed):
 
 
 QUIET = {  # every channel with its rate at zero
-    "dephasing": lambda s, rng: eng.apply_dephasing(s, range(s.n), 1e-3, math.inf, rng),
+    "dephasing": lambda s, rng: eng.apply_dephasing(s, 1e-3, math.inf, rng),
     "depolarizing": lambda s, rng: eng.apply_depolarizing(s, range(s.n), 0.0, rng),
-    "t1": lambda s, rng: eng.apply_t1_decay(s, range(s.n), 1e-3, rng, t1=math.inf),
+    "t1": lambda s, rng: eng.apply_t1_decay(s, 1e-3, rng, t1=math.inf),
     "heating": lambda s, rng: eng.evolve_phonon_heating(s, 1e-3, 0.0, rng),
 }
 GATES = st.one_of(
@@ -182,47 +182,35 @@ def test_layer_matches_sequential_einsum(state, gate, theta, phi, data):
     np.testing.assert_allclose(state.psi, want, rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(state=batched_states(max_qubits=7), p=st.floats(0.0, 0.9),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_t1_single_renormalize_matches_per_qubit_reference(state, p, seed, data):
-    """Same draws, same jumps: a target that jumped holds no D population
+def _t1_matches_per_qubit_reference(state, p, seed):
+    """Same draws, same jumps: a qubit that jumped holds no D population
     after the call, one that did not keeps its D population."""
-    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
-                                 max_size=state.n, unique=True))
     dt = -math.log1p(-p)  # jump probability p at t1 = 1
     ref = copy.deepcopy(state)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    eng.apply_t1_decay(state, targets, dt, rng, t1=1.0)
-    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
+    eng.apply_t1_decay(state, dt, rng, t1=1.0)
+    t1_decay_per_qubit(ref, range(state.n), dt, ref_rng, t1=1.0)
 
     def undecayed(s):
         return np.array([np.abs(s.qubit_view(q)[..., 0, :]).sum(axis=(-3, -2, -1)) > 0
-                         for q in targets])
+                         for q in range(s.n)])
     np.testing.assert_array_equal(undecayed(state), undecayed(ref))
     np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(state=batched_states(max_qubits=7), p=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_t1_single_renormalize_matches_per_qubit_reference(state, p, seed):
+    _t1_matches_per_qubit_reference(state, p, seed)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(state=batched_states(max_qubits=9), p=st.floats(0.0, 0.9),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_t1_on_up_to_9_qubits_matches_per_qubit_reference(state, p, seed, data):
-    """As above on larger registers, with targets in any order and repeated."""
-    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
-                                 max_size=state.n + 2))
-    dt = -math.log1p(-p)
-    ref = copy.deepcopy(state)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    eng.apply_t1_decay(state, targets, dt, rng, t1=1.0)
-    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
-
-    def undecayed(s):
-        return np.array([np.abs(s.qubit_view(q)[..., 0, :]).sum(axis=(-3, -2, -1)) > 0
-                         for q in targets])
-    np.testing.assert_array_equal(undecayed(state), undecayed(ref))
-    np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+       seed=st.integers(0, 2**32 - 1))
+def test_t1_on_up_to_9_qubits_matches_per_qubit_reference(state, p, seed):
+    _t1_matches_per_qubit_reference(state, p, seed)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -230,14 +218,12 @@ def test_t1_on_up_to_9_qubits_matches_per_qubit_reference(state, p, seed, data):
        t2=st.sampled_from([0.018, 0.09, math.inf]), ramp=st.booleans(),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_dephasing_diagonal_matches_per_qubit_kicks(state, dt, t2, ramp, seed, data):
-    targets = data.draw(st.lists(st.integers(0, state.n - 1), min_size=1,
-                                 max_size=state.n + 1))
-    detuning = (data.draw(st.lists(st.floats(-200.0, 200.0), min_size=len(targets),
-                                   max_size=len(targets))) if ramp else None)
+    detuning = (data.draw(st.lists(st.floats(-200.0, 200.0), min_size=state.n,
+                                   max_size=state.n)) if ramp else None)
     ref = copy.deepcopy(state)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    eng.apply_dephasing(state, targets, dt, t2, rng, detuning_hz=detuning)
-    dephasing_per_qubit(ref, targets, dt, t2, ref_rng, detuning_hz=detuning)
+    eng.apply_dephasing(state, dt, t2, rng, detuning_hz=detuning)
+    dephasing_per_qubit(ref, range(state.n), dt, t2, ref_rng, detuning_hz=detuning)
     np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

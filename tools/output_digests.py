@@ -1,7 +1,8 @@
 """SHA-256 of every file the CLI writes for a fixed set of runs, so a
 byte-identity claim is one command run on two checkouts.
 
-    python3 tools/output_digests.py
+    python3 tools/output_digests.py > parent.json    # on one checkout
+    python3 tools/output_digests.py --against parent.json    # on the other
 
 Runs, each in a fresh Python process importing the package from this
 checkout's src/, with one BLAS thread, inside one temporary directory:
@@ -14,9 +15,12 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
-the machine.
+the machine.  With --against FILE, a saved line of an earlier run, it also
+names on stderr every file whose digest differs or that either run lacks,
+and exits 1 if there is one.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -89,7 +93,28 @@ def runs(workdir: str) -> list:
     return out
 
 
+def differences(digests: dict, saved: dict) -> list:
+    """One line per file that differs between two runs or is in one only."""
+    out = []
+    for name in sorted(digests.keys() | saved.keys()):
+        if name not in saved:
+            out.append(f"{name}: not in the saved run")
+        elif name not in digests:
+            out.append(f"{name}: missing from this run")
+        elif digests[name] != saved[name]:
+            out.append(f"{name}: differs")
+    return out
+
+
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare with the JSON line a saved run printed")
+    args = ap.parse_args()
+    saved = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            saved = json.load(fh)["digests"]
     os.environ.update(THREADS)  # for the runs, and before machine_info loads numpy
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from worker import machine_info
@@ -103,7 +128,14 @@ def main() -> int:
                 with open(os.path.join(run_dir, fname), "rb") as fh:
                     digests[f"{name}/{fname}"] = hashlib.sha256(fh.read()).hexdigest()
     print(json.dumps({"digests": digests, "machine": machine_info()}, sort_keys=True))
-    return 0
+    if saved is None:
+        return 0
+    diff = differences(digests, saved)
+    for line in diff:
+        print(line, file=sys.stderr)
+    same = sum(saved.get(name) == digest for name, digest in digests.items())
+    print(f"{same} of {len(digests)} digests equal the saved run's", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
