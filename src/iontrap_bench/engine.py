@@ -1,8 +1,10 @@
-"""State-vector dynamics with an optional truncated phonon mode.
+"""State-vector dynamics of the spins and of the bichromatic gate.
 
 Noise enters through Monte-Carlo wave-function trajectories (Dalibard,
-Castin & Moelmer, PRL 68, 580 (1992)) on one state or on a batch of shots;
-operators act on the last two axes and draw one random number per shot.
+Castin & Moelmer, PRL 68, 580 (1992)) on a spin register of shape
+(shots, 2**n), a single state being one shot; the noise channels and the
+readout act on that layout only and draw one random number per shot.
+Only the bichromatic gate's state carries a truncated phonon (Fock) axis.
 A layer of one-qubit gates is one dense pass per block of up to four
 qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
 are the Hadamard layers of the ideal MS gate.  The idle noise, T1 and
@@ -186,33 +188,33 @@ class PhononMode:
 
 
 class RegisterState:
-    """N-qubit state vector with optional phonon mode attached.
-
-    psi has shape (fock_dim, 2**n), or (shots, fock_dim, 2**n) when shots
-    is given; fock_dim == 1 when no phonon.  fock_index may be per shot.
-    The density-matrix helpers take a single state.
-    """
+    """N-qubit state vector: psi is (shots, 2**n) for a spin register, one
+    shot when shots is None; with the bichromatic gate's phonon mode it is
+    (fock_dim, 2**n), or (shots, fock_dim, 2**n) when shots is given, and
+    fock_index may be per shot.  The density-matrix helpers take a single
+    phonon state."""
 
     def __init__(self, n_qubits: int, phonon: PhononMode = None, fock_index=0,
                  shots: int = None):
         self.n = n_qubits
         self.phonon = phonon
-        fock_dim = (phonon.n_max + 1) if phonon else 1
-        shape = (() if shots is None else (shots,)) + (fock_dim, 2**n_qubits)
+        batch = () if shots is None else (shots,)
+        shape = (batch + (self.fock_dim, 2**n_qubits) if phonon
+                 else (batch or (1,)) + (2**n_qubits,))
         if math.prod(shape) * 16 > _MAX_STATE_BYTES:
             raise MemoryError("state exceeds the memory cap")
         self.psi = np.zeros(shape, dtype=complex)
-        flat = self.psi.reshape(-1, fock_dim, 2**n_qubits)
+        flat = self.psi.reshape(-1, self.fock_dim, 2**n_qubits)
         flat[np.arange(len(flat)), fock_index, -1] = 1.0  # all-bright |S...S>
 
     @property
     def fock_dim(self) -> int:
-        return self.psi.shape[-2]
+        return 1 if self.phonon is None else self.phonon.n_max + 1
 
     @property
     def batch_shape(self) -> tuple:
-        """() for a single state, (shots,) for a batch."""
-        return self.psi.shape[:-2]
+        """(shots,) of a spin register; () for a single phonon state."""
+        return self.psi.shape[:-1] if self.phonon is None else self.psi.shape[:-2]
 
     def _rows(self) -> np.ndarray:
         """psi, made contiguous, as one real row per shot (a single state is
@@ -225,7 +227,7 @@ class RegisterState:
         squared norm is one real reduction over the shot's float row."""
         rows = self._rows()
         norm = np.sqrt(np.einsum("...i,...i->...", rows, rows))
-        return float(norm) if self.psi.ndim == 2 else norm
+        return norm if self.batch_shape else float(norm)
 
     def renormalize(self):
         rows = self._rows()
@@ -238,7 +240,10 @@ class RegisterState:
         return sub
 
     def probabilities(self) -> np.ndarray:
-        return (np.abs(self.psi) ** 2).sum(axis=-2)
+        """A spin register's outcome law per shot; a phonon state's spin marginal."""
+        probs = np.abs(self.psi)
+        probs *= probs
+        return probs if self.phonon is None else probs.sum(axis=-2)
 
     def qubit_view(self, q: int) -> np.ndarray:
         """View of psi with qubit q isolated on its own axis."""
@@ -256,9 +261,10 @@ class RegisterState:
         return float(np.dot(np.arange(self.fock_dim), p))
 
 
-def _flat(state: RegisterState) -> np.ndarray:
-    """psi as (shots, fock_dim, 2**n); a single state is one shot."""
-    return state.psi.reshape((-1,) + state.psi.shape[-2:])
+def _spin_register(state: RegisterState):
+    """The noise channels and the readout act on a spin register only."""
+    if state.phonon is not None:
+        raise ValueError("need a spin register (shots, 2**n), got a state with a phonon mode")
 
 
 _BLOCK = 4  # qubits per dense pass of a 1-qubit layer: one 16 x 16 matrix
@@ -374,6 +380,7 @@ def apply_dephasing(state: RegisterState, dt: float, t2: float,
     first, and act through one per-shot diagonal over the basis, built by
     Kronecker doubling from the lowest qubit up: one pass over the state.
     """
+    _spin_register(state)
     if dt < 0 or not t2 > 0:
         raise ValueError(f"need dt >= 0 and t2 > 0, got dt={dt}, t2={t2}")
     if detuning_hz is not None and np.shape(detuning_hz) != (state.n,):
@@ -382,19 +389,18 @@ def apply_dephasing(state: RegisterState, dt: float, t2: float,
     if dt == 0:
         return state
     sigma = math.sqrt(2.0 * dt / t2)
-    shape = (state.n,) + state.batch_shape
+    shape = (state.n, len(state.psi))
     phase = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
     if detuning_hz is not None:
-        ramp = 2.0 * math.pi * np.asarray(detuning_hz, dtype=float) * dt
-        phase += ramp.reshape(shape[:1] + (1,) * len(state.batch_shape))
+        phase += 2.0 * math.pi * np.asarray(detuning_hz, dtype=float)[:, None] * dt
     if not phase.any():
         return state
-    # diag[..., i] is the product of the kicks of the qubits set in i.
-    diag = np.empty(state.batch_shape + (2**state.n,), dtype=complex)
-    diag[..., 0] = 1.0
+    # diag[:, i] is the product of the kicks of the qubits set in i.
+    diag = np.empty(state.psi.shape, dtype=complex)
+    diag[:, 0] = 1.0
     for q, kick in enumerate(np.exp(1j * phase)):
-        np.multiply(diag[..., :2**q], kick[..., None], out=diag[..., 2**q:2 ** (q + 1)])
-    state.psi *= diag[..., None, :]
+        np.multiply(diag[:, :2**q], kick[:, None], out=diag[:, 2**q:2 ** (q + 1)])
+    state.psi *= diag
     return state
 
 
@@ -409,21 +415,20 @@ def apply_depolarizing(state: RegisterState, targets, eps: float,
     [0, 4**k) per hit shot, whose base-4 digit i picks the Pauli on
     targets[i].  This is the channel rho -> (1 - eps) rho + eps I/d on the
     targets, which commutes with every unitary on them."""
+    _spin_register(state)
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     targets = _checked_targets(state, targets)
     if eps == 0.0:
         return state
-    hit = np.flatnonzero(rng.random(state.batch_shape) < eps)
+    hit = np.flatnonzero(rng.random(len(state.psi)) < eps)
     if hit.size:
         which = rng.integers(4 ** len(targets), size=hit.size)
-        psi = _flat(state)
-        sub = psi[hit]
+        sub = state.psi[hit]
         for i, q in enumerate(targets):
             v = sub.reshape(hit.size, -1, 2, 2**q)
             sub = np.einsum("sab,sxbq->sxaq", _PAULIS[which // 4**i % 4], v)
-        psi[hit] = sub.reshape(-1, *psi.shape[1:])
-        state.psi = psi.reshape(state.psi.shape)
+        state.psi[hit] = sub.reshape(hit.size, -1)
     return state
 
 
@@ -444,25 +449,24 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     Before any jump, qubit q's dark2 is the sum of the populations with its
     bit dark, each weighted by (1 - p) ** (number of lower qubits dark in
     it).  The weights factor over the qubits, so contracting one qubit axis
-    at a time, lowest first, gives them all: the populations summed over
-    fock, then per qubit a sum of the dark half (dark2) and the dark half
-    times (1 - p) plus the bright half (the next qubit's weighted
-    populations).  Until a shot jumps its state is one real diagonal scale,
-    sqrt(1 - p) per dark bit; only a shot that jumps takes the per-qubit
-    rule (_t1_in_turn).
+    at a time, lowest first, gives them all: per qubit a sum of the dark
+    half (dark2) and the dark half times (1 - p) plus the bright half (the
+    next qubit's weighted populations).  Until a shot jumps its state is
+    one real diagonal scale, sqrt(1 - p) per dark bit; only a shot that
+    jumps takes the per-qubit rule (_t1_in_turn).
     """
+    _spin_register(state)
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
     p = 1.0 - math.exp(-dt / t1)
     if p == 0.0:
         return state
     n = state.n
-    u = rng.random((n,) + state.batch_shape).reshape(n, -1)
-    psi = np.ascontiguousarray(_flat(state))
+    psi = state.psi = np.ascontiguousarray(state.psi)
     shots = len(psi)
+    u = rng.random((n, shots))
     pops = np.square(psi.real)
     pops += np.square(psi.imag)
-    pops = np.add.reduce(pops, axis=1) if pops.shape[1] > 1 else pops[:, 0]
     dark2, norms = np.empty((n, shots)), np.ones((n, shots))  # norms: before each qubit
     for q in range(n):
         halves = pops.reshape(shots, -1, 2)
@@ -483,13 +487,12 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     if jumped.size:
         _t1_in_turn(sub, p, u[:, jumped])
         psi[jumped] = sub
-    state.psi = psi.reshape(state.psi.shape)
     state.renormalize()
     return state
 
 
 def _t1_in_turn(psi, p, u):
-    """The per-qubit rule on psi, (shots, fock, 2**n), in place, with
+    """The per-qubit rule on psi, (shots, 2**n), in place, with
     uniforms u (n, shots): each qubit in turn jumps (its D amplitudes
     replace its S ones and leave D empty; norm2 becomes dark2) or is scaled
     by sqrt(1 - p) on D (norm2 loses p * dark2)."""
@@ -525,7 +528,7 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
         u = rng.random(state.batch_shape)
         up = np.flatnonzero(u < p_up)
         dn = np.flatnonzero((u >= p_up) & (u < p_up + p_dn))
-        psi = _flat(state)
+        psi = state.psi.reshape((-1,) + state.psi.shape[-2:])  # a single state is one shot
         # A shot held wholly in the top level has no level to jump up to.
         up = up[(np.abs(psi[up, :-1]) ** 2).sum(axis=(1, 2)) > 0.0]
         raised, lowered = psi[up, :-1] * ladder, psi[dn, 1:] * ladder
@@ -547,28 +550,25 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
 
 def project_bits(state: RegisterState, rng: np.random.Generator) -> np.ndarray:
     """Projective computational-basis measurement of every shot; collapses
-    the state.  Returns bits of shape batch_shape + (n,)."""
+    the state.  Returns bits of shape (shots, n)."""
+    _spin_register(state)
+    # Inverse-CDF draw in place, as Generator.choice makes it; cdf[:, -1] normalizes.
     probs = state.probabilities()
-    probs /= probs.sum(axis=-1, keepdims=True)
-    # Inverse-CDF draw, as Generator.choice(p=probs) makes it, in place.
     cdf = np.cumsum(probs, axis=-1, out=probs)
-    cdf /= cdf[..., -1:]
-    u = rng.random(state.batch_shape)
-    idx = np.sum(cdf <= np.expand_dims(u, -1), axis=-1)
-    psi = _flat(state)
-    rows, cols = np.arange(len(psi)), idx.reshape(-1)
-    keep = psi[rows, :, cols]
-    fp = (np.abs(keep) ** 2).sum(axis=-1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(cdf))
+    idx = np.sum(cdf <= u[:, None], axis=-1)
+    psi, rows = state.psi, np.arange(len(idx))
+    keep = psi[rows, idx]
     psi[:] = 0.0
-    psi[rows, :, cols] = keep / np.sqrt(fp)[:, None]
-    state.psi = psi.reshape(state.psi.shape)
-    return ((np.expand_dims(idx, -1) >> np.arange(state.n)) & 1).astype(np.int8)
+    psi[rows, idx] = keep / np.abs(keep)
+    return ((idx[:, None] >> np.arange(state.n)) & 1).astype(np.int8)
 
 
 def detect(state: RegisterState, detection: DetectionModel,
            rng: np.random.Generator):
     """Project every shot and read it out through the detection model;
-    returns (detected_bits, counts), each of shape batch_shape + (n,)."""
+    returns (detected_bits, counts), each of shape (shots, n)."""
     counts = detection.sample_counts(project_bits(state, rng), rng)
     return detection.classify(counts), counts
 
@@ -688,7 +688,7 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     step = v.conj().T @ (frame(-dt) * v)  # W
     drive = 2.0 * params.omega_rabi * np.cos(tone * (np.arange(n_steps) + 0.5) * dt)
     wdt = -1j * dt * w[:, None]
-    psi = _flat(state).reshape(-1, fock_dim * 2**n).T  # one column per shot
+    psi = state.psi.reshape(-1, fock_dim * 2**n).T  # one column per shot
     phi = v.conj().T @ (frame(-0.5 * dt) * psi)
     if q:
         b = np.eye(len(w), dtype=complex)
@@ -898,7 +898,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
         if noise.spam_prep > 0:
             basis = np.where(rng.random((size, n)) < noise.spam_prep, 0, 1 << np.arange(n))
             state.psi[:] = 0.0
-            state.psi[np.arange(size), 0, basis.sum(axis=1)] = 1.0
+            state.psi[np.arange(size), basis.sum(axis=1)] = 1.0
         last = {}
         _run_events(events, state, noise, rng, crosstalk, t2, detunings, 0, last, {})
         bits += last["bits"].tolist()

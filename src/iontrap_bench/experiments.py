@@ -403,7 +403,7 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
             eng.apply_rotation(prepared, [q], theta, phi_q)
 
     def measured(state, rng):
-        return eng.measure(state.probabilities(), spec.shots, spec.noise.detection, rng)[0]
+        return eng.measure(state.probabilities()[0], spec.shots, spec.noise.detection, rng)[0]
 
     w, ds, fringe = _witness(
         measured(prepared, np.random.default_rng([spec.seed, 0])),
@@ -427,7 +427,7 @@ def _gate_decay_law(k_gates: int, phi, eps: float) -> np.ndarray:
     if phi is not None:
         eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
     w = (1.0 - eps) ** k_gates
-    return w * state.probabilities() + (1.0 - w) / 4
+    return w * state.probabilities()[0] + (1.0 - w) / 4
 
 
 def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:

@@ -78,11 +78,11 @@ def t1_decay_per_qubit(state, targets, dt, rng, t1):
     if p == 0.0:
         return state
     for q in targets:
-        v = state.qubit_view(q)
-        p_dark = np.sum(np.abs(v[..., 0, :]) ** 2, axis=(-3, -2, -1))
-        jump = np.expand_dims(rng.random(state.batch_shape) < p * p_dark, (-3, -2, -1))
-        v[..., 1, :] = np.where(jump, v[..., 0, :], v[..., 1, :])
-        v[..., 0, :] = np.where(jump, 0.0, v[..., 0, :] * math.sqrt(1.0 - p))
+        v = state.qubit_view(q)  # (shots, high bits, 2, low bits)
+        p_dark = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
+        jump = (rng.random(len(v)) < p * p_dark)[:, None, None]
+        v[:, :, 1] = np.where(jump, v[:, :, 0], v[:, :, 1])
+        v[:, :, 0] = np.where(jump, 0.0, v[:, :, 0] * math.sqrt(1.0 - p))
         state.renormalize()
     return state
 
@@ -90,13 +90,13 @@ def t1_decay_per_qubit(state, targets, dt, rng, t1):
 def dephasing_per_qubit(state, targets, dt, t2, rng, detuning_hz=None):
     """Reference for engine.apply_dephasing: one normal draw per shot for
     each target in turn, plus its ramp, as a phase on the target's S half."""
-    sigma = math.sqrt(2.0 * dt / t2)
+    sigma, shots = math.sqrt(2.0 * dt / t2), len(state.psi)
     for i, q in enumerate(targets):
-        phase = rng.normal(0.0, sigma, size=state.batch_shape) if sigma > 0 else 0.0
+        phase = rng.normal(0.0, sigma, size=shots) if sigma > 0 else np.zeros(shots)
         if detuning_hz is not None:
             phase = phase + 2.0 * math.pi * detuning_hz[i] * dt
-        v = state.qubit_view(q)
-        v[..., 1, :] *= np.expand_dims(np.exp(1j * phase), (-3, -2, -1))
+        v = state.qubit_view(q)  # (shots, high bits, 2, low bits)
+        v[:, :, 1] *= np.exp(1j * phase)[:, None, None]
     return state
 
 

@@ -118,7 +118,7 @@ def test_criterion_04_ms_and_ghz(capsys):
             st = eng.RegisterState(n)
             exp.ghz_prepare(st)
             eng.apply_rotation(st, range(n), PI / 2, phi)
-            probs = st.probabilities()
+            probs = st.probabilities()[0]
             signs = 1.0 - 2.0 * (np.array(
                 [bin(i).count("1") for i in range(2**n)]) % 2)
             par.append(float(np.dot(signs * (-1.0) ** n, probs)))

@@ -196,13 +196,13 @@ def test_register_state_memory_cap_checked_before_allocation():
 # ---------------------------------------------------------------------------
 
 def _loop(prepare, channel_fn, shots, seed):
-    """Final psi of `shots` single-state trajectories, one stream each."""
+    """Final psi of `shots` one-shot trajectories, one stream each."""
     states = []
     for s in range(shots):
-        st = prepare(None)
+        st = prepare(1)
         channel_fn(st, np.random.default_rng([seed, s]))
         states.append(st.psi)
-    return np.array(states)
+    return np.concatenate(states)
 
 
 def _batched(prepare, channel_fn, shots, seed):
@@ -223,7 +223,7 @@ def _plus_state(shots):
 
 
 def _single_qubit_ensemble(channel_fn, shots, seed, ensemble=_loop):
-    return ensemble_density(ensemble(_plus_state, channel_fn, shots, seed)[:, 0])
+    return ensemble_density(ensemble(_plus_state, channel_fn, shots, seed))
 
 
 @ENSEMBLES
@@ -279,12 +279,12 @@ def test_t1_decay_vs_oracle(ensemble):
 
     def dark(n_shots):  # start in D (dark, bit 0)
         st = eng.RegisterState(1, shots=n_shots)
-        st.psi[..., 0, :] = [1.0, 0.0]
+        st.psi[:] = [1.0, 0.0]
         return st
 
     psi = ensemble(dark, lambda st, rng: eng.apply_t1_decay(st, dt, rng, t1=t1),
                    shots, 15)
-    rho = ensemble_density(psi[:, 0])
+    rho = ensemble_density(psi)
     oracle = t1_channel(np.diag([1.0, 0.0]).astype(complex), dt, t1)
     assert np.max(np.abs(rho - oracle)) < 3.0 / math.sqrt(shots)
 
@@ -308,29 +308,29 @@ def test_t1_decay_at_infinite_lifetime_draws_nothing():
     assert np.array_equal(st.psi, psi0)
 
 
-@pytest.mark.parametrize("n, targets, fock, bright_first", [
+@pytest.mark.parametrize("n, targets, t1, bright_first", [
     (3, [0, 1, 2], 1, False), (1, [0], 1, False), (5, [0, 1, 2, 3, 4], 1, False),
-    (2, [0, 1], 3, False), (3, [0, 1, 2], 1, True), (6, [0, 1, 2, 3, 4, 5], 1, True)])
+    (4, [0, 1, 2, 3], 0.25, False), (3, [0, 1, 2], 1, True), (6, [0, 1, 2, 3, 4, 5], 1, True)])
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
-def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, fock, bright_first, p):
+def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, t1, bright_first, p):
     """Enough shots that each qubit jumps on many of them, first or after
     another qubit's jump: same jumps, states and draws as the per-target
     reference over every qubit in order (targets), on registers of 1 to 6
-    qubits, with a Fock axis, and with no D population on qubit 0, so that
-    no shot's first jump is at qubit 0."""
+    qubits, at two lifetimes t1 (s) with dt set for jump probability p,
+    and with no D population on qubit 0, so that no shot's first jump is
+    at qubit 0."""
     rng0 = np.random.default_rng(5)
-    phonon = eng.PhononMode(2 * PI * 1e6, n_max=fock - 1) if fock > 1 else None
-    st = eng.RegisterState(n, phonon=phonon, shots=2000)
+    st = eng.RegisterState(n, shots=2000)
     st.psi = rng0.normal(size=st.psi.shape) + 1j * rng0.normal(size=st.psi.shape)
     if bright_first:
         st.qubit_view(0)[..., 0, :] = 0.0
     st.renormalize()
-    ref = eng.RegisterState(n, phonon=phonon, shots=2000)
+    ref = eng.RegisterState(n, shots=2000)
     ref.psi = st.psi.copy()
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    dt = -math.log1p(-p)
-    eng.apply_t1_decay(st, dt, rng, t1=1.0)
-    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=1.0)
+    dt = -t1 * math.log1p(-p)
+    eng.apply_t1_decay(st, dt, rng, t1=t1)
+    t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=t1)
     np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -369,6 +369,30 @@ def test_lifetime_consumers_reject_non_positive_lifetime(value):
         eng.apply_dephasing(st, 1e-3, value, rng)
 
 
+SPIN_ONLY = {
+    "dephasing": lambda st, rng: eng.apply_dephasing(st, 1e-3, 0.018, rng),
+    "depolarizing": lambda st, rng: eng.apply_depolarizing(st, [0, 1], 0.5, rng),
+    "t1": lambda st, rng: eng.apply_t1_decay(st, 1e-3, rng, t1=1.168),
+    "project_bits": eng.project_bits,
+}
+
+
+@pytest.mark.parametrize("channel", sorted(SPIN_ONLY))
+@pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
+def test_spin_channels_reject_a_phonon_state(channel, shots):
+    """The noise channels and the readout act on a (shots, 2**n) spin
+    register; a state with a Fock axis is an error before any draw or
+    change of the state."""
+    st = eng.RegisterState(2, phonon=eng.PhononMode(2 * PI * 1e6, n_max=3), shots=shots)
+    eng.apply_rotation(st, [0, 1], PI / 2, 0.0)
+    psi0, rng = st.psi.copy(), np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="spin register"):
+        SPIN_ONLY[channel](st, rng)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(st.psi, psi0)
+
+
 @ENSEMBLES
 def test_heating_mean_growth(ensemble):
     rate, dt, shots = 0.221, 1.0, 3000
@@ -376,6 +400,7 @@ def test_heating_mean_growth(ensemble):
     psi = ensemble(lambda n_shots: eng.RegisterState(1, phonon=phonon, shots=n_shots),
                    lambda st, rng: eng.evolve_phonon_heating(st, dt, rate, rng),
                    shots, 16)
+    np.testing.assert_allclose(np.linalg.norm(psi, axis=(1, 2)), 1.0, rtol=0.0, atol=1e-12)
     ns = (np.abs(psi) ** 2).sum(axis=-1) @ np.arange(phonon.n_max + 1)
     grown = float(np.mean(ns))
     se = float(np.std(ns)) / math.sqrt(shots)
@@ -469,7 +494,7 @@ def test_detection_readout_error_vs_exact_oracle():
 def test_measure_shapes_and_bright_state():
     st = eng.RegisterState(2)  # all-bright
     det = eng.DetectionModel()
-    bits, counts = eng.measure(st.probabilities(), 500, det, np.random.default_rng(5))
+    bits, counts = eng.measure(st.probabilities()[0], 500, det, np.random.default_rng(5))
     assert bits.shape == (500, 2) and counts.shape == (500, 2)
     assert np.mean(bits) > 0.999
 

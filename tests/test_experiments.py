@@ -36,10 +36,10 @@ def test_clifford_table_structure():
     # Row k of a product is the state the engine's pulses make of basis state k.
     for u, pulses in zip(us, exp.CLIFFORD_PULSES):
         state = eng.RegisterState(1, shots=2)
-        state.psi[:, 0] = np.eye(2)
+        state.psi[:] = np.eye(2)
         for p in pulses:
             eng.apply_rotation(state, [0], *p)
-        np.testing.assert_allclose(state.psi[:, 0], u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(state.psi, u, rtol=0.0, atol=1e-15)
     assert len(us) == 24
     # distinct up to global phase
     for i in range(24):

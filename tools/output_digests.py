@@ -11,6 +11,9 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
 - `simulate` of criterion 11's Bell circuit (2 qubits, 100 shots, seed 11)
   and of a 12-ion GHZ circuit (200 shots, seed 3), the runs that
   tests/test_cli.py pins;
+- `simulate_noisy`: `simulate` of COMPILE_CIRCUIT on 3 qubits with SPAM,
+  1-qubit and MS depolarizing on (400 shots, seed 4), so that the SPAM
+  start, the depolarizing channel and a branch body run;
 - every `experiment` kind at its CLI defaults.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
@@ -88,6 +91,10 @@ def runs(workdir: str) -> list:
         out.append((f"simulate_{name}", ["simulate", "--circuit", circ, "--config", cfg,
                                          "--shots", str(shots), "--seed", str(seed),
                                          "--out", f"simulate_{name}"]))
+    cfg = _write(workdir, "noisy.cfg", "machine.n_qubits = 3\nnoise.spam_prep = 0.05\n"
+                 "noise.eps_1q = 0.02\nnoise.eps_2q = 0.05\n")
+    out.append(("simulate_noisy", ["simulate", "--circuit", circuit, "--config", cfg,
+                                   "--shots", "400", "--seed", "4", "--out", "simulate_noisy"]))
     out += [(f"experiment_{kind}", ["experiment", kind, "--out", f"experiment_{kind}"])
             for kind in EXPERIMENT_KINDS]
     return out
