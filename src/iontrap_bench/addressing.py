@@ -35,12 +35,11 @@ class AddressingUnit:
             object.__setattr__(self, "w0_um", 0.81 if self.kind == MICROOPTICS else 1.09)
         if self.floor is None:
             object.__setattr__(self, "floor", 0.024 if self.kind == MICROOPTICS else 0.005)
-        if self.w0_um <= 0:
-            raise ValueError("waist must be positive")
+        for name in ("w0_um", "slope_um_per_mhz"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
-        if self.slope_um_per_mhz <= 0:
-            raise ValueError("deflection slope must be positive")
 
 
 def relative_rabi(unit: AddressingUnit, beam_center_um: float,

@@ -30,8 +30,9 @@ class TrapConfig:
     omega_rad: float = 2 * np.pi * 3.0e6
 
     def __post_init__(self):
-        if self.omega_ax <= 0 or self.omega_rad <= 0:
-            raise ValueError("trap frequencies must be positive")
+        for name in ("omega_ax", "omega_rad"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def length_scale_um(omega_ax: float) -> float:

@@ -578,7 +578,8 @@ def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generat
     state's probabilities(), or a noisy law built from them), then run each
     bit pattern through the Poisson-threshold detection model.
 
-    Returns (detected_bits, counts), both of shape (shots, n).
+    Returns the detected bits, shape (shots, n); the photon counts they are
+    classified from are drawn and dropped.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -589,8 +590,7 @@ def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generat
     probs = probs / probs.sum()
     idx = rng.choice(len(probs), p=probs, size=shots)
     bits = ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    counts = detection.sample_counts(bits, rng)
-    return detection.classify(counts), counts
+    return detection.classify(detection.sample_counts(bits, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -177,17 +177,14 @@ CLIFFORD_AVG_COST = sum(len(s) for s in CLIFFORD_PULSES) / len(CLIFFORD_PULSES)
 
 # Each Clifford's unitary in the row convention psi @ u of a state's
 # amplitudes: the product of its pulses' transposed rotation matrices, in order.
-_CLIFFORD_PRODUCTS = [functools.reduce(np.matmul, (eng.rotation_matrix(*p).T for p in seq))
-                      for seq in CLIFFORD_PULSES]
-
-
-def _inverse_clifford(u: np.ndarray) -> int:
-    """Index of the Clifford that undoes the row-convention unitary u
-    (psi @ u), up to a global phase."""
-    for k, c in enumerate(_CLIFFORD_PRODUCTS):
-        if abs(np.trace(u @ c)) > 2.0 - 1e-9:
-            return k
-    raise RuntimeError("Clifford table is not closed under inversion")
+_CLIFFORD_PRODUCTS = np.array([functools.reduce(np.matmul, (eng.rotation_matrix(*p).T for p in s))
+                               for s in CLIFFORD_PULSES])
+# The group table, from one overlap: _CLIFFORD_TABLE[a, b] is the c with
+# |tr(u_c^H u_a u_b)| = 2, the Clifford equal to u_a @ u_b up to a global phase.
+_CLIFFORD_TABLE = np.abs(np.einsum("aij,bjk,cik->abc", _CLIFFORD_PRODUCTS, _CLIFFORD_PRODUCTS,
+                                   _CLIFFORD_PRODUCTS.conj())).argmax(axis=2)
+_CLIFFORD_INVERSE = (_CLIFFORD_TABLE == 0).argmax(axis=1)  # k then its inverse is Clifford 0
+_CLIFFORD_SLOTS = np.array([len(s) for s in CLIFFORD_PULSES])
 
 
 def _rb_survival(cliffords, eps) -> float:
@@ -195,8 +192,8 @@ def _rb_survival(cliffords, eps) -> float:
     Depolarizing after each of its G pulse slots (the identity's and the
     inverse's included) commutes with the gates, whose product is the
     identity, so a shot survives with probability 1/2 + (1 - eps)**G / 2."""
-    u = functools.reduce(np.matmul, (_CLIFFORD_PRODUCTS[k] for k in cliffords), np.eye(2))
-    slots = sum(len(CLIFFORD_PULSES[k]) for k in [*cliffords, _inverse_clifford(u)])
+    k = functools.reduce(lambda a, b: _CLIFFORD_TABLE[a, b], cliffords, 0)
+    slots = int(_CLIFFORD_SLOTS[cliffords].sum() + _CLIFFORD_SLOTS[_CLIFFORD_INVERSE[k]])
     return 0.5 + 0.5 * (1.0 - eps) ** slots
 
 
@@ -403,7 +400,7 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
             eng.apply_rotation(prepared, [q], theta, phi_q)
 
     def measured(state, rng):
-        return eng.measure(state.probabilities()[0], spec.shots, spec.noise.detection, rng)[0]
+        return eng.measure(state.probabilities()[0], spec.shots, spec.noise.detection, rng)
 
     w, ds, fringe = _witness(
         measured(prepared, np.random.default_rng([spec.seed, 0])),
@@ -453,7 +450,7 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
 
     def survival_bits(k_gates, phi, rng):
         """Detected bits of all shots after k_gates."""
-        return eng.measure(_gate_decay_law(k_gates, phi, eps), shots, noise.detection, rng)[0]
+        return eng.measure(_gate_decay_law(k_gates, phi, eps), shots, noise.detection, rng)
 
     ys, es = [], []
     for i, k in enumerate(counts):

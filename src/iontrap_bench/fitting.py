@@ -161,6 +161,8 @@ def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
     """Fixed-frequency sinusoid, linear in parameters:
     y = offset + a cos(f x) + b sin(f x) -> (amplitude, phase, offset).
     """
+    if not math.isfinite(frequency):
+        raise ValueError(f"frequency must be finite, got {frequency}")
     ds = dataset
     design = np.column_stack([np.ones_like(ds.x),
                               np.cos(frequency * ds.x),

@@ -68,10 +68,13 @@ def test_u3_composite_suppression_exact():
         adr.u3_effective_ratio(1.5)
 
 
+@pytest.mark.parametrize("name", ["w0_um", "slope_um_per_mhz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_beam_geometry_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        adr.AddressingUnit(kind=adr.AOD, **{name: value})
+
+
 def test_invariant_violations():
     with pytest.raises(ValueError):
-        adr.AddressingUnit(w0_um=-1.0)
-    with pytest.raises(ValueError):
         adr.AddressingUnit(floor=1.5)
-    with pytest.raises(ValueError):
-        adr.AddressingUnit(kind=adr.AOD, slope_um_per_mhz=0.0)

@@ -211,11 +211,16 @@ def test_mode_sign_determinism():
         assert a[k, j] > 0
 
 
+@pytest.mark.parametrize("name", ["omega_ax", "omega_rad"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_trap_frequency_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        TrapConfig(**{name: value})
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         equilibrium_positions(0)
-    with pytest.raises(ValueError):
-        TrapConfig(omega_ax=-1.0)
     with pytest.raises(ValueError):
         IonChain(np.array([1.0, 0.0]), TrapConfig())
 

@@ -240,6 +240,17 @@ def test_fit_rejects_empty_or_nonfinite_points(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("frequency", ["nan", "inf"])
+def test_fit_fringe_nonfinite_frequency_is_one_error_line(tmp_path, capfd, frequency):
+    data = tmp_path / "points.csv"
+    data.write_text("x,y,yerr\n0,0.5,0.1\n1,0.7,0.1\n2,0.3,0.1\n3,0.5,0.1\n")
+    assert main(["fit", "--model", "fringe", "--data", str(data),
+                 "--frequency", frequency]) == 1
+    captured = capfd.readouterr()  # file descriptors: LAPACK writes to the C stdout
+    assert captured.out == ""
+    assert captured.err == f"error: frequency must be finite, got {frequency}\n"
+
+
 def test_cli_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(iontrap_bench.__file__))
     code = "import sys, iontrap_bench.cli; print('scipy.stats' in sys.modules)"
@@ -287,6 +298,28 @@ def test_unphysical_nbar_is_one_error_line(tmp_path, capsys, kind, nbar, name):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (["chain", "--n", "3", "--frad", "inf"], None, "omega_rad"),
+    (["chain", "--n", "1", "--fax", "nan"], None, "omega_ax"),
+    (["chain", "--n", "3", "--fax", "inf"], None, "omega_ax"),
+    (["experiment", "addressing_scan"], "addressing.w0_um = inf\n", "w0_um"),
+], ids=["frad_inf", "fax_nan", "fax_inf", "w0_inf"])
+def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config, name):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite and positive")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -494,8 +494,8 @@ def test_detection_readout_error_vs_exact_oracle():
 def test_measure_shapes_and_bright_state():
     st = eng.RegisterState(2)  # all-bright
     det = eng.DetectionModel()
-    bits, counts = eng.measure(st.probabilities()[0], 500, det, np.random.default_rng(5))
-    assert bits.shape == (500, 2) and counts.shape == (500, 2)
+    bits = eng.measure(st.probabilities()[0], 500, det, np.random.default_rng(5))
+    assert bits.shape == (500, 2) and bits.dtype == np.int8
     assert np.mean(bits) > 0.999
 
 
@@ -503,7 +503,7 @@ def test_measure_never_draws_a_zero_probability_outcome():
     # Outcome 2 (qubit 1 bright, qubit 0 dark) has no weight; a perfect
     # readout (no dark counts, no decay in the window) shows the true bits.
     det = eng.DetectionModel(dark_mean=0.0, t1=math.inf)
-    bits, _ = eng.measure([0.25, 0.5, 0.0, 0.25], 20000, det, np.random.default_rng(6))
+    bits = eng.measure([0.25, 0.5, 0.0, 0.25], 20000, det, np.random.default_rng(6))
     idx = bits[:, 0] + 2 * bits[:, 1]
     assert not np.any(idx == 2)
     assert set(np.unique(idx)) == {0, 1, 3}

@@ -51,13 +51,16 @@ def test_clifford_table_structure():
 
 
 def test_clifford_closure_and_inversion():
-    us = exp._CLIFFORD_PRODUCTS
-    for i in range(24):
-        inv = exp._inverse_clifford(us[i])
-        assert _proj_equal(us[i] @ us[inv], np.eye(2))
-        for j in range(0, 24, 5):
-            prod = us[j] @ us[i]
-            assert any(_proj_equal(prod, c) for c in us)
+    us, table, inverse = exp._CLIFFORD_PRODUCTS, exp._CLIFFORD_TABLE, exp._CLIFFORD_INVERSE
+    assert table.shape == (24, 24)
+    for a in range(24):
+        for b in range(24):
+            assert _proj_equal(us[a] @ us[b], us[table[a, b]])
+    np.testing.assert_array_equal(table[0], np.arange(24))
+    np.testing.assert_array_equal(table[:, 0], np.arange(24))
+    for k in range(24):
+        assert table[k, inverse[k]] == 0
+    np.testing.assert_array_equal(exp._CLIFFORD_SLOTS, [len(s) for s in exp.CLIFFORD_PULSES])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,13 @@ def test_fringe_full_contrast_and_flat():
     assert flat["offset"] == pytest.approx(0.37, abs=1e-9)
 
 
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+def test_fringe_rejects_a_nonfinite_frequency(frequency):
+    x = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    with pytest.raises(ValueError, match="frequency must be finite"):
+        fit_fringe(_ds(x, 0.5 + 0.5 * np.cos(x)), frequency=frequency)
+
+
 def test_binomial_se_values_and_extremes():
     assert binomial_se(50, 100) == pytest.approx(0.05)
     assert binomial_se(0, 100) > 0

@@ -14,7 +14,11 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
 - `simulate_noisy`: `simulate` of COMPILE_CIRCUIT on 3 qubits with SPAM,
   1-qubit and MS depolarizing on (400 shots, seed 4), so that the SPAM
   start, the depolarizing channel and a branch body run;
-- every `experiment` kind at its CLI defaults.
+- every `experiment` kind at its CLI defaults, where every noise eps is 0;
+- `experiment_rb_noisy` and `experiment_gate_decay_noisy`: `experiment rb`
+  with a `--noise` overlay of `noise.eps_1q = 0.002` and `experiment
+  gate_decay` with `noise.eps_2q = 0.01`, so that RB's inverse Clifford
+  and pulse-slot count and the gate-decay weight reach the outputs.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
@@ -97,6 +101,10 @@ def runs(workdir: str) -> list:
                                    "--shots", "400", "--seed", "4", "--out", "simulate_noisy"]))
     out += [(f"experiment_{kind}", ["experiment", kind, "--out", f"experiment_{kind}"])
             for kind in EXPERIMENT_KINDS]
+    for kind, key, eps in (("rb", "eps_1q", 0.002), ("gate_decay", "eps_2q", 0.01)):
+        overlay = _write(workdir, f"{kind}_noisy.cfg", f"noise.{key} = {eps}\n")
+        out.append((f"experiment_{kind}_noisy", ["experiment", kind, "--noise", overlay,
+                                                 "--out", f"experiment_{kind}_noisy"]))
     return out
 
 
