@@ -30,9 +30,16 @@ class TrapConfig:
     omega_rad: float = 2 * np.pi * 3.0e6
 
     def __post_init__(self):
+        # The chain and its spectra divide by omega**2: its square must be a
+        # finite, nonzero float too (1e300 overflows it, 1e-300 underflows).
         for name in ("omega_ax", "omega_rad"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            omega = getattr(self, name)
+            if not (0.0 < omega < np.inf and 0.0 < omega * omega < np.inf):
+                raise ValueError(f"{name} must be finite and positive, with a finite "
+                                 f"nonzero square, got {omega}")
+        ratio = self.omega_rad / self.omega_ax  # the radial spectrum's scale
+        if not ratio * ratio < np.inf:
+            raise ValueError(f"omega_rad / omega_ax must have a finite square, got {ratio}")
 
 
 def length_scale_um(omega_ax: float) -> float:

@@ -13,7 +13,11 @@ unnormalized unraveling (Plenio & Knight, RMP 70, 101 (1998)): all its
 draws at once, every qubit's no-jump D population from one pass over
 the populations, one real diagonal scale and one renormalization; only
 shots that jump take the per-qubit rule.  Dephasing multiplies the
-state once by a per-shot diagonal of every qubit's kicks.
+state once by a per-shot diagonal of every qubit's kicks.  The readout
+of a run (detect) draws photon counts and classifies them; measure, the
+sampler of an outcome law the experiments use, draws no counts: it flips
+each ion's true bit with the threshold's per-ion error probabilities
+(DetectionModel.flip_probs), which is the same law.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -37,6 +41,12 @@ _SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
 _STEPS_PER_PERIOD = 50  # MS integrator steps per period of the faster of tone and mode
 # Largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX), about 9.22e18.
 _POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+# Readout integral: a decay after _DECAY_SPAN lifetimes weighs below e**-40;
+# panels span at most _PANEL_SDS count standard deviations, at most
+# _MAX_PANELS of them (reached past about 1e9 signal counts per window).
+_DECAY_SPAN = 40.0
+_PANEL_SDS = 8.0
+_MAX_PANELS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +105,35 @@ class DetectionModel:
         signal = self.bright_rate * self.window
         k = math.ceil(signal / math.log1p(signal / self.dark_mean))
         return max(1, min(k, int(self.bright_mean)))
+
+    @cached_property
+    def flip_probs(self) -> tuple:
+        """(e0, e1): the probability that the threshold reads a dark ion
+        bright and a bright ion dark, the law sample_counts and classify
+        give without drawing a count.
+
+        e1 = P(Poisson(bright_mean) < k).  A dark ion that stays dark over
+        the window reads bright with P(Poisson(dark_mean) >= k); one that
+        decays at t, with density exp(-t/t1)/t1, gains bright_rate
+        (window - t) counts on average (Myerson et al., PRL 100, 200502
+        (2008)).  That integral is a sum of 40-node Gauss-Legendre panels,
+        none longer than t1 or than _PANEL_SDS standard deviations of the
+        counts at the threshold, over the window or its first
+        _DECAY_SPAN lifetimes."""
+        from scipy.special import pdtr, pdtrc  # loaded here: only measure reads this law
+        k = self.threshold - 1  # P(X >= threshold) = pdtrc(k, m), P(X < threshold) = pdtr(k, m)
+        span = min(self.window, _DECAY_SPAN * self.t1)
+        panels = min(_MAX_PANELS, max(
+            math.ceil(span / self.t1),
+            math.ceil(self.bright_rate * span / (_PANEL_SDS * math.sqrt(k + 1)))))
+        x, weights = np.polynomial.legendre.leggauss(40)
+        width = span / panels
+        t = width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))
+        decayed = (np.exp(-t / self.t1) / self.t1
+                   * pdtrc(k, self.dark_mean + self.bright_rate * (self.window - t)))
+        e0 = (math.exp(-self.window / self.t1) * float(pdtrc(k, self.dark_mean))
+              + 0.5 * width * float(np.sum(weights * decayed)))
+        return min(e0, 1.0), float(pdtr(k, self.bright_mean))
 
     def sample_counts(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Photon counts for an array of projected bits (1 = bright S)."""
@@ -575,11 +614,17 @@ def detect(state: RegisterState, detection: DetectionModel,
 
 def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generator):
     """Sample shots from an outcome law over the 2**n basis states (a
-    state's probabilities(), or a noisy law built from them), then run each
-    bit pattern through the Poisson-threshold detection model.
+    state's probabilities(), or a noisy law built from them), then read
+    each ion out through the detection model's flip law.
 
-    Returns the detected bits, shape (shots, n); the photon counts they are
-    classified from are drawn and dropped.
+    The threshold readout errs on each ion on its own: a dark ion reads
+    bright with probability e0, a bright one dark with e1
+    (DetectionModel.flip_probs), the law of sample_counts then classify.
+    Draws: Generator.choice takes one inverse-CDF uniform per shot for
+    the true outcome, then one uniform per (shot, ion) flips that ion's
+    bit where it falls below the bit's error probability.
+
+    Returns the detected bits, shape (shots, n).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -590,7 +635,9 @@ def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generat
     probs = probs / probs.sum()
     idx = rng.choice(len(probs), p=probs, size=shots)
     bits = ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    return detection.classify(detection.sample_counts(bits, rng))
+    e0, e1 = detection.flip_probs
+    bits ^= rng.random(bits.shape) < np.where(bits == 1, e1, e0)
+    return bits
 
 
 # ---------------------------------------------------------------------------

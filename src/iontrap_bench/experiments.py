@@ -414,17 +414,18 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
 GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
 
 
-def _gate_decay_law(k_gates: int, phi, eps: float) -> np.ndarray:
-    """Outcome law of two ions after k_gates MS(pi/4) gates, each followed
-    by depolarizing eps on both, then R(pi/2, phi) unless phi is None.
-    Depolarizing commutes with the gates, so the law is w of the ideal one
-    and 1 - w of uniform, w = (1 - eps)**k_gates; MS(pi/4)**k_gates is the
-    one gate MS(k_gates pi/4)."""
-    state = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * math.pi / 4)
-    if phi is not None:
-        eng.apply_rotation(state, [0, 1], math.pi / 2, phi)
+def _gate_decay_laws(k_gates: int, eps: float) -> list:
+    """Outcome laws of two ions after k_gates MS(pi/4) gates, each followed
+    by depolarizing eps on both: first with no analysis pulse, then after
+    R(pi/2, phi) for each phi of GATE_DECAY_PHASES.  Depolarizing commutes
+    with the gates, so a law is w of the ideal one and 1 - w of uniform,
+    w = (1 - eps)**k_gates; MS(pi/4)**k_gates is the one gate
+    MS(k_gates pi/4), built once and rotated as a copy for each phase."""
+    gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * math.pi / 4)
+    states = [gate] + [eng.apply_rotation(copy.deepcopy(gate), [0, 1], math.pi / 2, phi)
+                       for phi in GATE_DECAY_PHASES]
     w = (1.0 - eps) ** k_gates
-    return w * state.probabilities()[0] + (1.0 - w) / 4
+    return [w * state.probabilities()[0] + (1.0 - w) / 4 for state in states]
 
 
 def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:
@@ -448,16 +449,13 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
             raise ValueError("the radial bus needs an addressing unit in spec.addressing")
         eps = min(eps + 2.0 * spec.addressing.floor**2, 1.0)
 
-    def survival_bits(k_gates, phi, rng):
-        """Detected bits of all shots after k_gates."""
-        return eng.measure(_gate_decay_law(k_gates, phi, eps), shots, noise.detection, rng)
-
     ys, es = [], []
     for i, k in enumerate(counts):
-        w, _, _ = _witness(
-            survival_bits(k, None, np.random.default_rng([spec.seed, i, 0])),
-            [survival_bits(k, phi, np.random.default_rng([spec.seed, i, 1 + j]))
-             for j, phi in enumerate(GATE_DECAY_PHASES)], GATE_DECAY_PHASES, 2)
+        # Detected bits of all shots, setting j from the stream (seed, i, j).
+        pop, *parity = [eng.measure(law, shots, noise.detection,
+                                    np.random.default_rng([spec.seed, i, j]))
+                        for j, law in enumerate(_gate_decay_laws(k, eps))]
+        w, _, _ = _witness(pop, parity, GATE_DECAY_PHASES, 2)
         ys.append(w["F"])
         es.append(max(w["F_err"], 1e-9))
     ds = Dataset(np.array(counts, dtype=float), np.array(ys), np.array(es))
@@ -486,7 +484,7 @@ def _excited_counts(unit, center_um, positions_um, shots, stream) -> list:
         rng = np.random.default_rng([*stream, i])
         g = relative_rabi(unit, center_um, float(x))
         p = math.sin(_SCAN_PULSE_AREA * g / 2.0) ** 2
-        counts.append(int(np.sum(rng.random(shots) < p)))
+        counts.append(int(rng.binomial(shots, p)))
     return counts
 
 

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
+from scipy.stats import poisson
 
 
 def dephasing_channel(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
@@ -109,3 +111,25 @@ def detection_threshold_scan(det):
         if err < best_err:
             best_k, best_err = k, err
     return best_k
+
+
+def readout_flip_oracle(det) -> tuple:
+    """Reference for DetectionModel.flip_probs: e0 as criterion 10 computes
+    it, integrate.quad of the decay-in-window term plus the dark tail, and
+    e1 the bright counts' CDF below the threshold.  The quad breaks where
+    the integrand changes on a scale short against the window: around the
+    threshold crossing and at 1, 5 and 40 lifetimes."""
+    k = det.threshold
+
+    def integrand(t):
+        mean = det.dark_mean + det.bright_rate * (det.window - t)
+        return math.exp(-t / det.t1) / det.t1 * poisson.sf(k - 1, mean)
+
+    crossing = det.window - (k - det.dark_mean) / det.bright_rate
+    spread = 5.0 * math.sqrt(k) / det.bright_rate
+    points = sorted({p for p in (crossing - spread, crossing, crossing + spread, det.t1,
+                                 5.0 * det.t1, 40.0 * det.t1) if 0.0 < p < det.window})
+    e0, _ = integrate.quad(integrand, 0.0, det.window, points=points or None,
+                           epsabs=1e-300, epsrel=1e-13, limit=1000)
+    e0 += math.exp(-det.window / det.t1) * poisson.sf(k - 1, det.dark_mean)
+    return e0, float(poisson.cdf(k - 1, det.bright_mean))

@@ -323,6 +323,20 @@ def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--n", "3", "--fax", "1e300"], "omega_ax must"),
+    (["--n", "2", "--frad", "1e300"], "omega_rad must"),
+    (["--n", "3", "--fax", "1e-300"], "omega_ax must"),
+    (["--n", "2", "--fax", "1e-150", "--frad", "1e150"], "omega_rad / omega_ax must"),
+], ids=["fax_square_overflows", "frad_square_overflows", "fax_square_underflows",
+        "ratio_square_overflows"])
+def test_chain_frequency_whose_square_is_not_a_float_is_one_error_line(capfd, argv, name):
+    assert main(["chain", *argv]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}") and captured.err.count("\n") == 1
+
+
 def test_simulate_zero_qubit_register_is_one_error_line(tmp_path, circuit_file, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("machine.n_qubits = 0\n")

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import poisson
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
 from oracles import (dephasing_channel, depolarizing_channel, detection_threshold_scan,
-                     ensemble_density, t1_channel, t1_decay_per_qubit)
+                     ensemble_density, readout_flip_oracle, t1_channel, t1_decay_per_qubit)
 
 PI = math.pi
 
@@ -471,17 +472,8 @@ def test_d_decay_probability_analytic():
 
 def test_detection_readout_error_vs_exact_oracle():
     """Monte-Carlo misclassification of a dark ion vs the exact-sum oracle."""
-    from scipy import integrate
     det = eng.DetectionModel()
-    k = det.threshold
-
-    def integrand(t):
-        mean = det.dark_mean + det.bright_rate * (det.window - t)
-        return math.exp(-t / det.t1) / det.t1 * poisson.sf(k - 1, mean)
-
-    p_exact, _ = integrate.quad(integrand, 0.0, det.window)
-    p_exact += math.exp(-det.window / det.t1) * poisson.sf(k - 1, det.dark_mean)
-
+    p_exact, _ = readout_flip_oracle(det)
     shots = 100_000
     rng = np.random.default_rng(2024)
     bits = np.zeros(shots, dtype=np.int8)
@@ -489,6 +481,57 @@ def test_detection_readout_error_vs_exact_oracle():
     errors = int(np.sum(det.classify(counts) == 1))
     se = math.sqrt(p_exact * (1 - p_exact) * shots)
     assert abs(errors - p_exact * shots) <= 3 * se + 3
+
+
+# Bright error resolvable in a test: e0 about 0.0191, e1 about 0.0818.
+RESOLVABLE = eng.DetectionModel(bright_rate=2e4, dark_mean=1.0)
+
+
+@pytest.mark.parametrize("det", [
+    eng.DetectionModel(), RESOLVABLE,
+    eng.DetectionModel(window=1e-2),  # threshold crossing narrow against the window
+    eng.DetectionModel(t1=1e-4),  # lifetime of a third of the window
+    eng.DetectionModel(t1=1e-8),  # every dark ion decays early: e0 near 1
+    eng.DetectionModel(dark_mean=0.0, t1=math.inf)],
+    ids=["default", "resolvable", "long_window", "short_t1", "tiny_t1", "perfect_dark"])
+def test_flip_probs_match_the_quad_oracle(det):
+    e0, e1 = det.flip_probs
+    o0, o1 = readout_flip_oracle(det)
+    assert e0 == pytest.approx(o0, rel=1e-10, abs=1e-300)
+    assert e1 == pytest.approx(o1, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_measure_flip_rate_matches_sampled_counts(bit):
+    """measure's flips and sample_counts + classify read one ion state out
+    with the same error rate: 2e5 ion-readouts each, |z| <= 5."""
+    shots, n = 100_000, 2
+    law = np.zeros(2**n)
+    law[-bit] = 1.0  # all dark (index 0) or all bright (index 2**n - 1)
+    flipped = eng.measure(law, shots, RESOLVABLE, np.random.default_rng(71)) != bit
+    counts = RESOLVABLE.sample_counts(np.full((shots, n), bit, dtype=np.int8),
+                                      np.random.default_rng(72))
+    misread = RESOLVABLE.classify(counts) != bit
+    p1, p2, m = flipped.mean(), misread.mean(), flipped.size
+    pooled = (p1 + p2) / 2.0
+    z = (p1 - p2) / math.sqrt(2.0 * pooled * (1.0 - pooled) / m)
+    assert abs(z) <= 5.0
+
+
+def test_measure_draws_the_outcome_then_one_uniform_per_ion():
+    probs, shots = [0.1, 0.2, 0.3, 0.4], 1000
+    bits = eng.measure(probs, shots, RESOLVABLE, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    true = (rng.choice(4, p=probs, size=shots)[:, None] >> np.arange(2)) & 1
+    e0, e1 = RESOLVABLE.flip_probs
+    assert np.array_equal(bits, true ^ (rng.random((shots, 2)) < np.where(true == 1, e1, e0)))
+
+
+def test_flip_probs_of_a_mean_near_numpy_poisson_limit_are_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e0, e1 = eng.DetectionModel(dark_mean=9.22e18).flip_probs
+    assert 0.0 <= e0 <= 1.0 and 0.0 <= e1 <= 1.0
 
 
 def test_measure_shapes_and_bright_state():

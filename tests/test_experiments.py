@@ -331,9 +331,9 @@ def test_run_ghz_prepares_the_register_once(monkeypatch):
 
 # run_ghz extras at one seed, the GHZ state (odd N) and a product state.
 GHZ_PINNED = {
-    None: {"N": 5, "P": 1.0, "C": 0.9965053030171968, "F": 0.9982526515085983,
-           "P_err": 0.002351148809032321, "C_err": 0.004812880713163899,
-           "F_err": 0.0026782326953309686, "witness": True},
+    None: {"N": 5, "P": 1.0, "C": 0.9953783986476742, "F": 0.997689199323837,
+           "P_err": 0.002351148809032321, "C_err": 0.005412479702685348,
+           "F_err": 0.002950543901308493, "witness": True},
     ((1.0, 0.1), (2.0, -0.3), (0.5, 1.2)): {
         "N": 3, "P": 0.24333333333333335, "C": 0.07839868678548166,
         "F": 0.1608660100594075, "P_err": 0.024773791408275413,
@@ -359,6 +359,24 @@ def test_ghz_phase_span_validation():
 # ---------------------------------------------------------------------------
 # Gate decay
 # ---------------------------------------------------------------------------
+
+def _gate_decay_law_per_setting(k_gates, phi, eps):
+    """A gate-decay law built on a fresh register for each setting."""
+    state = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * PI / 4)
+    if phi is not None:
+        eng.apply_rotation(state, [0, 1], PI / 2, phi)
+    w = (1.0 - eps) ** k_gates
+    return w * state.probabilities()[0] + (1.0 - w) / 4
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_gate_decay_laws_equal_a_fresh_register_per_setting(eps):
+    for k in range(1, 14, 2):
+        laws = exp._gate_decay_laws(k, eps)
+        assert len(laws) == 1 + len(exp.GATE_DECAY_PHASES)
+        for law, phi in zip(laws, [None, *exp.GATE_DECAY_PHASES]):
+            assert np.array_equal(law, _gate_decay_law_per_setting(k, phi, eps)), (k, phi)
+
 
 def test_gate_decay_noise_free():
     spec = _spec("gate_decay", QUIET, shots=800, seed=9)

@@ -127,15 +127,17 @@ def test_rb_survival_matches_per_gate_density_matrix(cliffords, eps):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(k=st.integers(0, 9), phi=st.one_of(st.none(), ANGLES), eps=EPS)
-def test_gate_decay_law_matches_per_gate_density_matrix(k, phi, eps):
+@given(k=st.integers(0, 9), j=st.integers(0, len(exp.GATE_DECAY_PHASES)), eps=EPS)
+def test_gate_decay_law_matches_per_gate_density_matrix(k, j, eps):
+    """Law j has no analysis pulse at j = 0, else R(pi/2, GATE_DECAY_PHASES[j - 1])."""
     sx = np.kron(_X, np.eye(2)) + np.kron(np.eye(2), _X)
     ms = expm(-0.5j * (PI / 4) * (sx @ sx - 2.0 * np.eye(4)))  # MS(pi/4) on two ions
     rho = _noisy(np.diag([0.0, 0.0, 0.0, 1.0]), [ms] * k, eps)  # from |SS>
-    if phi is not None:
+    if j > 0:
+        phi = exp.GATE_DECAY_PHASES[j - 1]
         r = np.kron(_pulse(PI / 2, phi), _pulse(PI / 2, phi))
         rho = r @ rho @ r.conj().T
-    np.testing.assert_allclose(exp._gate_decay_law(k, phi, eps), np.diag(rho).real,
+    np.testing.assert_allclose(exp._gate_decay_laws(k, eps)[j], np.diag(rho).real,
                                rtol=0.0, atol=1e-12)
 
 

@@ -18,7 +18,10 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
 - `experiment_rb_noisy` and `experiment_gate_decay_noisy`: `experiment rb`
   with a `--noise` overlay of `noise.eps_1q = 0.002` and `experiment
   gate_decay` with `noise.eps_2q = 0.01`, so that RB's inverse Clifford
-  and pulse-slot count and the gate-decay weight reach the outputs.
+  and pulse-slot count and the gate-decay weight reach the outputs;
+- `experiment_gate_decay_dim`: `experiment gate_decay` with
+  `noise.detection_bright_rate = 2e4`, so that the bright-ion readout
+  error, which underflows to 0 at the default rate, reaches the outputs.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
@@ -101,10 +104,12 @@ def runs(workdir: str) -> list:
                                    "--shots", "400", "--seed", "4", "--out", "simulate_noisy"]))
     out += [(f"experiment_{kind}", ["experiment", kind, "--out", f"experiment_{kind}"])
             for kind in EXPERIMENT_KINDS]
-    for kind, key, eps in (("rb", "eps_1q", 0.002), ("gate_decay", "eps_2q", 0.01)):
-        overlay = _write(workdir, f"{kind}_noisy.cfg", f"noise.{key} = {eps}\n")
-        out.append((f"experiment_{kind}_noisy", ["experiment", kind, "--noise", overlay,
-                                                 "--out", f"experiment_{kind}_noisy"]))
+    for name, kind, setting in (("rb_noisy", "rb", "eps_1q = 0.002"),
+                                ("gate_decay_noisy", "gate_decay", "eps_2q = 0.01"),
+                                ("gate_decay_dim", "gate_decay", "detection_bright_rate = 2e4")):
+        overlay = _write(workdir, f"{name}.cfg", f"noise.{setting}\n")
+        out.append((f"experiment_{name}", ["experiment", kind, "--noise", overlay,
+                                           "--out", f"experiment_{name}"]))
     return out
 
 
