@@ -105,12 +105,16 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(*paths) -> dict:
-    """Defaults overlaid with the keys each file sets, in order (None skipped)."""
+    """Defaults overlaid with the keys each file sets, in order (None
+    skipped), checked where they enter: each section is built once, and a
+    value its dataclass rejects raises there, naming the field."""
     cfg = default_config()
     for path in paths:
         if path:
             with open(path, encoding="utf-8") as fh:
                 cfg.update(_parse_lines(fh.read()))
+    for build in (build_machine, build_trap, build_noise, build_addressing):
+        build(cfg)
     return cfg
 
 
@@ -174,7 +178,6 @@ def build_noise(cfg: dict) -> NoiseConfig:
             bright_rate=cfg["noise.detection_bright_rate"],
             window=cfg["noise.detection_window_s"],
             dark_mean=cfg["noise.detection_dark_mean"],
-            t1=cfg["noise.t1_s"],
         ),
     )
 

@@ -60,7 +60,7 @@ class DetectionModel:
     bright_rate: float = 5e5  # counts/s
     window: float = 3e-4  # s
     dark_mean: float = 2.0  # counts per window
-    t1: float = 1.168  # s, D-state lifetime folded into the window
+    t1: float = 1.168  # s, D-state lifetime folded into the window (a NoiseConfig's t1)
 
     def __post_init__(self):
         if not self.t1 > 0:
@@ -173,12 +173,13 @@ class NoiseConfig:
     gradient_hz_per_um: float = 3.1  # ground-state qubit, uncompensated
     gradient_compensated_hz_per_um: float = 0.2
     gradient_compensation: bool = True
-    detection: DetectionModel = field(default_factory=DetectionModel)
+    detection: DetectionModel = field(default_factory=DetectionModel)  # takes t1 above
 
     def __post_init__(self):
         for name in ("t2_optical", "t2_ground", "t1"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        object.__setattr__(self, "detection", replace(self.detection, t1=self.t1))
         for name in ("heating_rate_ref", "collision_rate"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "

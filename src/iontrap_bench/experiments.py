@@ -3,17 +3,17 @@ benchmarking, sideband thermometry, heating, GHZ witnesses, gate decay,
 and addressing scans.
 
 Simulated shots run on the engine: ramsey and gradient through
-run_schedule.  RB and gate decay sample their exact outcome law: the
+run_schedule.  RB, GHZ and gate decay sample their exact outcome law: the
 depolarizing channel (1 - eps) rho + eps I/d after each of G gates
 commutes with every unitary, so the law is w |<b|U|S...S>|^2 + (1 - w)/d
-with w = (1 - eps)**G; an RB sequence is one binomial draw, a gate-decay
-setting one engine.measure of that law (Magesan, Gambetta & Emerson, PRL
-106, 180504 (2011)).  Heating samples its closed-form law: jump rates up
-r(n+1) and down r n keep a thermal ensemble thermal with mean nbar0 + r t,
-so each point draws Fock numbers from that thermal law.  Every run_*
-function is deterministic given (spec, seed): each point draws from its
-own stream keyed by the seed and the point index, and aggregation is
-ordered.
+with w = (1 - eps)**G; an RB sequence is one binomial draw, and each
+setting of the parity scan that GHZ and gate decay share is one
+engine.measure of that law (Magesan, Gambetta & Emerson, PRL 106, 180504
+(2011)).  Heating samples its closed-form law: jump rates up r(n+1) and
+down r n keep a thermal ensemble thermal with mean nbar0 + r t, so each
+point draws Fock numbers from that thermal law.  Every run_* function is
+deterministic given (spec, seed): each point draws from its own stream
+keyed by the seed and the point index, and aggregation is ordered.
 """
 
 from __future__ import annotations
@@ -355,11 +355,29 @@ def ghz_state_fidelity(n: int) -> float:
     return float((abs(a) + abs(b)) ** 2 / 2.0)
 
 
-def _witness(pop_bits, parity_bits, phases, n: int) -> tuple:
-    """(witness, parity dataset, fringe fit at frequency n) from bits.  The
-    witness holds P, C = min(fringe amplitude, 1), F = (P+C)/2 and, under
-    <name>_err, the error of each."""
-    shots = len(pop_bits)
+def _parity_scan_laws(prepared: eng.RegisterState, w: float, phases):
+    """The outcome law of prepared, then for each phase its law after
+    R(pi/2, phi) on every ion, each mixed in place as w P + (1 - w)/2**n;
+    a rotated copy is dropped once its law is taken."""
+    n = prepared.n
+    for phi in (None, *phases):
+        law = (prepared if phi is None else eng.apply_rotation(
+            copy.deepcopy(prepared), range(n), math.pi / 2, phi)).probabilities()[0]
+        law *= w
+        law += (1.0 - w) / 2**n
+        yield law
+
+
+def _parity_witness(spec: ExperimentSpec, prepared: eng.RegisterState, w: float,
+                    phases, streams) -> tuple:
+    """(witness, parity dataset, fringe fit at frequency n) of the parity
+    scan of prepared, law j read out by engine.measure from streams[j].
+    The witness holds P, C = min(fringe amplitude, 1), F = (P+C)/2 and,
+    under <name>_err, the error of each."""
+    n, shots = prepared.n, spec.shots
+    pop_bits, *parity_bits = [
+        eng.measure(law, shots, spec.noise.detection, np.random.default_rng(key))
+        for law, key in zip(_parity_scan_laws(prepared, w, phases), streams)]
     sums = pop_bits.sum(axis=1)
     k_pop = int(np.sum((sums == 0) | (sums == n)))
     par, err = [], []
@@ -383,67 +401,47 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     The register is prepared once, by ghz_prepare or, with product_state,
     by per-qubit rotations (theta, phi) for witness-soundness studies; the
     populations sample it, each analysis phase a copy after R(pi/2, phi).
-
-    The gates are ideal: of spec.noise only the detection model acts, so
-    no coherence, depolarizing, SPAM or heating setting changes the state.
+    ghz_prepare's MS is charged noise.eps_2q on every ion, as simulate
+    charges an MS: P and C tend to w + (1 - w) 2/2**n and w = 1 - eps_2q.
+    The gates are otherwise ideal: of the rest of spec.noise only the
+    detection model acts.
     """
     if n < 2:
         raise ValueError("need N >= 2")
     phases = np.asarray(analysis_phases, dtype=float)
     if phases.max() - phases.min() < 2.0 * math.pi / n * (1.0 - 1e-9):
         raise ValueError("phases must span at least one parity period")
-    prepared = eng.RegisterState(n)
+    prepared, w = eng.RegisterState(n), 1.0  # a product state has no gate to charge
     if product_state is None:
         ghz_prepare(prepared)
+        w = 1.0 - spec.noise.eps_2q
     else:
         for q, (theta, phi_q) in enumerate(product_state):
             eng.apply_rotation(prepared, [q], theta, phi_q)
-
-    def measured(state, rng):
-        return eng.measure(state.probabilities()[0], spec.shots, spec.noise.detection, rng)
-
-    w, ds, fringe = _witness(
-        measured(prepared, np.random.default_rng([spec.seed, 0])),
-        [measured(eng.apply_rotation(copy.deepcopy(prepared), range(n), math.pi / 2, phi),
-                  np.random.default_rng([spec.seed, 1, i]))
-         for i, phi in enumerate(phases)], phases, n)
+    streams = [[spec.seed, 0]] + [[spec.seed, 1, i] for i in range(len(phases))]
+    witness, ds, fringe = _parity_witness(spec, prepared, w, phases, streams)
     return ExperimentResult({"points": ds}, {"fringe": fringe},
-                            {"N": n, **w, "witness": bool(w["F"] > 0.5)})
+                            {"N": n, **witness, "witness": bool(witness["F"] > 0.5)})
 
 
 GATE_DECAY_PHASES = np.linspace(0.0, math.pi, 8, endpoint=False)  # parity analysis
-
-
-def _gate_decay_laws(k_gates: int, eps: float) -> list:
-    """Outcome laws of two ions after k_gates MS(pi/4) gates, each followed
-    by depolarizing eps on both: first with no analysis pulse, then after
-    R(pi/2, phi) for each phi of GATE_DECAY_PHASES.  Depolarizing commutes
-    with the gates, so a law is w of the ideal one and 1 - w of uniform,
-    w = (1 - eps)**k_gates; MS(pi/4)**k_gates is the one gate
-    MS(k_gates pi/4), built once and rotated as a copy for each phase."""
-    gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * math.pi / 4)
-    states = [gate] + [eng.apply_rotation(copy.deepcopy(gate), [0, 1], math.pi / 2, phi)
-                       for phi in GATE_DECAY_PHASES]
-    w = (1.0 - eps) ** k_gates
-    return [w * state.probabilities()[0] + (1.0 - w) / 4 for state in states]
 
 
 def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> ExperimentResult:
     """Repeated two-ion MS gates; F(k) = (P+C)/2 fitted to A p^k + 0.25.
 
     Each gate is followed by depolarizing on both ions with probability
-    eps_2q.  On the radial bus, which needs an addressing unit in
-    spec.addressing, eps also gains 2 floor**2, the crosstalk-floor
-    spillover of the two addressed beams; no spectator ion or chain
-    position enters.
+    eps_2q, so k gates scan MS(k pi/4)|SS> with w = (1 - eps)**k.  On the
+    radial bus, which needs an addressing unit in spec.addressing, eps also
+    gains 2 floor**2, the crosstalk-floor spillover of the two addressed
+    beams; no spectator ion or chain position enters.
     """
     counts = [int(k) for k in gate_counts]
     if any(k % 2 == 0 for k in counts) or sorted(counts) != counts:
         raise ValueError("gate counts must be odd and ascending")
     if bus not in ("axial", "radial"):
         raise ValueError(f"bus must be 'axial' or 'radial', got {bus!r}")
-    noise, shots = spec.noise, spec.shots
-    eps = noise.eps_2q
+    eps = spec.noise.eps_2q
     if bus == "radial":
         if spec.addressing is None:
             raise ValueError("the radial bus needs an addressing unit in spec.addressing")
@@ -451,11 +449,9 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
 
     ys, es = [], []
     for i, k in enumerate(counts):
-        # Detected bits of all shots, setting j from the stream (seed, i, j).
-        pop, *parity = [eng.measure(law, shots, noise.detection,
-                                    np.random.default_rng([spec.seed, i, j]))
-                        for j, law in enumerate(_gate_decay_laws(k, eps))]
-        w, _, _ = _witness(pop, parity, GATE_DECAY_PHASES, 2)
+        gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k * math.pi / 4)
+        streams = [[spec.seed, i, j] for j in range(1 + len(GATE_DECAY_PHASES))]
+        w, _, _ = _parity_witness(spec, gate, (1.0 - eps) ** k, GATE_DECAY_PHASES, streams)
         ys.append(w["F"])
         es.append(max(w["F_err"], 1e-9))
     ds = Dataset(np.array(counts, dtype=float), np.array(ys), np.array(es))

@@ -323,6 +323,27 @@ def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--circuit", None], "trap.f_ax_hz = -5\n"),
+    (["compile", "--circuit", None], "trap.f_ax_hz = -5\n"),
+    (["experiment", "gate_decay"], "trap.f_ax_hz = 0\nengine.fock_cutoff = 100000\n"),
+], ids=["simulate", "compile", "gate_decay"])
+def test_config_is_checked_where_it_enters(tmp_path, circuit_file, capfd, argv, config):
+    """Every section is built when the config loads, the trap too, which
+    none of these commands reads."""
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(config)
+    flag = "--machine" if argv[0] == "compile" else "--config"
+    argv = [circuit_file if a is None else a for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, flag, str(cfg), "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: omega_ax must be finite and positive")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["--n", "3", "--fax", "1e300"], "omega_ax must"),
     (["--n", "2", "--frad", "1e300"], "omega_rad must"),

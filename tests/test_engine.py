@@ -534,6 +534,11 @@ def test_flip_probs_of_a_mean_near_numpy_poisson_limit_are_finite():
     assert 0.0 <= e0 <= 1.0 and 0.0 <= e1 <= 1.0
 
 
+@pytest.mark.parametrize("t1", [math.inf, 1e-3])
+def test_noise_config_reads_out_with_its_own_t1(t1):
+    assert eng.NoiseConfig(t1=t1).detection.flip_probs == eng.DetectionModel(t1=t1).flip_probs
+
+
 def test_measure_shapes_and_bright_state():
     st = eng.RegisterState(2)  # all-bright
     det = eng.DetectionModel()

@@ -317,6 +317,19 @@ def test_ghz_witness_sound_on_product_states():
         assert res.extra["F"] <= 0.5 + 3.0 * res.extra["F_err"]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_ghz_charges_eps_2q_after_the_ms(n):
+    """Depolarizing eps_2q on every ion after the MS leaves P and C at
+    w + (1 - w) 2/2**N and w, w = 1 - eps_2q, under a quiet readout."""
+    noise = eng.NoiseConfig(eps_2q=0.1, t2_optical=math.inf, t2_ground=math.inf,
+                            t1=math.inf, collision_rate=0.0)
+    res = exp.run_ghz(_spec("ghz", noise, shots=20000, seed=21),
+                      n, np.linspace(0.0, 2.0 * PI, 16, endpoint=False))
+    w, x = 0.9, res.extra
+    assert abs(x["P"] - (w + (1.0 - w) * 2.0 / 2**n)) < 4.0 * x["P_err"]
+    assert abs(x["C"] - w) < 4.0 * x["C_err"]
+
+
 def test_run_ghz_prepares_the_register_once(monkeypatch):
     calls, inner = [], exp.ghz_prepare
 
@@ -372,7 +385,8 @@ def _gate_decay_law_per_setting(k_gates, phi, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 def test_gate_decay_laws_equal_a_fresh_register_per_setting(eps):
     for k in range(1, 14, 2):
-        laws = exp._gate_decay_laws(k, eps)
+        gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k * PI / 4)
+        laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES))
         assert len(laws) == 1 + len(exp.GATE_DECAY_PHASES)
         for law, phi in zip(laws, [None, *exp.GATE_DECAY_PHASES]):
             assert np.array_equal(law, _gate_decay_law_per_setting(k, phi, eps)), (k, phi)
@@ -442,7 +456,9 @@ def test_addressing_scan_waists():
         assert abs(res.extra["w0_um"] - w0) < tol
 
 
-AOD_BENCH_SEEDS = (176493629, 1664273181)  # waist 5-sigma failures of one-pass weights
+# The two seeds of 0-199999 whose first fit, weighted by the observed
+# fractions, puts the AOD waist furthest out: pulls -6.96 and -6.87.
+AOD_HARD_SEEDS = (118186, 111438)
 
 
 def test_addressing_scan_waist_pull_is_not_biased_low():
@@ -456,7 +472,7 @@ def test_addressing_scan_waist_pull_is_not_biased_low():
         return (res.extra["w0_um"] - unit.w0_um) / res.extra["w0_err_um"]
 
     assert np.mean([pull(seed) for seed in range(100)]) > -0.4
-    for seed in AOD_BENCH_SEEDS:
+    for seed in AOD_HARD_SEEDS:
         assert abs(pull(seed)) < 5.0
 
 

@@ -1,5 +1,5 @@
 """Property-based tests: batched noise operators, batched against single
-states, the outcome laws RB and gate decay sample against per-gate
+states, the outcome laws RB, gate decay and GHZ sample against per-gate
 density matrices, the 1-qubit layer kernel, T1 decay and dephasing
 against their per-qubit references, the compiled schedule against the
 gate-level reference, config round-trips, circuit parsing and compiling,
@@ -126,19 +126,51 @@ def test_rb_survival_matches_per_gate_density_matrix(cliffords, eps):
                                rtol=0.0, atol=1e-12)
 
 
+def _all_bright(n):
+    """|S...S><S...S| of n ions: every bit 1, the last basis state."""
+    rho = np.zeros((2**n, 2**n))
+    rho[-1, -1] = 1.0
+    return rho
+
+
+def _on_every_ion(u, n):
+    return functools.reduce(np.kron, [u] * n)
+
+
+def _ms(n, chi):
+    """MS(chi) on every one of n ions: exp(-i chi/2 (Sx**2 - n))."""
+    sx = sum(np.kron(np.kron(np.eye(2 ** (n - 1 - q)), _X), np.eye(2**q)) for q in range(n))
+    return expm(-0.5j * chi * (sx @ sx - n * np.eye(2**n)))
+
+
+def _scan_laws(rho, n, phases):
+    """Diagonals of rho, then of rho after R(pi/2, phi) on every ion, per phase."""
+    rs = [np.eye(2**n)] + [_on_every_ion(_pulse(PI / 2, phi), n) for phi in phases]
+    return [np.diag(r @ rho @ r.conj().T).real for r in rs]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(k=st.integers(0, 9), j=st.integers(0, len(exp.GATE_DECAY_PHASES)), eps=EPS)
 def test_gate_decay_law_matches_per_gate_density_matrix(k, j, eps):
     """Law j has no analysis pulse at j = 0, else R(pi/2, GATE_DECAY_PHASES[j - 1])."""
-    sx = np.kron(_X, np.eye(2)) + np.kron(np.eye(2), _X)
-    ms = expm(-0.5j * (PI / 4) * (sx @ sx - 2.0 * np.eye(4)))  # MS(pi/4) on two ions
-    rho = _noisy(np.diag([0.0, 0.0, 0.0, 1.0]), [ms] * k, eps)  # from |SS>
-    if j > 0:
-        phi = exp.GATE_DECAY_PHASES[j - 1]
-        r = np.kron(_pulse(PI / 2, phi), _pulse(PI / 2, phi))
-        rho = r @ rho @ r.conj().T
-    np.testing.assert_allclose(exp._gate_decay_laws(k, eps)[j], np.diag(rho).real,
+    rho = _noisy(_all_bright(2), [_ms(2, PI / 4)] * k, eps)
+    gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k * PI / 4)
+    laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES))
+    np.testing.assert_allclose(laws[j], _scan_laws(rho, 2, exp.GATE_DECAY_PHASES)[j],
                                rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), phases=st.lists(ANGLES, max_size=3), eps=EPS)
+def test_ghz_laws_match_per_gate_density_matrix(n, phases, eps):
+    """ghz_prepare's MS(pi/4), depolarizing on every ion, its trailing
+    R(pi/2, 0) at odd n, then each analysis pulse."""
+    rho = _noisy(_all_bright(n), [_ms(n, PI / 4)], eps)
+    if n % 2 == 1:
+        r = _on_every_ion(_pulse(PI / 2, 0.0), n)
+        rho = r @ rho @ r.conj().T
+    laws = exp._parity_scan_laws(exp.ghz_prepare(eng.RegisterState(n)), 1.0 - eps, phases)
+    np.testing.assert_allclose(list(laws), _scan_laws(rho, n, phases), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -19,9 +19,12 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
   with a `--noise` overlay of `noise.eps_1q = 0.002` and `experiment
   gate_decay` with `noise.eps_2q = 0.01`, so that RB's inverse Clifford
   and pulse-slot count and the gate-decay weight reach the outputs;
-- `experiment_gate_decay_dim`: `experiment gate_decay` with
-  `noise.detection_bright_rate = 2e4`, so that the bright-ion readout
-  error, which underflows to 0 at the default rate, reaches the outputs.
+- `experiment_gate_decay_dim` and `experiment_ghz_dim`: `experiment
+  gate_decay` and `experiment ghz` with `noise.detection_bright_rate =
+  2e4`, so that the bright-ion readout error, which underflows to 0 at the
+  default rate, reaches the outputs;
+- `experiment_ghz_noisy`: `experiment ghz` with `noise.eps_2q = 0.05`, so
+  that the GHZ state's depolarizing weight reaches the outputs.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
@@ -106,7 +109,9 @@ def runs(workdir: str) -> list:
             for kind in EXPERIMENT_KINDS]
     for name, kind, setting in (("rb_noisy", "rb", "eps_1q = 0.002"),
                                 ("gate_decay_noisy", "gate_decay", "eps_2q = 0.01"),
-                                ("gate_decay_dim", "gate_decay", "detection_bright_rate = 2e4")):
+                                ("gate_decay_dim", "gate_decay", "detection_bright_rate = 2e4"),
+                                ("ghz_dim", "ghz", "detection_bright_rate = 2e4"),
+                                ("ghz_noisy", "ghz", "eps_2q = 0.05")):
         overlay = _write(workdir, f"{name}.cfg", f"noise.{setting}\n")
         out.append((f"experiment_{name}", ["experiment", kind, "--noise", overlay,
                                            "--out", f"experiment_{name}"]))

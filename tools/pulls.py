@@ -1,17 +1,20 @@
-"""Pulls of the RB gate error and the gate-decay per-gate fidelity over
-many seeds, at the benchmark's `characterization` settings.
+"""Pulls of the RB gate error, the gate-decay per-gate fidelity and the
+GHZ fidelity over many seeds, at the benchmark's `characterization`
+settings.
 
     python3 tools/pulls.py [K]
 
-Runs K passes (default 100) of `run_rb` and `run_gate_decay`, at seeds
-0, 1000, ..., 1000 (K - 1), with the shots, noise, sequence lengths and gate
-counts of bench/workloads.py.  The pull of a pass is (recovered - injected)
-/ reported error: the injected RB gate error is eps_1q / 2 and the injected
-per-gate fidelity 1 - 0.75 eps_2q.  Honest 1-sigma errors give pulls of
-mean 0 and standard deviation 1.  All passes share one fresh Python
-process with one BLAS thread, importing the package from this checkout's
-src/.  Prints one JSON line per quantity: K, the mean pull, its standard
-error, the standard deviation, and the machine.
+Runs K passes (default 100) of `run_rb`, `run_gate_decay` and `run_ghz`, at
+seeds 0, 1000, ..., 1000 (K - 1), with the shots, noise, sequence lengths,
+gate counts, GHZ size and analysis phases of bench/workloads.py; GHZ runs
+with the gate-decay eps_2q and infinite t1 and t2.  The pull of a pass is
+(recovered - injected) / reported error: the injected RB gate error is
+eps_1q / 2, the injected per-gate fidelity 1 - 0.75 eps_2q and the injected
+GHZ fidelity w + (1 - w)/2**N, w = 1 - eps_2q.  Honest 1-sigma errors give
+pulls of mean 0 and standard deviation 1.  All passes share one fresh
+Python process with one BLAS thread, importing the package from this
+checkout's src/.  Prints one JSON line per quantity: K, the mean pull, its
+standard error, the standard deviation, and the machine.
 """
 
 import json
@@ -52,7 +55,12 @@ def run_all(k_passes: int) -> None:
             "gate_decay", eng.NoiseConfig(eps_2q=w.GATE_EPS_2Q),
             lambda s: exp.run_gate_decay(s, w.GATE_COUNTS),
             lambda x: x["per_gate_fidelity"], "per_gate_fidelity_err",
-            1.0 - 0.75 * w.GATE_EPS_2Q)}
+            1.0 - 0.75 * w.GATE_EPS_2Q),
+        "ghz fidelity": pull(
+            "ghz", eng.NoiseConfig(eps_2q=w.GATE_EPS_2Q, t1=math.inf, t2_optical=math.inf,
+                                   t2_ground=math.inf),
+            lambda s: exp.run_ghz(s, w.GHZ_N, w.GHZ_PHASES), lambda x: x["F"], "F_err",
+            1.0 - w.GATE_EPS_2Q + w.GATE_EPS_2Q / 2**w.GHZ_N)}
     machine = machine_info()
     for name, pulls in quantities.items():
         sd = float(np.std(pulls, ddof=1))
