@@ -122,11 +122,9 @@ def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
     # Uniform spacing over an empirically adequate span.
     span = 2.018 * n**0.559
     u = np.linspace(-span / 2, span / 2, n)
-    residual = np.inf
     for _ in range(_NEWTON_STEPS):
         g = _scaled_gradient(u)
-        residual = float(np.max(np.abs(g)))
-        if residual < _FORCE_TOL:
+        if np.max(np.abs(g)) < _FORCE_TOL:
             break
         h = _scaled_hessian(u)
         step = np.linalg.solve(h, g)
@@ -139,9 +137,7 @@ def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
             alpha *= 0.5
         u = u - alpha * step
     else:
-        raise SolverError(
-            f"equilibrium solver did not converge for n={n}", residual=residual
-        )
+        raise SolverError(f"equilibrium solver did not converge for n={n}")
     u -= u.mean()
     return IonChain(u * length_scale_um(trap.omega_ax), trap)
 

@@ -15,9 +15,8 @@ from . import chain as chain_mod
 from . import compiler as comp
 from . import engine as eng
 from . import experiments as exp
-from .chain import TrapConfig
-from .config import (build_addressing, build_machine, build_noise, config_digest,
-                     load_config)
+from .config import (build_addressing, build_machine, build_noise, build_trap,
+                     config_digest, load_config)
 from .errors import IonTrapBenchError
 from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
                       fit_linear, fit_power_law)
@@ -32,24 +31,16 @@ def _build_parser():
 
     c = sub.add_parser("chain", help="equilibrium positions and normal modes")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--fax", type=float, default=1.0e6, help="axial COM frequency, Hz")
-    c.add_argument("--frad", type=float, default=3.0e6, help="radial COM frequency, Hz")
 
     k = sub.add_parser("compile", help="compile a circuit file to a pulse schedule")
     k.add_argument("--circuit", required=True)
-    k.add_argument("--machine", default=None, help="config file for machine keys")
 
     s = sub.add_parser("simulate", help="run a circuit through the noisy engine")
     s.add_argument("--circuit", required=True)
-    s.add_argument("--config", default=None)
-    s.add_argument("--shots", type=int, default=100)
     s.add_argument("--threads", type=int, default=1, help="no effect on results")
 
     e = sub.add_parser("experiment", help="run a characterization experiment")
     e.add_argument("kind", choices=exp.EXPERIMENT_KINDS)
-    e.add_argument("--config", default=None, help="machine/trap/addressing config")
-    e.add_argument("--noise", default=None, help="noise config overlay")
-    e.add_argument("--shots", type=int, default=None, help="override experiment.shots")
     e.add_argument("--qubit-kind", choices=("ground", "optical"), default="ground")
     e.add_argument("--bus", choices=("axial", "radial"), default="axial")
     e.add_argument("--ghz-n", type=int, default=4)
@@ -61,7 +52,12 @@ def _build_parser():
                             "power_law", "linear"))
     f.add_argument("--data", required=True, help="CSV with x,y,yerr")
     f.add_argument("--frequency", type=float, default=1.0, help="fringe fixed frequency")
+    for parser in (c, k, s, e):
+        parser.add_argument("--config", action="append", default=[], metavar="PATH",
+                            help="config file; may repeat, a later file overrides "
+                                 "the keys it sets")
     for parser in (s, e):
+        parser.add_argument("--shots", type=int, default=100)
         parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     for parser in (c, k, s, e, f):
         parser.add_argument("--out", default=None, help="output file or directory")
@@ -84,8 +80,7 @@ def _emit(text: str, path: str = None) -> int:
 
 
 def cmd_chain(args) -> int:
-    trap = TrapConfig(omega_ax=2 * math.pi * args.fax, omega_rad=2 * math.pi * args.frad)
-    chain = chain_mod.equilibrium_positions(args.n, trap)
+    chain = chain_mod.equilibrium_positions(args.n, build_trap(load_config(*args.config)))
     lines = ["ion_index,position_um"]
     lines += [f"{i},{_fmt(z)}" for i, z in enumerate(chain.positions)]
     lines.append("mode_index,freq_hz,direction")
@@ -102,12 +97,12 @@ def _compile_file(path: str, machine) -> comp.PulseSchedule:
 
 
 def cmd_compile(args) -> int:
-    schedule = _compile_file(args.circuit, build_machine(load_config(args.machine)))
+    schedule = _compile_file(args.circuit, build_machine(load_config(*args.config)))
     return _emit(schedule.to_json() + "\n", args.out)
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(*args.config)
     machine = build_machine(cfg)
     records = eng.run_schedule(_compile_file(args.circuit, machine), machine,
                                build_noise(cfg), args.shots, seed=args.seed)
@@ -125,8 +120,8 @@ def cmd_simulate(args) -> int:
         "provenance": {"seed": args.seed, "config_digest": config_digest(cfg)},
     }
     write_json(os.path.join(out, "summary.json"), summary)
-    manifest = RunManifest(args.seed, cfg, inputs=(args.circuit,),
-                           outputs=("shots.csv", "summary.json"))
+    manifest = RunManifest(args.seed, cfg, inputs=(args.circuit, *args.config),
+                           outputs=("shots.csv", "summary.json"), command="simulate")
     write_json(os.path.join(out, "manifest.json"), manifest.to_dict())
     return 0
 
@@ -138,13 +133,12 @@ def _ghz_phases(n: int) -> np.ndarray:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config, args.noise)
+    cfg = load_config(*args.config)
     machine = build_machine(cfg)
     noise = build_noise(cfg)
     unit = build_addressing(cfg)
-    shots = args.shots if args.shots is not None else cfg["experiment.shots"]
     spec = exp.ExperimentSpec(args.kind, machine=machine, noise=noise,
-                              addressing=unit, shots=shots, seed=args.seed)
+                              addressing=unit, shots=args.shots, seed=args.seed)
 
     if args.kind == "ramsey":
         t2 = noise.t2(args.qubit_kind)
@@ -171,8 +165,8 @@ def cmd_experiment(args) -> int:
         tones = [1.0, 2.0, 3.0, 4.0, 5.0] if unit.kind == "aod" else None
         result = exp.run_addressing_scan(spec, unit, calibration_tones_mhz=tones)
 
-    manifest = RunManifest(args.seed, cfg,
-                           inputs=tuple(p for p in (args.config, args.noise) if p))
+    manifest = RunManifest(args.seed, cfg, inputs=tuple(args.config),
+                           command=f"experiment {args.kind}")
     write_results(args.out or ".", result.datasets, result.fits, manifest,
                   extra=result.extra)
     return 0

@@ -51,7 +51,6 @@ SCHEMA = {
     "addressing.w0_um": (float, -1.0),  # -1 = kind default (0.81 / 1.09)
     "addressing.floor": (float, -1.0),  # -1 = kind default (0.024 / 0.005)
     "addressing.slope_um_per_mhz": (float, 4.9),
-    "experiment.shots": (int, 100),
 }
 
 

@@ -163,7 +163,7 @@ class NoiseConfig:
     t2_optical: float = 0.090  # s
     t2_ground: float = 0.018  # s
     t1: float = 1.168  # s
-    eps_1q: float = 0.0  # depolarizing per pi/2 of angle in simulate, per pulse slot in rb
+    eps_1q: float = 0.0  # depolarizing probability per single-qubit pulse
     eps_2q: float = 0.0  # per-MS depolarizing probability
     spam_prep: float = 0.0  # probability of preparing D instead of S
     heating_rate_ref: float = 0.221  # quanta/s at omega_ref
@@ -861,8 +861,7 @@ def _run_events(events, state, noise, rng, crosstalk, t2,
                     apply_rotation(state, targets, e.angle, e.phase, rabi_scale=scale)
                 else:
                     apply_rz(state, targets, e.angle, scale=scale)
-                eps = noise.eps_1q * abs(e.angle) / (math.pi / 2)
-                apply_depolarizing(state, e.targets, eps, rng)
+                apply_depolarizing(state, e.targets, noise.eps_1q, rng)
         elif e.kind == "measure":
             idle(state, e.start)
             last["bits"], last["counts"] = detect(state, noise.detection, rng)

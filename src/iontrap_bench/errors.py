@@ -6,11 +6,7 @@ class IonTrapBenchError(Exception):
 
 
 class SolverError(IonTrapBenchError):
-    """Equilibrium solver failed to converge; carries the final residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Equilibrium solver failed to converge."""
 
 
 class ZigzagInstability(IonTrapBenchError):
@@ -45,11 +41,7 @@ class FockLeakage(IonTrapBenchError):
 
 
 class FitFailure(IonTrapBenchError):
-    """Weighted fit did not converge; carries the best iterate if available."""
-
-    def __init__(self, message, best_params=None):
-        super().__init__(message)
-        self.best_params = best_params
+    """Weighted fit did not converge."""
 
 
 class SchemaError(IonTrapBenchError):

@@ -208,9 +208,8 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     than RB_SEQUENCES shots raise ValueError.  R_Clif = (1-p)/2; the
     per-pulse fidelity follows from the 1.875 average Clifford cost.
     Every pulse slot, a pi pulse and the zero-angle identity slot alike,
-    costs one noise.eps_1q, where run_schedule (simulate) charges a carrier
-    eps_1q * |theta| / (pi/2): the same eps_1q is a different error rate
-    in experiment rb and in simulate.
+    costs one noise.eps_1q, as every single-qubit pulse does in
+    run_schedule (simulate).
     """
     lengths = [int(n) for n in sequence_lengths]
     if len(set(lengths)) < 4 or max(lengths) > 100:

@@ -84,9 +84,9 @@ def _curve(model, names, func, ds, p0, bounds=(-np.inf, np.inf)):
         popt, pcov = curve_fit(func, ds.x, ds.y, p0=p0, sigma=ds.yerr,
                                absolute_sigma=True, bounds=bounds, maxfev=_MAX_EVALS)
     except RuntimeError as exc:
-        raise FitFailure(f"{model} fit did not converge: {exc}", best_params=p0)
+        raise FitFailure(f"{model} fit did not converge: {exc}")
     if not np.all(np.isfinite(pcov)):
-        raise FitFailure(f"{model} fit covariance is singular", best_params=popt)
+        raise FitFailure(f"{model} fit covariance is singular")
     return _finish(model, names, func, ds, popt, pcov)
 
 

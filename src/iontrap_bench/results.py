@@ -29,9 +29,11 @@ class RunManifest:
     config: dict
     inputs: tuple = ()
     outputs: tuple = ()
+    command: str = ""  # the CLI command that wrote the run, e.g. "experiment rb"
 
     def to_dict(self) -> dict:
         return {
+            "command": self.command,
             "seed": self.seed,
             "config_digest": config_digest(self.config),
             "tool_version": __version__,

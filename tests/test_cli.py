@@ -16,7 +16,7 @@ import pytest
 import iontrap_bench
 from iontrap_bench import cli
 from iontrap_bench.cli import main
-from iontrap_bench.config import SCHEMA
+from iontrap_bench.config import SCHEMA, config_digest, load_config
 
 CIRCUIT = """PREPARE
 R 1.5707963267948966 0.0 all
@@ -33,8 +33,9 @@ def circuit_file(tmp_path):
 
 
 def test_chain_csv_output(tmp_path, capsys):
-    out = tmp_path / "chain.csv"
-    assert main(["chain", "--n", "3", "--fax", "450e3", "--out", str(out)]) == 0
+    out, cfg = tmp_path / "chain.csv", tmp_path / "trap.cfg"
+    cfg.write_text("trap.f_ax_hz = 450e3\n")
+    assert main(["chain", "--n", "3", "--config", str(cfg), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "ion_index,position_um"
     assert lines[4] == "mode_index,freq_hz,direction"
@@ -50,7 +51,8 @@ def test_chain_stdout(capsys):
     assert capsys.readouterr().out.startswith("ion_index,position_um")
 
 
-# Output of the Ca-40 chain at these arguments, pinned bitwise.
+# Output of the Ca-40 chain at these arguments, pinned bitwise (SHA-256
+# c594e5eebce950824b29bdb2b10e2d6c04db0ff2015199fd55d9e2f4b0979dc1).
 CHAIN_11_ION_CSV = """\
 ion_index,position_um
 0,-23.105703333337374
@@ -90,9 +92,29 @@ mode_index,freq_hz,direction
 """
 
 
-def test_chain_stdout_is_pinned(capsys):
-    assert main(["chain", "--n", "11", "--fax", "450e3", "--frad", "3e6"]) == 0
+def test_chain_stdout_is_pinned(tmp_path, capsys):
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text("trap.f_ax_hz = 450e3\ntrap.f_rad_hz = 3e6\n")
+    assert main(["chain", "--n", "11", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == CHAIN_11_ION_CSV
+
+
+def test_later_config_overrides_the_keys_it_sets(tmp_path, circuit_file, capsys):
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("trap.f_ax_hz = 2e6\ntrap.f_rad_hz = 3e6\nnoise.spam_prep = 0.5\n")
+    second.write_text("trap.f_ax_hz = 450e3\nnoise.spam_prep = 0.01\n")
+    assert main(["chain", "--n", "11", "--config", str(first), "--config", str(second)]) == 0
+    assert capsys.readouterr().out == CHAIN_11_ION_CSV
+    out = tmp_path / "out"
+    assert main(["simulate", "--circuit", circuit_file, "--config", str(first),
+                 "--config", str(second), "--shots", "10", "--out", str(out)]) == 0
+    cfg = load_config(str(first), str(second))
+    assert cfg["noise.spam_prep"] == 0.01 and cfg["trap.f_rad_hz"] == 3e6
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["provenance"]["config_digest"] == config_digest(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_digest"] == config_digest(cfg)
+    assert manifest["inputs"] == sorted([circuit_file, str(first), str(second)])
 
 
 def test_compile_schedule_json(tmp_path, circuit_file):
@@ -131,7 +153,7 @@ def test_compile_schedule_json_is_pinned(tmp_path, rz_mode, digest):
     circ, cfg, out = tmp_path / "c.circ", tmp_path / "m.cfg", tmp_path / "schedule.json"
     circ.write_text(COMPILE_CIRCUIT)
     cfg.write_text(f"machine.n_qubits = 3\nmachine.rz_mode = {rz_mode}\n")
-    assert main(["compile", "--circuit", str(circ), "--machine", str(cfg),
+    assert main(["compile", "--circuit", str(circ), "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -197,13 +219,44 @@ def test_experiment_rerun_byte_identical(tmp_path):
 
 def test_experiment_respects_config(tmp_path):
     cfg = tmp_path / "noise.cfg"
-    cfg.write_text("noise.t2_ground_s = 0.010\nexperiment.shots = 150\n")
+    cfg.write_text("noise.t2_ground_s = 0.010\n")
     d = tmp_path / "out"
-    assert main(["experiment", "ramsey", "--noise", str(cfg),
+    assert main(["experiment", "ramsey", "--config", str(cfg), "--shots", "150",
                  "--qubit-kind", "ground", "--seed", "3", "--out", str(d)]) == 0
     summary = json.loads((d / "summary.json").read_text())
     t2 = summary["t2_s"]
     assert abs(t2 - 0.010) / 0.010 < 0.35
+
+
+def test_experiment_shots_key_is_one_error_line(tmp_path, capsys):
+    """Shots per point come from --shots alone."""
+    cfg, out = tmp_path / "shots.cfg", tmp_path / "out"
+    cfg.write_text("experiment.shots = 150\n")
+    assert main(["experiment", "ramsey", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "experiment.shots" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_manifest_names_its_command(tmp_path, circuit_file):
+    runs = {"simulate": ["simulate", "--circuit", circuit_file, "--shots", "10"],
+            "experiment rb": ["experiment", "rb"],
+            "experiment gate_decay": ["experiment", "gate_decay"]}
+    for command, argv in runs.items():
+        out = tmp_path / command.replace(" ", "_")
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
+def test_simulate_pi_pulse_at_large_eps_1q_runs(tmp_path, capsys):
+    """eps_1q is charged once per pulse, so any value NoiseConfig accepts
+    is a valid depolarizing probability for a pi pulse."""
+    circ, cfg, out = tmp_path / "pi.circ", tmp_path / "eps.cfg", tmp_path / "out"
+    circ.write_text("PREPARE\nR 3.14159 0 0\nMEASURE m0\n")
+    cfg.write_text("noise.eps_1q = 0.6\n")
+    assert main(["simulate", "--circuit", str(circ), "--config", str(cfg),
+                 "--shots", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_subcommand(tmp_path, capsys):
@@ -301,24 +354,23 @@ def test_unphysical_nbar_is_one_error_line(tmp_path, capsys, kind, nbar, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, config, name", [
-    (["chain", "--n", "3", "--frad", "inf"], None, "omega_rad"),
-    (["chain", "--n", "1", "--fax", "nan"], None, "omega_ax"),
-    (["chain", "--n", "3", "--fax", "inf"], None, "omega_ax"),
-    (["experiment", "addressing_scan"], "addressing.w0_um = inf\n", "w0_um"),
+# A NaN never reaches the trap: the config parser names its key.
+@pytest.mark.parametrize("argv, config, message", [
+    (["chain", "--n", "3"], "trap.f_rad_hz = inf\n", "omega_rad must be finite and positive"),
+    (["chain", "--n", "1"], "trap.f_ax_hz = nan\n", "trap.f_ax_hz: must be a number"),
+    (["chain", "--n", "3"], "trap.f_ax_hz = inf\n", "omega_ax must be finite and positive"),
+    (["experiment", "addressing_scan"], "addressing.w0_um = inf\n",
+     "w0_um must be finite and positive"),
 ], ids=["frad_inf", "fax_nan", "fax_inf", "w0_inf"])
-def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config, name):
-    out = tmp_path / "out"
-    if config is not None:
-        cfg = tmp_path / "beam.cfg"
-        cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
+def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config, message):
+    out, cfg = tmp_path / "out", tmp_path / "beam.cfg"
+    cfg.write_text(config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "--out", str(out)]) == 1
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {name} must be finite and positive")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
     assert not out.exists()
 
@@ -333,10 +385,9 @@ def test_config_is_checked_where_it_enters(tmp_path, circuit_file, capfd, argv, 
     none of these commands reads."""
     cfg = tmp_path / "trap.cfg"
     cfg.write_text(config)
-    flag = "--machine" if argv[0] == "compile" else "--config"
     argv = [circuit_file if a is None else a for a in argv]
     out = tmp_path / "out"
-    assert main([*argv, flag, str(cfg), "--out", str(out)]) == 1
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: omega_ax must be finite and positive")
@@ -344,15 +395,18 @@ def test_config_is_checked_where_it_enters(tmp_path, circuit_file, capfd, argv, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["--n", "3", "--fax", "1e300"], "omega_ax must"),
-    (["--n", "2", "--frad", "1e300"], "omega_rad must"),
-    (["--n", "3", "--fax", "1e-300"], "omega_ax must"),
-    (["--n", "2", "--fax", "1e-150", "--frad", "1e150"], "omega_rad / omega_ax must"),
+@pytest.mark.parametrize("n, config, name", [
+    ("3", "trap.f_ax_hz = 1e300\n", "omega_ax must"),
+    ("2", "trap.f_rad_hz = 1e300\n", "omega_rad must"),
+    ("3", "trap.f_ax_hz = 1e-300\n", "omega_ax must"),
+    ("2", "trap.f_ax_hz = 1e-150\ntrap.f_rad_hz = 1e150\n", "omega_rad / omega_ax must"),
 ], ids=["fax_square_overflows", "frad_square_overflows", "fax_square_underflows",
         "ratio_square_overflows"])
-def test_chain_frequency_whose_square_is_not_a_float_is_one_error_line(capfd, argv, name):
-    assert main(["chain", *argv]) == 1
+def test_chain_frequency_whose_square_is_not_a_float_is_one_error_line(tmp_path, capfd, n,
+                                                                        config, name):
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(config)
+    assert main(["chain", "--n", n, "--config", str(cfg)]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name}") and captured.err.count("\n") == 1
@@ -394,7 +448,7 @@ def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command
     if command == "simulate":
         argv = ["simulate", "--circuit", circuit_file, "--config", str(cfg), "--out", out]
     else:
-        argv = ["experiment", "ramsey", "--noise", str(cfg), "--shots", "10", "--out", out]
+        argv = ["experiment", "ramsey", "--config", str(cfg), "--shots", "10", "--out", out]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: t") and "must be positive" in err
@@ -408,7 +462,7 @@ def test_ramsey_without_finite_waits_is_one_error_line(tmp_path, capsys, value):
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["experiment", "ramsey", "--noise", str(cfg), "--shots", "10",
+        code = main(["experiment", "ramsey", "--config", str(cfg), "--shots", "10",
                      "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
@@ -471,7 +525,7 @@ def test_nan_noise_value_is_one_error_line(tmp_path, circuit_file, capsys, argv,
     if argv[0] == "simulate":
         argv = argv + ["--circuit", circuit_file, "--config", str(cfg)]
     else:
-        argv = argv + ["--noise", str(cfg), "--shots", "10"]
+        argv = argv + ["--config", str(cfg), "--shots", "10"]
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
@@ -551,7 +605,7 @@ def test_extreme_config_value_exits_cleanly(tmp_path, circuit_file, capsys, key)
     """compile, simulate and experiment ramsey either succeed or print one
     `error:` line for every extreme value of a numeric key."""
     cfg, out = tmp_path / "x.cfg", str(tmp_path / "out")
-    runs = {"compile": ["compile", "--circuit", circuit_file, "--machine", str(cfg),
+    runs = {"compile": ["compile", "--circuit", circuit_file, "--config", str(cfg),
                         "--out", os.path.join(out, "schedule.json")],
             "simulate": ["simulate", "--circuit", circuit_file, "--config", str(cfg),
                          "--shots", "20", "--out", out],
@@ -572,7 +626,7 @@ def test_machine_duration_out_of_range_is_one_error_line(tmp_path, circuit_file,
                                                          key, value):
     cfg = tmp_path / "x.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    assert main(["compile", "--circuit", circuit_file, "--machine", str(cfg)]) == 1
+    assert main(["compile", "--circuit", circuit_file, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key.split('.')[1]} must lie in (0, 1e+09] us")
     assert err.count("\n") == 1

@@ -65,10 +65,9 @@ def test_every_key_feeds_a_built_object():
         cfg[key] = _changed(key, default)
         if _built(cfg) == base:
             unread.add(key)
-    # experiment.shots is read by the CLI experiment command, and
-    # engine.fock_cutoff by the benchmark's ms_gate workload and library
-    # callers of the bichromatic gate.
-    assert unread == {"experiment.shots", "engine.fock_cutoff"}
+    # engine.fock_cutoff is read by the benchmark's ms_gate workload and
+    # library callers of the bichromatic gate.
+    assert unread == {"engine.fock_cutoff"}
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -117,7 +116,7 @@ def test_bad_value_and_bad_line_rejected():
 def test_round_trip_identity(tmp_path):
     cfg = default_config()
     cfg["noise.t2_ground_s"] = 0.0213456789012345678
-    cfg["experiment.shots"] = 777
+    cfg["engine.fock_cutoff"] = 777
     path = tmp_path / "cfg.txt"
     path.write_text(dump_config(cfg), encoding="utf-8")
     again = load_config(str(path))
@@ -130,7 +129,7 @@ def test_digest_stable_under_reordering():
     shuffled = dict(reversed(list(cfg.items())))
     assert config_digest(cfg) == config_digest(shuffled)
     changed = dict(cfg)
-    changed["experiment.shots"] = 101
+    changed["engine.fock_cutoff"] = 101
     assert config_digest(changed) != config_digest(cfg)
 
 
@@ -174,7 +173,7 @@ def test_summary_and_manifest_contents(tmp_path):
     ds = Dataset(x, 2.0 * x, np.full(5, 0.01))
     fit = fit_linear(ds)
     cfg = default_config()
-    manifest = RunManifest(seed=9, config=cfg)
+    manifest = RunManifest(seed=9, config=cfg, command="experiment rb")
     write_results(str(tmp_path), {"points": ds, "aux": ds}, {"linear": fit},
                   manifest)
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -182,7 +181,9 @@ def test_summary_and_manifest_contents(tmp_path):
     assert summary["provenance"]["seed"] == 9
     assert summary["provenance"]["config_digest"] == config_digest(cfg)
     man = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(man) == {"seed", "config_digest", "tool_version", "inputs", "outputs"}
+    assert set(man) == {"command", "seed", "config_digest", "tool_version", "inputs",
+                        "outputs"}
+    assert man["command"] == "experiment rb"
     assert sorted(man["outputs"]) == ["aux.csv", "points.csv", "summary.json"]
     assert os.path.exists(tmp_path / "aux.csv")
 

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -723,6 +724,26 @@ def test_run_schedule_determinism_and_threads():
     assert a == b
     c = eng.run_schedule(sched, machine, noise, 100, seed=8)
     assert a != c
+
+
+def test_eps_1q_is_charged_once_per_pulse_whatever_its_angle(monkeypatch):
+    """Every carrier and ac_stark pulse, a pi pulse and a zero-angle RZ
+    alike, gets noise.eps_1q, as every pulse slot of experiment rb does."""
+    machine = comp.MachineConfig(n_qubits=1, rz_mode="ac_stark")
+    sched = _compile([comp.R(PI, 0.0, (0,)), comp.R(PI / 2, 0.0, (0,)),
+                      comp.R(0.3, 0.0, (0,)), comp.RZ(0.0, (0,)),
+                      comp.MeasureAll("m0")], machine)
+    assert [e.kind for e in sched.events][:4] == ["carrier"] * 3 + ["ac_stark"]
+    charged = []
+    real = eng.apply_depolarizing
+
+    def spy(state, targets, eps, rng):
+        charged.append(eps)
+        return real(state, targets, eps, rng)
+
+    monkeypatch.setattr(eng, "apply_depolarizing", spy)
+    eng.run_schedule(sched, machine, replace(QUIET, eps_1q=0.6), 10, seed=1)
+    assert charged == [0.6] * 4
 
 
 def test_run_schedule_chunks_keep_shot_order(monkeypatch):

@@ -5,7 +5,8 @@ byte-identity claim is one command run on two checkouts.
     python3 tools/output_digests.py --against parent.json    # on the other
 
 Runs, each in a fresh Python process importing the package from this
-checkout's src/, with one BLAS thread, inside one temporary directory:
+checkout's src/, with one BLAS thread, inside one temporary directory;
+a run that reads a config file names it with `--config`:
 
 - `compile` of COMPILE_CIRCUIT on 3 qubits, in both rz_modes;
 - `simulate` of criterion 11's Bell circuit (2 qubits, 100 shots, seed 11)
@@ -16,7 +17,7 @@ checkout's src/, with one BLAS thread, inside one temporary directory:
   start, the depolarizing channel and a branch body run;
 - every `experiment` kind at its CLI defaults, where every noise eps is 0;
 - `experiment_rb_noisy` and `experiment_gate_decay_noisy`: `experiment rb`
-  with a `--noise` overlay of `noise.eps_1q = 0.002` and `experiment
+  with a `--config` of `noise.eps_1q = 0.002` and `experiment
   gate_decay` with `noise.eps_2q = 0.01`, so that RB's inverse Clifford
   and pulse-slot count and the gate-decay weight reach the outputs;
 - `experiment_gate_decay_dim` and `experiment_ghz_dim`: `experiment
@@ -93,7 +94,7 @@ def runs(workdir: str) -> list:
     out = []
     for mode in ("virtual", "ac_stark"):
         cfg = _write(workdir, f"{mode}.cfg", f"machine.n_qubits = 3\nmachine.rz_mode = {mode}\n")
-        out.append((f"compile_{mode}", ["compile", "--circuit", circuit, "--machine", cfg,
+        out.append((f"compile_{mode}", ["compile", "--circuit", circuit, "--config", cfg,
                                         "--out", f"compile_{mode}/schedule.json"]))
     for name, text, n, shots, seed in (("bell", BELL, 2, 100, 11), ("ghz_12", GHZ, 12, 200, 3)):
         circ = _write(workdir, f"{name}.circ", text)
@@ -113,7 +114,7 @@ def runs(workdir: str) -> list:
                                 ("ghz_dim", "ghz", "detection_bright_rate = 2e4"),
                                 ("ghz_noisy", "ghz", "eps_2q = 0.05")):
         overlay = _write(workdir, f"{name}.cfg", f"noise.{setting}\n")
-        out.append((f"experiment_{name}", ["experiment", kind, "--noise", overlay,
+        out.append((f"experiment_{name}", ["experiment", kind, "--config", overlay,
                                            "--out", f"experiment_{name}"]))
     return out
 
