@@ -1,15 +1,20 @@
-"""Strict flat-key configuration.  SCHEMA holds the same defaults as the
-dataclasses the build_* functions make; a test keeps the two copies equal.
+"""Strict flat-key configuration.  _KEYS maps each key to the dataclass
+field it feeds: SCHEMA takes each key's type and default from that field,
+and one builder makes each section from the table.
 
 File format: UTF-8 text, one `key = value` per line, '#' comments.
-Unknown keys, a NaN float and a fock cutoff below 1 are rejected with
-their key path; an infinite float (a lifetime, say) is valid.
+Unknown keys, a key set twice in one file, a NaN float and a fock cutoff
+below 1 are rejected with their key path; an infinite float (a lifetime,
+say) is valid.  A None default (the addressing waist and floor, which
+then take their kind's value) is left out of a dump.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 from .addressing import AddressingUnit
 from .chain import TrapConfig
@@ -19,39 +24,51 @@ from .errors import SchemaError
 
 _TWO_PI = 2.0 * math.pi
 
-# key -> (type, default).  type is one of float, int, bool, str.
-SCHEMA = {
-    "machine.n_qubits": (int, 2),
-    "machine.t_half_pi_us": (float, 15.0),
-    "machine.t_ms_us": (float, 200.0),
-    "machine.timing_grid_ns": (int, 10),
-    "machine.branch_latency_us": (float, 5.0),
-    "machine.t_measure_us": (float, 300.0),
-    "machine.rz_mode": (str, "virtual"),
-    "trap.f_ax_hz": (float, 1.0e6),
-    "trap.f_rad_hz": (float, 3.0e6),
-    "noise.t2_optical_s": (float, 0.090),
-    "noise.t2_ground_s": (float, 0.018),
-    "noise.t1_s": (float, 1.168),
-    "noise.eps_1q": (float, 0.0),
-    "noise.eps_2q": (float, 0.0),
-    "noise.spam_prep": (float, 0.0),
-    "noise.heating_rate_ref": (float, 0.221),
-    "noise.heating_f_ref_hz": (float, 1.05e6),
-    "noise.heating_alpha": (float, 1.7),
-    "noise.collision_rate": (float, 0.0025),
-    "noise.gradient_hz_per_um": (float, 3.1),
-    "noise.gradient_compensated_hz_per_um": (float, 0.2),
-    "noise.gradient_compensation": (bool, True),
-    "noise.detection_bright_rate": (float, 5.0e5),
-    "noise.detection_window_s": (float, 3.0e-4),
-    "noise.detection_dark_mean": (float, 2.0),
-    "engine.fock_cutoff": (int, 10),
-    "addressing.kind": (str, "microoptics"),
-    "addressing.w0_um": (float, -1.0),  # -1 = kind default (0.81 / 1.09)
-    "addressing.floor": (float, -1.0),  # -1 = kind default (0.024 / 0.005)
-    "addressing.slope_um_per_mhz": (float, 4.9),
+# key -> (dataclass, field[, scale]).  Only the Hz keys carry a scale: their
+# value times 2 pi is the field's rad/s.  Every other value passes unchanged.
+_KEYS = {
+    "machine.n_qubits": (MachineConfig, "n_qubits"),
+    "machine.t_half_pi_us": (MachineConfig, "t_half_pi_us"),
+    "machine.t_ms_us": (MachineConfig, "t_ms_us"),
+    "machine.timing_grid_ns": (MachineConfig, "timing_grid_ns"),
+    "machine.branch_latency_us": (MachineConfig, "branch_latency_us"),
+    "machine.t_measure_us": (MachineConfig, "t_measure_us"),
+    "machine.rz_mode": (MachineConfig, "rz_mode"),
+    "trap.f_ax_hz": (TrapConfig, "omega_ax", _TWO_PI),
+    "trap.f_rad_hz": (TrapConfig, "omega_rad", _TWO_PI),
+    "noise.t2_optical_s": (NoiseConfig, "t2_optical"),
+    "noise.t2_ground_s": (NoiseConfig, "t2_ground"),
+    "noise.t1_s": (NoiseConfig, "t1"),
+    "noise.eps_1q": (NoiseConfig, "eps_1q"),
+    "noise.eps_2q": (NoiseConfig, "eps_2q"),
+    "noise.spam_prep": (NoiseConfig, "spam_prep"),
+    "noise.heating_rate_ref": (NoiseConfig, "heating_rate_ref"),
+    "noise.heating_f_ref_hz": (NoiseConfig, "heating_omega_ref", _TWO_PI),
+    "noise.heating_alpha": (NoiseConfig, "heating_alpha"),
+    "noise.collision_rate": (NoiseConfig, "collision_rate"),
+    "noise.gradient_hz_per_um": (NoiseConfig, "gradient_hz_per_um"),
+    "noise.gradient_compensated_hz_per_um": (NoiseConfig, "gradient_compensated_hz_per_um"),
+    "noise.gradient_compensation": (NoiseConfig, "gradient_compensation"),
+    "noise.detection_bright_rate": (DetectionModel, "bright_rate"),
+    "noise.detection_window_s": (DetectionModel, "window"),
+    "noise.detection_dark_mean": (DetectionModel, "dark_mean"),
+    "addressing.kind": (AddressingUnit, "kind"),
+    "addressing.w0_um": (AddressingUnit, "w0_um"),
+    "addressing.floor": (AddressingUnit, "floor"),
+    "addressing.slope_um_per_mhz": (AddressingUnit, "slope_um_per_mhz"),
 }
+
+
+def _schema_entry(cls, name, *scale):
+    """A key's (type, default): its field's annotation and default, in the key's unit."""
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return get_type_hints(cls)[name], default / scale[0] if scale else default
+
+
+# key -> (type, default).  type is one of float, int, bool, str.  No
+# dataclass holds engine.fock_cutoff, so it is the one literal entry.
+SCHEMA = {key: _schema_entry(*entry) for key, entry in _KEYS.items()}
+SCHEMA["engine.fock_cutoff"] = (int, 10)
 
 
 def _parse_value(key: str, raw: str):
@@ -82,7 +99,7 @@ def default_config() -> dict:
 
 def _parse_lines(text: str) -> dict:
     """The keys a config text sets explicitly, parsed against SCHEMA."""
-    out = {}
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,6 +109,9 @@ def _parse_lines(text: str) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in SCHEMA:
             raise SchemaError(f"unknown key {key!r}")
+        if key in lines:
+            raise SchemaError(f"{key}: set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         out[key] = _parse_value(key, value)
     if out.get("engine.fock_cutoff", 1) < 1:
         raise SchemaError(f"engine.fock_cutoff: must be >= 1, got {out['engine.fock_cutoff']}")
@@ -118,12 +138,15 @@ def load_config(*paths) -> dict:
 
 
 def dump_config(cfg: dict) -> str:
-    """Canonical serialization: sorted keys, round-trip stable."""
+    """Canonical serialization: sorted keys, round-trip stable.  A None
+    value (a field's own default) is left out, as a file leaves it unset."""
     lines = []
     for key in sorted(cfg):
         if key not in SCHEMA:
             raise SchemaError(f"unknown key {key!r}")
         v = cfg[key]
+        if v is None:
+            continue
         if isinstance(v, bool):
             v = "true" if v else "false"
         elif isinstance(v, float):
@@ -138,55 +161,26 @@ def config_digest(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: each section is its dataclass made from the keys _KEYS maps to it.
 # ---------------------------------------------------------------------------
 
+def _build(cls, cfg: dict, **nested):
+    kwargs = {name: cfg[key] * scale[0] if scale else cfg[key]
+              for key, (c, name, *scale) in _KEYS.items() if c is cls}
+    return cls(**kwargs, **nested)
+
+
 def build_machine(cfg: dict) -> MachineConfig:
-    return MachineConfig(
-        n_qubits=cfg["machine.n_qubits"],
-        t_half_pi_us=cfg["machine.t_half_pi_us"],
-        t_ms_us=cfg["machine.t_ms_us"],
-        timing_grid_ns=cfg["machine.timing_grid_ns"],
-        branch_latency_us=cfg["machine.branch_latency_us"],
-        t_measure_us=cfg["machine.t_measure_us"],
-        rz_mode=cfg["machine.rz_mode"],
-    )
+    return _build(MachineConfig, cfg)
 
 
 def build_trap(cfg: dict) -> TrapConfig:
-    return TrapConfig(omega_ax=_TWO_PI * cfg["trap.f_ax_hz"],
-                      omega_rad=_TWO_PI * cfg["trap.f_rad_hz"])
+    return _build(TrapConfig, cfg)
 
 
 def build_noise(cfg: dict) -> NoiseConfig:
-    return NoiseConfig(
-        t2_optical=cfg["noise.t2_optical_s"],
-        t2_ground=cfg["noise.t2_ground_s"],
-        t1=cfg["noise.t1_s"],
-        eps_1q=cfg["noise.eps_1q"],
-        eps_2q=cfg["noise.eps_2q"],
-        spam_prep=cfg["noise.spam_prep"],
-        heating_rate_ref=cfg["noise.heating_rate_ref"],
-        heating_omega_ref=_TWO_PI * cfg["noise.heating_f_ref_hz"],
-        heating_alpha=cfg["noise.heating_alpha"],
-        collision_rate=cfg["noise.collision_rate"],
-        gradient_hz_per_um=cfg["noise.gradient_hz_per_um"],
-        gradient_compensated_hz_per_um=cfg["noise.gradient_compensated_hz_per_um"],
-        gradient_compensation=cfg["noise.gradient_compensation"],
-        detection=DetectionModel(
-            bright_rate=cfg["noise.detection_bright_rate"],
-            window=cfg["noise.detection_window_s"],
-            dark_mean=cfg["noise.detection_dark_mean"],
-        ),
-    )
+    return _build(NoiseConfig, cfg, detection=_build(DetectionModel, cfg))
 
 
 def build_addressing(cfg: dict) -> AddressingUnit:
-    w0 = cfg["addressing.w0_um"]
-    floor = cfg["addressing.floor"]
-    return AddressingUnit(
-        kind=cfg["addressing.kind"],
-        w0_um=None if w0 < 0 else w0,
-        floor=None if floor < 0 else floor,
-        slope_um_per_mhz=cfg["addressing.slope_um_per_mhz"],
-    )
+    return _build(AddressingUnit, cfg)

@@ -354,14 +354,18 @@ def test_unphysical_nbar_is_one_error_line(tmp_path, capsys, kind, nbar, name):
     assert not out.exists()
 
 
-# A NaN never reaches the trap: the config parser names its key.
+# A NaN never reaches the trap: the config parser names its key.  A negative
+# waist or floor is an error, not a request for the kind's default.
 @pytest.mark.parametrize("argv, config, message", [
     (["chain", "--n", "3"], "trap.f_rad_hz = inf\n", "omega_rad must be finite and positive"),
     (["chain", "--n", "1"], "trap.f_ax_hz = nan\n", "trap.f_ax_hz: must be a number"),
     (["chain", "--n", "3"], "trap.f_ax_hz = inf\n", "omega_ax must be finite and positive"),
     (["experiment", "addressing_scan"], "addressing.w0_um = inf\n",
      "w0_um must be finite and positive"),
-], ids=["frad_inf", "fax_nan", "fax_inf", "w0_inf"])
+    (["experiment", "addressing_scan"], "addressing.w0_um = -1\n",
+     "w0_um must be finite and positive"),
+    (["experiment", "addressing_scan"], "addressing.floor = -0.5\n", "floor must lie in"),
+], ids=["frad_inf", "fax_nan", "fax_inf", "w0_inf", "w0_negative", "floor_negative"])
 def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config, message):
     out, cfg = tmp_path / "out", tmp_path / "beam.cfg"
     cfg.write_text(config)

@@ -1,5 +1,6 @@
 """Strict config parsing and deterministic result serialization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -48,6 +49,8 @@ _CHANGED_STR = {"machine.rz_mode": "ac_stark", "addressing.kind": "aod"}
 
 def _changed(key, value):
     """A valid value for key other than its default."""
+    if value is None:  # the addressing waist and floor: the kind's own value
+        return 0.5
     if isinstance(value, bool):
         return not value
     if isinstance(value, str):
@@ -57,17 +60,36 @@ def _changed(key, value):
     return 2.0 * value if value > 0 else 0.5
 
 
+def _leaves(obj, path):
+    """Every leaf field under obj, a nested dataclass's too: path -> value."""
+    if not dataclasses.is_dataclass(obj):
+        return {path: obj}
+    out = {}
+    for f in dataclasses.fields(obj):
+        out.update(_leaves(getattr(obj, f.name), f"{path}.{f.name}"))
+    return out
+
+
+def _built_leaves(cfg):
+    return {k: v for obj in _built(cfg) for k, v in _leaves(obj, type(obj).__name__).items()}
+
+
 def test_every_key_feeds_a_built_object():
-    base = _built(default_config())
-    unread = set()
+    """Each key changes some built field, and each leaf field of the four
+    built objects is changed by some key."""
+    base = _built_leaves(default_config())
+    unread, unset = set(), set(base)
     for key, (_, default) in SCHEMA.items():
         cfg = default_config()
         cfg[key] = _changed(key, default)
-        if _built(cfg) == base:
+        moved = {name for name, value in _built_leaves(cfg).items() if value != base[name]}
+        if not moved:
             unread.add(key)
+        unset -= moved
     # engine.fock_cutoff is read by the benchmark's ms_gate workload and
     # library callers of the bichromatic gate.
     assert unread == {"engine.fock_cutoff"}
+    assert unset == set()
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -102,6 +124,22 @@ def test_unknown_key_rejected_with_path():
     with pytest.raises(SchemaError) as err:
         parse_config("noise.t2_grond_s = 0.02")
     assert "noise.t2_grond_s" in str(err.value)
+
+
+def test_key_set_twice_in_one_file_rejected(tmp_path):
+    text = "noise.eps_1q = 0.1\nmachine.n_qubits = 3\n\nnoise.eps_1q = 0.2\n"
+    with pytest.raises(SchemaError, match=r"^noise\.eps_1q: set twice, on lines 1 and 4$"):
+        parse_config(text)
+    path = tmp_path / "twice.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match="lines 1 and 4"):
+        load_config(str(path))
+
+
+def test_default_dump_omits_the_kind_default_addressing_keys():
+    text = dump_config(default_config())
+    assert "addressing.w0_um" not in text and "addressing.floor" not in text
+    assert parse_config(text) == default_config()
 
 
 def test_bad_value_and_bad_line_rejected():
