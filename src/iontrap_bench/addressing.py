@@ -17,6 +17,9 @@ import numpy as np
 
 MICROOPTICS = "microoptics"
 AOD = "aod"
+# Waists (um) a unit may have: 1 nm to 1 cm spans any addressing optics, and the
+# addressing scan's Gaussian fit resolves them and decades beyond (not 1e-20, 1e10).
+W0_RANGE_UM = (1e-3, 1e4)
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,9 @@ class AddressingUnit:
         for name in ("w0_um", "slope_um_per_mhz"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not W0_RANGE_UM[0] <= self.w0_um <= W0_RANGE_UM[1]:
+            raise ValueError(f"w0_um must lie in [{W0_RANGE_UM[0]:g}, {W0_RANGE_UM[1]:g}] um, "
+                             f"the waists the addressing scan resolves, got {self.w0_um}")
         if not 0.0 <= self.floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
 

@@ -68,9 +68,6 @@ class IonChain:
     def scaled_positions(self) -> np.ndarray:
         return self.positions / length_scale_um(self.trap.omega_ax)
 
-    def min_spacing_um(self) -> float:
-        return float(np.min(np.diff(self.positions), initial=np.inf))
-
 
 @dataclass
 class ModeSpectrum:

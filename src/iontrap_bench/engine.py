@@ -256,21 +256,11 @@ class RegisterState:
         """(shots,) of a spin register; () for a single phonon state."""
         return self.psi.shape[:-1] if self.phonon is None else self.psi.shape[:-2]
 
-    def _rows(self) -> np.ndarray:
-        """psi, made contiguous, as one real row per shot (a single state is
-        one row): a float view that writes through to psi."""
-        self.psi = np.ascontiguousarray(self.psi)
-        return self.psi.reshape(self.batch_shape + (-1,)).view(float)
-
-    def norm(self):
-        """Norm of the state; an array of per-shot norms for a batch.  Each
-        squared norm is one real reduction over the shot's float row."""
-        rows = self._rows()
-        norm = np.sqrt(np.einsum("...i,...i->...", rows, rows))
-        return norm if self.batch_shape else float(norm)
-
     def renormalize(self):
-        rows = self._rows()
+        """Each shot (a single state: the whole state) to norm 1, in place
+        over one real row per shot, a float view of contiguous psi."""
+        self.psi = np.ascontiguousarray(self.psi)
+        rows = self.psi.reshape(self.batch_shape + (-1,)).view(float)
         rows *= (1.0 / np.sqrt(np.einsum("...i,...i->...", rows, rows)))[..., None]
 
     def subset(self, mask) -> "RegisterState":
@@ -285,20 +275,9 @@ class RegisterState:
         probs *= probs
         return probs if self.phonon is None else probs.sum(axis=-2)
 
-    def qubit_view(self, q: int) -> np.ndarray:
-        """View of psi with qubit q isolated on its own axis."""
-        return self.psi.reshape(self.psi.shape[:-1] + (2 ** (self.n - q - 1), 2, 2**q))
-
     def spin_density(self) -> np.ndarray:
         """Reduced spin density matrix (traces out the phonon)."""
         return np.einsum("fi,fj->ij", self.psi, self.psi.conj())
-
-    def phonon_density(self) -> np.ndarray:
-        return np.einsum("fi,gi->fg", self.psi, self.psi.conj())
-
-    def mean_phonon(self) -> float:
-        p = (np.abs(self.psi) ** 2).sum(axis=1)
-        return float(np.dot(np.arange(self.fock_dim), p))
 
 
 def _spin_register(state: RegisterState):

@@ -3,17 +3,19 @@ benchmarking, sideband thermometry, heating, GHZ witnesses, gate decay,
 and addressing scans.
 
 Simulated shots run on the engine: ramsey and gradient through
-run_schedule.  RB, GHZ and gate decay sample their exact outcome law: the
-depolarizing channel (1 - eps) rho + eps I/d after each of G gates
-commutes with every unitary, so the law is w |<b|U|S...S>|^2 + (1 - w)/d
-with w = (1 - eps)**G; an RB sequence is one binomial draw, and each
-setting of the parity scan that GHZ and gate decay share is one
-engine.measure of that law (Magesan, Gambetta & Emerson, PRL 106, 180504
-(2011)).  Heating samples its closed-form law: jump rates up r(n+1) and
-down r n keep a thermal ensemble thermal with mean nbar0 + r t, so each
-point draws Fock numbers from that thermal law.  Every run_* function is
-deterministic given (spec, seed): each point draws from its own stream
-keyed by the seed and the point index, and aggregation is ordered.
+run_schedule.  RB, GHZ and gate decay sample their exact outcome law: as
+in simulate, each pulse is followed by the depolarizing channel
+(1 - eps) rho + eps I/d on every ion, eps = noise.eps_1q for a one-qubit
+pulse and noise.eps_2q for an MS, which commutes with every unitary; so
+the law is w |<b|U|S...S>|^2 + (1 - w)/d, w the product of the 1 - eps.
+An RB sequence is one binomial draw, and each setting of the parity scan
+that GHZ and gate decay share is one engine.measure of that law
+(Magesan, Gambetta & Emerson, PRL 106, 180504 (2011)).  Heating samples
+its closed-form law: jump rates up r(n+1) and down r n keep a thermal
+ensemble thermal with mean nbar0 + r t, so each point draws Fock numbers
+from that thermal law.  Every run_* function is deterministic given
+(spec, seed): each point draws from its own stream keyed by the seed and
+the point index, and aggregation is ordered.
 """
 
 from __future__ import annotations
@@ -303,10 +305,17 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
         raise ValueError(f"frequencies_hz must be finite and positive, got {freqs.tolist()}")
     if not 0.0 <= nbar0 < math.inf:
         raise ValueError(f"nbar0 must be finite and non-negative, got {nbar0}")
+    noise = spec.noise
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        rates_true = [noise.heating_rate(2.0 * math.pi * f) for f in freqs]
+    for f, rate in zip(freqs, rates_true):
+        if not math.isfinite(rate):
+            raise ValueError(f"heating rate at {f:g} Hz is not finite: (heating_rate_ref, "
+                             f"heating_omega_ref, heating_alpha) = ({noise.heating_rate_ref:g}, "
+                             f"{noise.heating_omega_ref:g}, {noise.heating_alpha:g})")
     rates, rate_errs = [], []
     point_sets = {}
-    for i, f in enumerate(freqs):
-        rate_true = spec.noise.heating_rate(2.0 * math.pi * f)
+    for i, (f, rate_true) in enumerate(zip(freqs, rates_true)):
         ys, es = [], []
         for j, t in enumerate(waits):
             rng = np.random.default_rng([spec.seed, i, j])
@@ -354,16 +363,18 @@ def ghz_state_fidelity(n: int) -> float:
     return float((abs(a) + abs(b)) ** 2 / 2.0)
 
 
-def _parity_scan_laws(prepared: eng.RegisterState, w: float, phases):
+def _parity_scan_laws(prepared: eng.RegisterState, w: float, phases, eps_1q: float):
     """The outcome law of prepared, then for each phase its law after
     R(pi/2, phi) on every ion, each mixed in place as w P + (1 - w)/2**n;
-    a rotated copy is dropped once its law is taken."""
+    an analysis law's w gains a factor 1 - eps_1q, its pulse's depolarizing
+    over every ion.  A rotated copy is dropped once its law is taken."""
     n = prepared.n
     for phi in (None, *phases):
         law = (prepared if phi is None else eng.apply_rotation(
             copy.deepcopy(prepared), range(n), math.pi / 2, phi)).probabilities()[0]
-        law *= w
-        law += (1.0 - w) / 2**n
+        w_law = w if phi is None else w * (1.0 - eps_1q)
+        law *= w_law
+        law += (1.0 - w_law) / 2**n
         yield law
 
 
@@ -376,7 +387,8 @@ def _parity_witness(spec: ExperimentSpec, prepared: eng.RegisterState, w: float,
     n, shots = prepared.n, spec.shots
     pop_bits, *parity_bits = [
         eng.measure(law, shots, spec.noise.detection, np.random.default_rng(key))
-        for law, key in zip(_parity_scan_laws(prepared, w, phases), streams)]
+        for law, key in zip(_parity_scan_laws(prepared, w, phases, spec.noise.eps_1q),
+                            streams)]
     sums = pop_bits.sum(axis=1)
     k_pop = int(np.sum((sums == 0) | (sums == n)))
     par, err = [], []
@@ -400,10 +412,11 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     The register is prepared once, by ghz_prepare or, with product_state,
     by per-qubit rotations (theta, phi) for witness-soundness studies; the
     populations sample it, each analysis phase a copy after R(pi/2, phi).
-    ghz_prepare's MS is charged noise.eps_2q on every ion, as simulate
-    charges an MS: P and C tend to w + (1 - w) 2/2**n and w = 1 - eps_2q.
-    The gates are otherwise ideal: of the rest of spec.noise only the
-    detection model acts.
+    Every global pulse costs one depolarizing over every ion, as in
+    simulate: eps_2q for the MS, eps_1q for the odd-n R(pi/2, 0) and for
+    each analysis pulse, so P tends to w + (1 - w) 2/2**n and C to
+    w (1 - eps_1q).  A product state's addressed pulses are ideal.  Of the
+    rest of spec.noise only the detection model acts.
     """
     if n < 2:
         raise ValueError("need N >= 2")
@@ -413,7 +426,7 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     prepared, w = eng.RegisterState(n), 1.0  # a product state has no gate to charge
     if product_state is None:
         ghz_prepare(prepared)
-        w = 1.0 - spec.noise.eps_2q
+        w = (1.0 - spec.noise.eps_2q) * (1.0 - spec.noise.eps_1q) ** (n % 2)
     else:
         for q, (theta, phi_q) in enumerate(product_state):
             eng.apply_rotation(prepared, [q], theta, phi_q)
@@ -430,10 +443,12 @@ def run_gate_decay(spec: ExperimentSpec, gate_counts, bus: str = "axial") -> Exp
     """Repeated two-ion MS gates; F(k) = (P+C)/2 fitted to A p^k + 0.25.
 
     Each gate is followed by depolarizing on both ions with probability
-    eps_2q, so k gates scan MS(k pi/4)|SS> with w = (1 - eps)**k.  On the
-    radial bus, which needs an addressing unit in spec.addressing, eps also
-    gains 2 floor**2, the crosstalk-floor spillover of the two addressed
-    beams; no spectator ion or chain position enters.
+    eps_2q, so k gates scan MS(k pi/4)|SS> with w = (1 - eps)**k; each
+    analysis R(pi/2, phi) is charged noise.eps_1q on both ions, as simulate
+    charges a global pulse.  On the radial bus, which needs an addressing
+    unit in spec.addressing, eps also gains 2 floor**2, the crosstalk-floor
+    spillover of the two addressed beams; no spectator ion or chain
+    position enters.
     """
     counts = [int(k) for k in gate_counts]
     if any(k % 2 == 0 for k in counts) or sorted(counts) != counts:

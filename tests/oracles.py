@@ -80,7 +80,7 @@ def t1_decay_per_qubit(state, targets, dt, rng, t1):
     if p == 0.0:
         return state
     for q in targets:
-        v = state.qubit_view(q)  # (shots, high bits, 2, low bits)
+        v = state.psi.reshape(len(state.psi), -1, 2, 2**q)  # (shots, high bits, 2, low bits)
         p_dark = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
         jump = (rng.random(len(v)) < p * p_dark)[:, None, None]
         v[:, :, 1] = np.where(jump, v[:, :, 0], v[:, :, 1])
@@ -97,7 +97,7 @@ def dephasing_per_qubit(state, targets, dt, t2, rng, detuning_hz=None):
         phase = rng.normal(0.0, sigma, size=shots) if sigma > 0 else np.zeros(shots)
         if detuning_hz is not None:
             phase = phase + 2.0 * math.pi * detuning_hz[i] * dt
-        v = state.qubit_view(q)  # (shots, high bits, 2, low bits)
+        v = state.psi.reshape(len(state.psi), -1, 2, 2**q)  # (shots, high bits, 2, low bits)
         v[:, :, 1] *= np.exp(1j * phase)[:, None, None]
     return state
 

@@ -379,6 +379,44 @@ def test_nonfinite_trap_or_beam_is_one_error_line(tmp_path, capfd, argv, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["noise.heating_alpha = 1e300\n",
+                                    "noise.heating_f_ref_hz = 1e300\n"],
+                         ids=["alpha", "f_ref"])
+def test_overflowing_heating_rate_is_one_error_line(tmp_path, capfd, config):
+    """The rate at the scan's lowest frequency overflows: rejected before any draw."""
+    out, cfg = tmp_path / "out", tmp_path / "heating.cfg"
+    cfg.write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["experiment", "heating", "--config", str(cfg), "--shots", "10",
+                     "--out", str(out)])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: heating rate at 700000 Hz is not finite: "
+                                   "(heating_rate_ref, heating_omega_ref, heating_alpha) = ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+# Both ends of addressing.W0_RANGE_UM run; a waist past either end is one error.
+@pytest.mark.parametrize("w0, code", [("1e300", 1), ("1e-300", 1), ("1e-3", 0), ("1e4", 0)])
+def test_waist_outside_the_scans_range_is_one_error_line(tmp_path, capfd, w0, code):
+    out, cfg = tmp_path / "out", tmp_path / "beam.cfg"
+    cfg.write_text(f"addressing.w0_um = {w0}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "addressing_scan", "--config", str(cfg),
+                     "--out", str(out)]) == code
+    captured = capfd.readouterr()
+    if code:
+        assert captured.err.startswith("error: w0_um must lie in [0.001, 10000] um")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv, config", [
     (["simulate", "--circuit", None], "trap.f_ax_hz = -5\n"),
     (["compile", "--circuit", None], "trap.f_ax_hz = -5\n"),

@@ -64,11 +64,11 @@ def test_unitarity_norm_preserved_n12():
     st.psi[0] = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     st.renormalize()
     eng.apply_rotation(st, range(12), 1.1, 0.4)
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.psi) == pytest.approx(1.0, abs=1e-12)
     eng.apply_rz(st, range(12), 0.9)
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.psi) == pytest.approx(1.0, abs=1e-12)
     eng.apply_ms_ideal(st, range(12), PI / 4)
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rz_decomposition():
@@ -325,7 +325,7 @@ def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, t1, bright_f
     st = eng.RegisterState(n, shots=2000)
     st.psi = rng0.normal(size=st.psi.shape) + 1j * rng0.normal(size=st.psi.shape)
     if bright_first:
-        st.qubit_view(0)[..., 0, :] = 0.0
+        st.psi[:, ::2] = 0.0  # qubit 0 dark: the even basis states
     st.renormalize()
     ref = eng.RegisterState(n, shots=2000)
     ref.psi = st.psi.copy()

@@ -374,11 +374,13 @@ def test_ghz_phase_span_validation():
 # ---------------------------------------------------------------------------
 
 def _gate_decay_law_per_setting(k_gates, phi, eps):
-    """A gate-decay law built on a fresh register for each setting."""
+    """A gate-decay law built on a fresh register for each setting, each
+    gate and the analysis pulse, if any, charged eps."""
     state = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * PI / 4)
+    w = (1.0 - eps) ** k_gates
     if phi is not None:
         eng.apply_rotation(state, [0, 1], PI / 2, phi)
-    w = (1.0 - eps) ** k_gates
+        w *= 1.0 - eps
     return w * state.probabilities()[0] + (1.0 - w) / 4
 
 
@@ -386,7 +388,7 @@ def _gate_decay_law_per_setting(k_gates, phi, eps):
 def test_gate_decay_laws_equal_a_fresh_register_per_setting(eps):
     for k in range(1, 14, 2):
         gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k * PI / 4)
-        laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES))
+        laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES, eps))
         assert len(laws) == 1 + len(exp.GATE_DECAY_PHASES)
         for law, phi in zip(laws, [None, *exp.GATE_DECAY_PHASES]):
             assert np.array_equal(law, _gate_decay_law_per_setting(k, phi, eps)), (k, phi)

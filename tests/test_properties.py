@@ -54,7 +54,7 @@ NOISE = {
        x=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_batched_noise_keeps_every_shot_normalized(state, op, x, seed):
     NOISE[op](state, x, np.random.default_rng(seed))
-    np.testing.assert_allclose(state.norm(), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(state.psi, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 QUIET = {  # every channel with its rate at zero
@@ -143,34 +143,39 @@ def _ms(n, chi):
     return expm(-0.5j * chi * (sx @ sx - n * np.eye(2**n)))
 
 
-def _scan_laws(rho, n, phases):
-    """Diagonals of rho, then of rho after R(pi/2, phi) on every ion, per phase."""
-    rs = [np.eye(2**n)] + [_on_every_ion(_pulse(PI / 2, phi), n) for phi in phases]
-    return [np.diag(r @ rho @ r.conj().T).real for r in rs]
+def _scan_laws(rho, n, phases, eps_1q):
+    """Diagonals of rho, then of rho after R(pi/2, phi) on every ion and
+    its depolarizing eps_1q, per phase."""
+    rhos = [rho] + [_noisy(rho, [_on_every_ion(_pulse(PI / 2, phi), n)], eps_1q)
+                    for phi in phases]
+    return [np.diag(r).real for r in rhos]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(k=st.integers(0, 9), j=st.integers(0, len(exp.GATE_DECAY_PHASES)), eps=EPS)
-def test_gate_decay_law_matches_per_gate_density_matrix(k, j, eps):
+@given(k=st.integers(0, 9), j=st.integers(0, len(exp.GATE_DECAY_PHASES)), eps=EPS,
+       eps_1q=EPS)
+def test_gate_decay_law_matches_per_gate_density_matrix(k, j, eps, eps_1q):
     """Law j has no analysis pulse at j = 0, else R(pi/2, GATE_DECAY_PHASES[j - 1])."""
     rho = _noisy(_all_bright(2), [_ms(2, PI / 4)] * k, eps)
     gate = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k * PI / 4)
-    laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES))
-    np.testing.assert_allclose(laws[j], _scan_laws(rho, 2, exp.GATE_DECAY_PHASES)[j],
+    laws = list(exp._parity_scan_laws(gate, (1.0 - eps) ** k, exp.GATE_DECAY_PHASES, eps_1q))
+    np.testing.assert_allclose(laws[j], _scan_laws(rho, 2, exp.GATE_DECAY_PHASES, eps_1q)[j],
                                rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(2, 4), phases=st.lists(ANGLES, max_size=3), eps=EPS)
-def test_ghz_laws_match_per_gate_density_matrix(n, phases, eps):
-    """ghz_prepare's MS(pi/4), depolarizing on every ion, its trailing
-    R(pi/2, 0) at odd n, then each analysis pulse."""
+@given(n=st.integers(2, 4), phases=st.lists(ANGLES, max_size=3), eps=EPS, eps_1q=EPS)
+def test_ghz_laws_match_per_gate_density_matrix(n, phases, eps, eps_1q):
+    """ghz_prepare's MS(pi/4), depolarizing eps on every ion, its trailing
+    R(pi/2, 0) at odd n, then each analysis pulse; each R is followed by
+    depolarizing eps_1q on every ion."""
     rho = _noisy(_all_bright(n), [_ms(n, PI / 4)], eps)
     if n % 2 == 1:
-        r = _on_every_ion(_pulse(PI / 2, 0.0), n)
-        rho = r @ rho @ r.conj().T
-    laws = exp._parity_scan_laws(exp.ghz_prepare(eng.RegisterState(n)), 1.0 - eps, phases)
-    np.testing.assert_allclose(list(laws), _scan_laws(rho, n, phases), rtol=0.0, atol=1e-12)
+        rho = _noisy(rho, [_on_every_ion(_pulse(PI / 2, 0.0), n)], eps_1q)
+    w = (1.0 - eps) * (1.0 - eps_1q) ** (n % 2)
+    laws = exp._parity_scan_laws(exp.ghz_prepare(eng.RegisterState(n)), w, phases, eps_1q)
+    np.testing.assert_allclose(list(laws), _scan_laws(rho, n, phases, eps_1q),
+                               rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -221,8 +226,8 @@ def test_t1_on_up_to_9_qubits_matches_per_qubit_reference(state, p, seed):
     t1_decay_per_qubit(ref, range(state.n), dt, ref_rng, t1=1.0)
 
     def undecayed(s):
-        return np.array([np.abs(s.qubit_view(q)[:, :, 0]).sum(axis=(1, 2)) > 0
-                         for q in range(s.n)])
+        dark = [s.psi.reshape(len(s.psi), -1, 2, 2**q)[:, :, 0] for q in range(s.n)]
+        return np.array([np.abs(d).sum(axis=(1, 2)) > 0 for d in dark])
     np.testing.assert_array_equal(undecayed(state), undecayed(ref))
     np.testing.assert_allclose(state.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -25,7 +25,10 @@ a run that reads a config file names it with `--config`:
   2e4`, so that the bright-ion readout error, which underflows to 0 at the
   default rate, reaches the outputs;
 - `experiment_ghz_noisy`: `experiment ghz` with `noise.eps_2q = 0.05`, so
-  that the GHZ state's depolarizing weight reaches the outputs.
+  that the GHZ state's depolarizing weight reaches the outputs;
+- `experiment_ghz_eps1q` and `experiment_gate_decay_eps1q`: `experiment
+  ghz` and `experiment gate_decay` with `noise.eps_1q = 0.05`, so that the
+  analysis pulses' depolarizing weight reaches the outputs.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
@@ -112,7 +115,9 @@ def runs(workdir: str) -> list:
                                 ("gate_decay_noisy", "gate_decay", "eps_2q = 0.01"),
                                 ("gate_decay_dim", "gate_decay", "detection_bright_rate = 2e4"),
                                 ("ghz_dim", "ghz", "detection_bright_rate = 2e4"),
-                                ("ghz_noisy", "ghz", "eps_2q = 0.05")):
+                                ("ghz_noisy", "ghz", "eps_2q = 0.05"),
+                                ("ghz_eps1q", "ghz", "eps_1q = 0.05"),
+                                ("gate_decay_eps1q", "gate_decay", "eps_1q = 0.05")):
         overlay = _write(workdir, f"{name}.cfg", f"noise.{setting}\n")
         out.append((f"experiment_{name}", ["experiment", kind, "--config", overlay,
                                            "--out", f"experiment_{name}"]))
