@@ -15,9 +15,10 @@ the populations, one real diagonal scale and one renormalization; only
 shots that jump take the per-qubit rule.  Dephasing multiplies the
 state once by a per-shot diagonal of every qubit's kicks.  The readout
 of a run (detect) draws photon counts and classifies them; measure, the
-sampler of an outcome law the experiments use, draws no counts: it flips
-each ion's true bit with the threshold's per-ion error probabilities
-(DetectionModel.flip_probs), which is the same law.
+sampler the experiments use, draws no counts and no bits: it convolves
+the law of the true number of bright ions with the threshold's per-ion
+error probabilities (DetectionModel.flip_probs, the law of those counts)
+and draws the histogram of the detected count as one multinomial.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -592,32 +593,55 @@ def detect(state: RegisterState, detection: DetectionModel,
     return detection.classify(counts), counts
 
 
-def measure(probs, shots: int, detection: DetectionModel, rng: np.random.Generator):
-    """Sample shots from an outcome law over the 2**n basis states (a
-    state's probabilities(), or a noisy law built from them), then read
-    each ion out through the detection model's flip law.
-
-    The threshold readout errs on each ion on its own: a dark ion reads
-    bright with probability e0, a bright one dark with e1
-    (DetectionModel.flip_probs), the law of sample_counts then classify.
-    Draws: Generator.choice takes one inverse-CDF uniform per shot for
-    the true outcome, then one uniform per (shot, ion) flips that ion's
-    bit where it falls below the bit's error probability.
-
-    Returns the detected bits, shape (shots, n).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+def bright_count_law(probs) -> np.ndarray:
+    """P(k), k = 0..n: the law of the number of bright ions of an outcome
+    law over the 2**n basis states, one bincount over a popcount table."""
     probs = np.asarray(probs, dtype=float)
     n = probs.size.bit_length() - 1
     if probs.shape != (2**n,):
         raise ValueError(f"need an outcome law over 2**n basis states, got shape {probs.shape}")
-    probs = probs / probs.sum()
-    idx = rng.choice(len(probs), p=probs, size=shots)
-    bits = ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    e0, e1 = detection.flip_probs
-    bits ^= rng.random(bits.shape) < np.where(bits == 1, e1, e0)
-    return bits
+    bright = np.zeros(1, dtype=np.uint8)  # bright ions of each basis index, by doubling
+    for _ in range(n):
+        bright = np.concatenate([bright, bright + 1])
+    return np.bincount(bright, weights=probs, minlength=n + 1)
+
+
+def detected_count_law(count_law, e0: float, e1: float) -> np.ndarray:
+    """The law of the detected bright count, given the law P(k) of the true
+    one, k = 0..n, when each ion reads wrong on its own: a dark ion bright
+    with probability e0, a bright one dark with e1.  Given k it is
+    Binomial(k, 1 - e1) + Binomial(n - k, e0), the coefficients of
+    u**k v**(n - k) in x, where u = e1 + (1 - e1) x and v = 1 - e0 + e0 x
+    generate one bright and one dark ion's read count.  The sum over k is
+    T_n of T_0 = P(0), T_j = v T_(j-1) + P(j) u**j: O(n**2) products and
+    sums of non-negative terms.  Returned normalized."""
+    law = np.asarray(count_law, dtype=float)
+    if law.ndim != 1 or law.size < 2 or not (0.0 <= law.min() and 0.0 < law.max() < math.inf):
+        raise ValueError("need a bright-count law of at least 2 finite, non-negative "
+                         f"entries with a positive total, got count_law={law.tolist()}")
+    law = law / law.max()  # no sum below can overflow
+    dark, bright = np.array([1.0 - e0, e0]), np.array([e1, 1.0 - e1])
+    total, bright_k = law[:1], np.ones(1)
+    for p in law[1:]:
+        bright_k = np.convolve(bright_k, bright)
+        total = np.convolve(total, dark) + p * bright_k
+    return total / total.sum()
+
+
+def measure(count_law, shots: int, detection: DetectionModel, rng: np.random.Generator):
+    """Sample shots from the law P(k), k = 0..n, of the true number of
+    bright ions (bright_count_law of a state's probabilities(), or of a
+    noisy law built from them), read out through the detection model's
+    per-ion flip pair (e0, e1) = DetectionModel.flip_probs, the law of
+    sample_counts then classify.  The shots are independent, so the
+    histogram of the detected bright count is one multinomial draw of
+    detected_count_law.
+
+    Returns the histogram, shape (n + 1,): shots by detected bright count.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return rng.multinomial(shots, detected_count_law(count_law, *detection.flip_probs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ in simulate, each pulse is followed by the depolarizing channel
 (1 - eps) rho + eps I/d on every ion, eps = noise.eps_1q for a one-qubit
 pulse and noise.eps_2q for an MS, which commutes with every unitary; so
 the law is w |<b|U|S...S>|^2 + (1 - w)/d, w the product of the 1 - eps.
-An RB sequence is one binomial draw, and each setting of the parity scan
-that GHZ and gate decay share is one engine.measure of that law
-(Magesan, Gambetta & Emerson, PRL 106, 180504 (2011)).  Heating samples
+An RB sequence is one binomial draw (Magesan, Gambetta & Emerson, PRL
+106, 180504 (2011)).  The parity witness of GHZ and gate decay reads
+only how many ions each shot detects bright, so each setting of the
+parity scan they share reduces that law to its bright count and draws
+the detected-count histogram with one engine.measure.  Heating samples
 its closed-form law: jump rates up r(n+1) and down r n keep a thermal
 ensemble thermal with mean nbar0 + r t, so each point draws Fock numbers
 from that thermal law.  Every run_* function is deterministic given
@@ -248,6 +250,12 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
 # Thermometry and heating
 # ---------------------------------------------------------------------------
 
+# Largest thermal mean a heating point may reach.  Generator.geometric
+# saturates at int64's maximum, about 9.2e18, once the mean passes about
+# 1e18; at a mean of 1e15 a draw passes even 1e17 with probability e**-100.
+MAX_THERMAL_MEAN = 1e15
+
+
 def _sample_thermal_n(nbar: float, size, rng) -> np.ndarray:
     if nbar <= 0:
         return np.zeros(size, dtype=int)
@@ -306,13 +314,18 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
     if not 0.0 <= nbar0 < math.inf:
         raise ValueError(f"nbar0 must be finite and non-negative, got {nbar0}")
     noise = spec.noise
+    keys = (f"(heating_rate_ref, heating_omega_ref, heating_alpha) = ({noise.heating_rate_ref:g}, "
+            f"{noise.heating_omega_ref:g}, {noise.heating_alpha:g})")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        rates_true = [noise.heating_rate(2.0 * math.pi * f) for f in freqs]
+        rates_true = [float(noise.heating_rate(2.0 * math.pi * f)) for f in freqs]
+    t_max = float(np.max(waits, initial=0.0))
     for f, rate in zip(freqs, rates_true):
         if not math.isfinite(rate):
-            raise ValueError(f"heating rate at {f:g} Hz is not finite: (heating_rate_ref, "
-                             f"heating_omega_ref, heating_alpha) = ({noise.heating_rate_ref:g}, "
-                             f"{noise.heating_omega_ref:g}, {noise.heating_alpha:g})")
+            raise ValueError(f"heating rate at {f:g} Hz is not finite: {keys}")
+        if not nbar0 + rate * t_max <= MAX_THERMAL_MEAN:  # a Python float overflows to inf
+            raise ValueError(f"thermal mean {nbar0 + rate * t_max:g} at {f:g} Hz after "
+                             f"{t_max:g} s is above {MAX_THERMAL_MEAN:g}, the largest "
+                             f"the thermal draws represent: {keys}")
     rates, rate_errs = [], []
     point_sets = {}
     for i, (f, rate_true) in enumerate(zip(freqs, rates_true)):
@@ -322,7 +335,7 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
             ns = _sample_thermal_n(nbar0 + rate_true * t, spec.shots, rng)
             nbar, se, flagged = estimate_nbar(ns, rng)
             if flagged:
-                raise FitFailure(f"thermometry undefined at f={f}, t={t}")
+                raise FitFailure(f"thermometry undefined at f={f}, t={t}: {keys}")
             ys.append(nbar)
             es.append(max(se, 1e-9))
         ds = Dataset(waits, np.array(ys), np.array(es))
@@ -364,40 +377,45 @@ def ghz_state_fidelity(n: int) -> float:
 
 
 def _parity_scan_laws(prepared: eng.RegisterState, w: float, phases, eps_1q: float):
-    """The outcome law of prepared, then for each phase its law after
-    R(pi/2, phi) on every ion, each mixed in place as w P + (1 - w)/2**n;
-    an analysis law's w gains a factor 1 - eps_1q, its pulse's depolarizing
-    over every ion.  A rotated copy is dropped once its law is taken."""
+    """The bright-count law (engine.bright_count_law) of prepared, then for
+    each phase that of a copy after R(pi/2, phi) on every ion, each outcome
+    law mixed in place as w P + (1 - w)/2**n before it is reduced; an
+    analysis law's w gains a factor 1 - eps_1q, its pulse's depolarizing
+    over every ion.  The rotation replaces the copy's psi, so prepared is
+    left as it is, and a rotated copy is dropped once its law is taken."""
     n = prepared.n
     for phi in (None, *phases):
         law = (prepared if phi is None else eng.apply_rotation(
-            copy.deepcopy(prepared), range(n), math.pi / 2, phi)).probabilities()[0]
+            copy.copy(prepared), range(n), math.pi / 2, phi)).probabilities()[0]
         w_law = w if phi is None else w * (1.0 - eps_1q)
         law *= w_law
         law += (1.0 - w_law) / 2**n
-        yield law
+        yield eng.bright_count_law(law)
 
 
 def _parity_witness(spec: ExperimentSpec, prepared: eng.RegisterState, w: float,
                     phases, streams) -> tuple:
     """(witness, parity dataset, fringe fit at frequency n) of the parity
-    scan of prepared, law j read out by engine.measure from streams[j].
-    The witness holds P, C = min(fringe amplitude, 1), F = (P+C)/2 and,
-    under <name>_err, the error of each."""
+    scan of prepared, law j read out by engine.measure from streams[j] as
+    a histogram of the detected bright count.  Both statistics are read
+    from the histograms: P from the shots with 0 or n bright, each phase's
+    parity from the shots with an even number of dark ions.  The witness
+    holds P, C = min(fringe amplitude, 1), F = (P+C)/2 and, under
+    <name>_err, the error of each."""
     n, shots = prepared.n, spec.shots
-    pop_bits, *parity_bits = [
+    pop, *scans = [
         eng.measure(law, shots, spec.noise.detection, np.random.default_rng(key))
         for law, key in zip(_parity_scan_laws(prepared, w, phases, spec.noise.eps_1q),
                             streams)]
-    sums = pop_bits.sum(axis=1)
-    k_pop = int(np.sum((sums == 0) | (sums == n)))
+    even_dark = (n - np.arange(n + 1)) % 2 == 0
     par, err = [], []
-    for bits in parity_bits:
-        parity = 1.0 - 2.0 * (np.sum(1 - bits, axis=1) % 2)
-        par.append(float(np.mean(parity)))
-        err.append(max(2.0 * float(binomial_se(int(np.sum(parity > 0)), shots)), 1e-9))
+    for counts in scans:
+        k_even = int(counts[even_dark].sum())
+        par.append((2 * k_even - shots) / shots)
+        err.append(max(2.0 * float(binomial_se(k_even, shots)), 1e-9))
     ds = Dataset(phases, np.array(par), np.array(err))
     fringe = fit_fringe(ds, float(n))
+    k_pop = int(pop[0] + pop[n])
     p, se_p = k_pop / shots, float(binomial_se(k_pop, shots))
     c, se_c = min(fringe["amplitude"], 1.0), fringe.error("amplitude")
     return ({"P": p, "C": c, "F": (p + c) / 2.0, "P_err": se_p, "C_err": se_c,

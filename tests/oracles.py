@@ -133,3 +133,18 @@ def readout_flip_oracle(det) -> tuple:
                            epsabs=1e-300, epsrel=1e-13, limit=1000)
     e0 += math.exp(-det.window / det.t1) * poisson.sf(k - 1, det.dark_mean)
     return e0, float(poisson.cdf(k - 1, det.bright_mean))
+
+
+def detected_count_oracle(probs, e0: float, e1: float) -> np.ndarray:
+    """Reference for engine.detected_count_law of engine.bright_count_law:
+    the 2x2 flip stochastic matrix of every ion (a dark ion reads bright
+    with e0, a bright one dark with e1) applied to the law over the 2**n
+    basis states, then the law of each detected state's bright ions
+    summed by a popcount bincount."""
+    n = len(probs).bit_length() - 1
+    flip = np.array([[1.0 - e0, e0], [e1, 1.0 - e1]])  # row: true bit, column: read bit
+    law = np.asarray(probs, dtype=float).reshape((2,) * n)
+    for axis in range(n):
+        law = np.moveaxis(np.tensordot(law, flip, axes=([axis], [0])), -1, axis)
+    bright = [bin(i).count("1") for i in range(2**n)]
+    return np.bincount(bright, weights=law.reshape(-1), minlength=n + 1)

@@ -399,6 +399,25 @@ def test_overflowing_heating_rate_is_one_error_line(tmp_path, capfd, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e15", "1e18", "1e250"])
+def test_heating_rate_past_the_thermal_ceiling_is_one_error_line(tmp_path, capfd, rate):
+    """A finite rate whose thermal mean passes experiments.MAX_THERMAL_MEAN
+    is rejected before any draw, naming the heating fields."""
+    out, cfg = tmp_path / "out", tmp_path / "heating.cfg"
+    cfg.write_text(f"noise.heating_rate_ref = {rate}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["experiment", "heating", "--config", str(cfg), "--shots", "10",
+                     "--out", str(out)])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: thermal mean ")
+    assert "heating_rate_ref" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # Both ends of addressing.W0_RANGE_UM run; a waist past either end is one error.
 @pytest.mark.parametrize("w0, code", [("1e300", 1), ("1e-300", 1), ("1e-3", 0), ("1e4", 0)])
 def test_waist_outside_the_scans_range_is_one_error_line(tmp_path, capfd, w0, code):

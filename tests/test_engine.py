@@ -505,27 +505,29 @@ def test_flip_probs_match_the_quad_oracle(det):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_measure_flip_rate_matches_sampled_counts(bit):
     """measure's flips and sample_counts + classify read one ion state out
-    with the same error rate: 2e5 ion-readouts each, |z| <= 5."""
+    with the same error rate: 2e5 ion-readouts each, |z| <= 5.  measure's
+    flips are the detected counts' distances from the true count."""
     shots, n = 100_000, 2
-    law = np.zeros(2**n)
-    law[-bit] = 1.0  # all dark (index 0) or all bright (index 2**n - 1)
-    flipped = eng.measure(law, shots, RESOLVABLE, np.random.default_rng(71)) != bit
-    counts = RESOLVABLE.sample_counts(np.full((shots, n), bit, dtype=np.int8),
-                                      np.random.default_rng(72))
-    misread = RESOLVABLE.classify(counts) != bit
-    p1, p2, m = flipped.mean(), misread.mean(), flipped.size
+    law = np.zeros(n + 1)
+    law[-bit] = 1.0  # all dark (count 0) or all bright (count n)
+    counts = eng.measure(law, shots, RESOLVABLE, np.random.default_rng(71))
+    flips = int(counts @ np.abs(np.arange(n + 1) - bit * n))
+    sampled = RESOLVABLE.sample_counts(np.full((shots, n), bit, dtype=np.int8),
+                                       np.random.default_rng(72))
+    misread = RESOLVABLE.classify(sampled) != bit
+    p1, p2, m = flips / (shots * n), misread.mean(), misread.size
     pooled = (p1 + p2) / 2.0
     z = (p1 - p2) / math.sqrt(2.0 * pooled * (1.0 - pooled) / m)
     assert abs(z) <= 5.0
 
 
-def test_measure_draws_the_outcome_then_one_uniform_per_ion():
-    probs, shots = [0.1, 0.2, 0.3, 0.4], 1000
-    bits = eng.measure(probs, shots, RESOLVABLE, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    true = (rng.choice(4, p=probs, size=shots)[:, None] >> np.arange(2)) & 1
-    e0, e1 = RESOLVABLE.flip_probs
-    assert np.array_equal(bits, true ^ (rng.random((shots, 2)) < np.where(true == 1, e1, e0)))
+def test_measure_draws_one_multinomial_of_the_detected_law():
+    law, shots = [0.1, 0.2, 0.3, 0.4], 1000
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    counts = eng.measure(law, shots, RESOLVABLE, rng)
+    want = ref.multinomial(shots, eng.detected_count_law(law, *RESOLVABLE.flip_probs))
+    assert np.array_equal(counts, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_flip_probs_of_a_mean_near_numpy_poisson_limit_are_finite():
@@ -543,25 +545,37 @@ def test_noise_config_reads_out_with_its_own_t1(t1):
 def test_measure_shapes_and_bright_state():
     st = eng.RegisterState(2)  # all-bright
     det = eng.DetectionModel()
-    bits = eng.measure(st.probabilities()[0], 500, det, np.random.default_rng(5))
-    assert bits.shape == (500, 2) and bits.dtype == np.int8
-    assert np.mean(bits) > 0.999
+    counts = eng.measure(eng.bright_count_law(st.probabilities()[0]), 500, det,
+                         np.random.default_rng(5))
+    assert counts.shape == (3,) and counts.sum() == 500
+    assert counts @ np.arange(3) / (2 * 500) > 0.999
 
 
 def test_measure_never_draws_a_zero_probability_outcome():
-    # Outcome 2 (qubit 1 bright, qubit 0 dark) has no weight; a perfect
-    # readout (no dark counts, no decay in the window) shows the true bits.
+    # One ion bright has no weight; a perfect readout (no dark counts, no
+    # decay in the window) shows the true counts.
     det = eng.DetectionModel(dark_mean=0.0, t1=math.inf)
-    bits = eng.measure([0.25, 0.5, 0.0, 0.25], 20000, det, np.random.default_rng(6))
-    idx = bits[:, 0] + 2 * bits[:, 1]
-    assert not np.any(idx == 2)
-    assert set(np.unique(idx)) == {0, 1, 3}
+    law = eng.bright_count_law([0.5, 0.0, 0.0, 0.5])
+    counts = eng.measure(law, 20000, det, np.random.default_rng(6))
+    assert counts[1] == 0 and counts[0] > 0 and counts[2] > 0
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [[0.5, 0.5]], 1.0, []])
-def test_measure_rejects_a_law_not_over_basis_states(probs):
+def test_bright_count_law_rejects_a_law_not_over_basis_states(probs):
     with pytest.raises(ValueError, match=r"2\*\*n basis states"):
-        eng.measure(probs, 10, eng.DetectionModel(), np.random.default_rng(0))
+        eng.bright_count_law(probs)
+
+
+@pytest.mark.parametrize("law", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [-0.1, 1.1],
+                                 [1.0], [], [[0.5, 0.5]]],
+                         ids=["zero_total", "nan", "inf", "negative", "one_entry", "empty",
+                              "two_dim"])
+def test_measure_rejects_a_malformed_law_before_any_draw(law):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"bright-count law .* got count_law="):
+        eng.measure(law, 10, eng.DetectionModel(), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_detection_mean_just_below_numpy_poisson_limit_samples():

@@ -2,6 +2,7 @@
 addressing scans.  Statistical assertions use 3-sigma windows at fixed seeds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ def test_heating_scan_rejects_a_non_positive_or_non_finite_frequency(freqs):
         exp.run_heating_scan(_spec("heating", QUIET, shots=100), [0.5, 1.0], freqs)
 
 
+def test_heating_scan_names_the_heating_fields_when_thermometry_fails():
+    """A mean below MAX_THERMAL_MEAN that 10 shots cannot resolve."""
+    noise = replace(QUIET, heating_rate_ref=1e13)
+    with pytest.raises(FitFailure, match=r"thermometry undefined .*heating_rate_ref"):
+        exp.run_heating_scan(_spec("heating", noise, shots=10), [0.2, 2.0],
+                             [0.7e6, 1.05e6, 1.6e6])
+
+
 def test_heating_scan_rate_and_alpha():
     spec = _spec("heating", QUIET, shots=1500, seed=7)
     res = exp.run_heating_scan(spec, np.linspace(0.2, 2.0, 5),
@@ -342,15 +351,24 @@ def test_run_ghz_prepares_the_register_once(monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("n", [2, 5, 6])
+def test_parity_scan_leaves_the_prepared_register_unchanged(n):
+    """Each analysis rotation acts on a shallow copy, whose psi it replaces."""
+    prepared = exp.ghz_prepare(eng.RegisterState(n))
+    psi = prepared.psi.copy()
+    list(exp._parity_scan_laws(prepared, 0.9, np.linspace(0.0, PI, 5), 0.05))
+    assert np.array_equal(prepared.psi, psi)
+
+
 # run_ghz extras at one seed, the GHZ state (odd N) and a product state.
 GHZ_PINNED = {
-    None: {"N": 5, "P": 1.0, "C": 0.9953783986476742, "F": 0.997689199323837,
-           "P_err": 0.002351148809032321, "C_err": 0.005412479702685348,
-           "F_err": 0.002950543901308493, "witness": True},
+    None: {"N": 5, "P": 1.0, "C": 0.9988785285884522, "F": 0.999439264294226,
+           "P_err": 0.002351148809032321, "C_err": 0.0032683187475130875,
+           "F_err": 0.0020130703016511633, "witness": True},
     ((1.0, 0.1), (2.0, -0.3), (0.5, 1.2)): {
-        "N": 3, "P": 0.24333333333333335, "C": 0.07839868678548166,
-        "F": 0.1608660100594075, "P_err": 0.024773791408275413,
-        "C_err": 0.023451059792832435, "F_err": 0.017056471983881535, "witness": False},
+        "N": 3, "P": 0.23666666666666666, "C": 0.09371112876250312,
+        "F": 0.1651888977145849, "P_err": 0.024539461794937253,
+        "C_err": 0.023402007238127905, "F_err": 0.016954638951910593, "witness": False},
 }
 
 
@@ -374,14 +392,14 @@ def test_ghz_phase_span_validation():
 # ---------------------------------------------------------------------------
 
 def _gate_decay_law_per_setting(k_gates, phi, eps):
-    """A gate-decay law built on a fresh register for each setting, each
-    gate and the analysis pulse, if any, charged eps."""
+    """A gate-decay bright-count law built on a fresh register for each
+    setting, each gate and the analysis pulse, if any, charged eps."""
     state = eng.apply_ms_ideal(eng.RegisterState(2), [0, 1], k_gates * PI / 4)
     w = (1.0 - eps) ** k_gates
     if phi is not None:
         eng.apply_rotation(state, [0, 1], PI / 2, phi)
         w *= 1.0 - eps
-    return w * state.probabilities()[0] + (1.0 - w) / 4
+    return eng.bright_count_law(w * state.probabilities()[0] + (1.0 - w) / 4)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.01])

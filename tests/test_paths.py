@@ -1,8 +1,9 @@
 """Two paths, one law.  GHZ, gate decay, RB and the addressing scan sample
 a closed-form outcome law and never run engine.run_schedule.  Each case
 here writes one of their settings as a circuit, runs it through
-run_schedule as simulate does, and sets the two bit histograms against
-each other with a chi-squared contingency test at a fixed seed."""
+run_schedule as simulate does, and sets the two histograms of the
+detected bright count against each other with a chi-squared contingency
+test at a fixed seed."""
 
 import functools
 import math
@@ -37,9 +38,8 @@ def _circuit_bits(lines, n, crosstalk=None, **machine):
 
 
 def _histogram(bits):
-    """Shots per basis state, qubit 0 the least significant bit."""
-    n = bits.shape[1]
-    return np.bincount(bits @ (1 << np.arange(n)), minlength=2**n)
+    """Shots per detected bright count, 0 to n."""
+    return np.bincount(bits.sum(axis=1), minlength=bits.shape[1] + 1)
 
 
 def _assert_one_law(experiment_counts, circuit_counts):
@@ -58,8 +58,8 @@ GATE_PHASE = 2
 
 
 @functools.cache
-def _experiment_bits(kind, n=None):
-    """The detected bits of every engine.measure call of one run, in call
+def _experiment_counts(kind, n=None):
+    """The histogram of every engine.measure call of one run, in call
     order: GHZ on n ions, its phases over one parity period from
     GHZ_PHASE[n], or gate decay at GATE_COUNTS."""
     drawn, inner = [], eng.measure
@@ -86,7 +86,7 @@ def test_ghz_law_is_run_schedules(n, law):
     lines = [f"MS {PI / 4!r} all"] + [f"R {PI / 2!r} 0 all"] * (n % 2)
     if law == "phase":
         lines.append(f"R {PI / 2!r} {GHZ_PHASE[n]!r} all")
-    _assert_one_law(_histogram(_experiment_bits("ghz", n)[law == "phase"]),
+    _assert_one_law(_experiment_counts("ghz", n)[law == "phase"],
                     _histogram(_circuit_bits(lines, n)))
 
 
@@ -100,7 +100,7 @@ def test_gate_decay_law_is_run_schedules(k, law):
     if law == "phase":
         lines.append(f"R {PI / 2!r} {float(exp.GATE_DECAY_PHASES[GATE_PHASE])!r} all")
         index += 1 + GATE_PHASE
-    _assert_one_law(_histogram(_experiment_bits("gate_decay")[index]),
+    _assert_one_law(_experiment_counts("gate_decay")[index],
                     _histogram(_circuit_bits(lines, 2)))
 
 

@@ -22,7 +22,7 @@ from iontrap_bench import experiments as exp
 from iontrap_bench.config import SCHEMA, dump_config, parse_config
 from iontrap_bench.errors import IonTrapBenchError
 from oracles import (apply_1q_einsum, dephasing_per_qubit, depolarizing_channel,
-                     t1_decay_per_qubit)
+                     detected_count_oracle, t1_decay_per_qubit)
 
 PI = math.pi
 ANGLES = st.floats(-2 * PI, 2 * PI)
@@ -144,11 +144,11 @@ def _ms(n, chi):
 
 
 def _scan_laws(rho, n, phases, eps_1q):
-    """Diagonals of rho, then of rho after R(pi/2, phi) on every ion and
-    its depolarizing eps_1q, per phase."""
+    """Bright-count laws of the diagonals of rho, then of rho after
+    R(pi/2, phi) on every ion and its depolarizing eps_1q, per phase."""
     rhos = [rho] + [_noisy(rho, [_on_every_ion(_pulse(PI / 2, phi), n)], eps_1q)
                     for phi in phases]
-    return [np.diag(r).real for r in rhos]
+    return [detected_count_oracle(np.diag(r).real, 0.0, 0.0) for r in rhos]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -175,6 +175,18 @@ def test_ghz_laws_match_per_gate_density_matrix(n, phases, eps, eps_1q):
     w = (1.0 - eps) * (1.0 - eps_1q) ** (n % 2)
     laws = exp._parity_scan_laws(exp.ghz_prepare(eng.RegisterState(n)), w, phases, eps_1q)
     np.testing.assert_allclose(list(laws), _scan_laws(rho, n, phases, eps_1q),
+                               rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), e0=st.floats(0.0, 0.5), e1=st.floats(0.0, 0.5), data=st.data())
+def test_detected_count_law_matches_per_ion_flip_oracle(n, e0, e1, data):
+    """measure's law, the bright-count law convolved with the two readout
+    binomials, against every ion's flip matrix on the 2**n law."""
+    probs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n)))
+    assume(probs.sum() > 0.0)
+    got = eng.detected_count_law(eng.bright_count_law(probs), e0, e1)
+    np.testing.assert_allclose(got, detected_count_oracle(probs / probs.sum(), e0, e1),
                                rtol=0.0, atol=1e-12)
 
 
