@@ -7,14 +7,15 @@ readout act on that layout only and draw one random number per shot.
 Only the bichromatic gate's state carries a truncated phonon (Fock) axis.
 A layer of one-qubit gates is one dense pass per block of up to four
 qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
-are the Hadamard layers of the ideal MS gate.  The idle noise, T1 and
-dephasing, acts on every qubit of the register.  T1 follows the
-unnormalized unraveling (Plenio & Knight, RMP 70, 101 (1998)): all its
-draws at once, every qubit's no-jump D population from one pass over
-the populations, one real diagonal scale and one renormalization; only
-shots that jump take the per-qubit rule.  Dephasing multiplies the
-state once by a per-shot diagonal of every qubit's kicks.  The readout
-of a run (detect) draws photon counts and classifies them; measure, the
+are the Hadamard layers of the ideal MS gate; run_schedule builds each
+MS gate's phase table once per call.  The idle noise, dephasing then T1,
+acts on every qubit of the register in one pass per interval.  T1
+follows the unnormalized unraveling (Plenio & Knight, RMP 70, 101
+(1998)): all its draws at once and every qubit's no-jump D population
+from one pass over the populations, which the dephasing kicks keep; one
+per-shot diagonal then carries the kicks, the no-jump scale and the
+renormalization, and only shots that jump take the per-qubit rule.  The
+readout of a run (detect) draws photon counts and classifies them; measure, the
 sampler the experiments use, draws no counts and no bits: it convolves
 the law of the true number of bright ions with the threshold's per-ion
 error probabilities (DetectionModel.flip_probs, the law of those counts)
@@ -368,26 +369,31 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float, weights=None):
     if len(set(targets)) != len(targets) or len(targets) < 2:
         raise ValueError("MS needs >= 2 distinct targets")
     weights = np.ones(len(targets)) if weights is None else np.asarray(weights, dtype=float)
-    # Hadamards on the targets, as unnormalized butterflies sqrt(2) H: the
-    # two layers' factor 2**-k scales the phase exactly.
+    return _apply_ms_phase(state, targets, _ms_phase(state.n, targets, weights, chi))
+
+
+def _apply_ms_phase(state: RegisterState, targets, phase: np.ndarray) -> RegisterState:
+    """The MS gate whose Hadamard-frame phase table _ms_phase built, between
+    Hadamards on the targets, as unnormalized butterflies sqrt(2) H: the
+    two layers' factor 2**-k scales the phase exactly."""
     hadamards = [None] * state.n
     for q in targets:
         hadamards[q] = _SQRT2_H
     _apply_layer(state, hadamards)
-    state.psi *= _ms_phase(state.n, targets, weights, chi)
+    state.psi *= np.broadcast_to(phase, (2,) * state.n).reshape(-1)
     return _apply_layer(state, hadamards)
 
 
 def _ms_phase(n: int, targets, weights, chi: float) -> np.ndarray:
-    """exp(-i chi/2 (m**2 - sum w**2)) / 2**k over the 2**n basis states of
-    the Hadamard frame, m the weighted sum of +-1 per target (+1 for D).
-    Its own function so that its 2**n temporaries are freed before the
-    second Hadamard layer."""
-    idx = np.arange(2**n)
-    m = np.zeros(2**n)
+    """exp(-i chi/2 (m**2 - sum w**2)) / 2**k in the Hadamard frame, m the
+    weighted sum of +-1 per target (+1 for D), summed in target order: an
+    n-axis array (axis n - 1 - q for qubit q) of 2**k entries, broadcast
+    over the axes of the qubits that are no target."""
+    m = 0.0
     for q, w in zip(targets, weights):
-        bit = (idx >> q) & 1
-        m = m + w * np.where(bit == 0, 1.0, -1.0)
+        axis = [1] * n
+        axis[n - 1 - q] = 2
+        m = m + w * np.array([1.0, -1.0]).reshape(axis)
     return np.exp(-1j * (chi / 2.0) * (m**2 - float(np.sum(weights**2)))) * 2.0 ** -len(targets)
 
 
@@ -397,8 +403,8 @@ def apply_dephasing(state: RegisterState, dt: float, t2: float,
 
     detuning_hz, one entry per qubit, adds a deterministic phase ramp
     (field gradients).  The kicks of all qubits are drawn at once, qubit 0
-    first, and act through one per-shot diagonal over the basis, built by
-    Kronecker doubling from the lowest qubit up: one pass over the state.
+    first, and act through one per-shot diagonal: _noise_interval with no
+    T1 decay.
     """
     _spin_register(state)
     if dt < 0 or not t2 > 0:
@@ -406,22 +412,87 @@ def apply_dephasing(state: RegisterState, dt: float, t2: float,
     if detuning_hz is not None and np.shape(detuning_hz) != (state.n,):
         raise ValueError(f"detuning_hz must hold one entry per qubit ({state.n}), "
                          f"got shape {np.shape(detuning_hz)}")
-    if dt == 0:
+    return _noise_interval(state, dt, rng, math.inf, t2, detuning_hz)
+
+
+def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
+                    t1: float, t2: float, detuning_hz=None) -> RegisterState:
+    """One idle interval of dt seconds (none if dt <= 0) on every qubit of a
+    spin register: apply_dephasing's kicks then apply_t1_decay's jumps, with
+    their draws in that order (normals if t2 < inf, then uniforms if
+    p = 1 - exp(-dt/t1) > 0), in one pass.  The kicks keep the populations,
+    so one contraction of them gives the jump test; each shot that does not
+    jump is multiplied once by one per-shot diagonal, kick_q on the set bits
+    and sqrt(1 - p) on the clear bits of each qubit q, times 1/sqrt of the
+    no-jump squared norm the contraction ends with.  A shot that jumps takes
+    the kicks, then the per-qubit rule (_t1_in_turn), then renormalizes."""
+    if dt <= 0:
         return state
+    n, shots = state.n, len(state.psi)
+    psi = state.psi = np.ascontiguousarray(state.psi)
     sigma = math.sqrt(2.0 * dt / t2)
-    shape = (state.n, len(state.psi))
-    phase = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
+    phase = rng.normal(0.0, sigma, size=(n, shots)) if sigma > 0 else np.zeros((n, shots))
     if detuning_hz is not None:
         phase += 2.0 * math.pi * np.asarray(detuning_hz, dtype=float)[:, None] * dt
-    if not phase.any():
+    p = 1.0 - math.exp(-dt / t1)
+    if p == 0.0 and not phase.any():
         return state
-    # diag[:, i] is the product of the kicks of the qubits set in i.
-    diag = np.empty(state.psi.shape, dtype=complex)
-    diag[:, 0] = 1.0
-    for q, kick in enumerate(np.exp(1j * phase)):
-        np.multiply(diag[:, :2**q], kick[:, None], out=diag[:, 2**q:2 ** (q + 1)])
-    state.psi *= diag
+    kicks = np.empty(phase.shape, dtype=complex)  # exp(i phase), as cos and sin
+    np.cos(phase, out=kicks.real)
+    np.sin(phase, out=kicks.imag)
+    if p == 0.0:
+        _scale_diagonal(psi, kicks, 1.0, 1.0)
+        return state
+    u = rng.random((n, shots))
+    pops = np.square(psi.real)
+    pops += np.square(psi.imag)
+    dark2 = np.empty((n, shots))
+    for q in range(n):
+        halves = pops.reshape(shots, -1, 2)
+        dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
+        pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]  # ends as (shots, 1)
+    loss = p * dark2
+    # The squared norm before each qubit, as a loop of subtractions would give it.
+    norms = np.subtract.accumulate(np.concatenate((np.ones((1, shots)), loss[:-1])))
+    jump = np.logical_or.reduce(u < loss / norms)
+    jumped = jump.nonzero()[0]
+    sub = state.subset(jumped)  # a copy, taken before the scale
+    _scale_diagonal(psi, kicks, math.sqrt(1.0 - p), 1.0 / np.sqrt(np.where(jump, 1.0, pops[:, 0])))
+    if jumped.size:
+        _scale_diagonal(sub.psi, kicks[:, jumped], 1.0, 1.0)
+        _t1_in_turn(sub.psi, p, u[:, jumped])
+        sub.renormalize()
+        psi[jumped] = sub.psi
     return state
+
+
+def _scale_diagonal(psi: np.ndarray, kicks: np.ndarray, root: float, start):
+    """Multiply psi, (shots, 2**n) and contiguous, in place by the per-shot
+    diagonal whose entry [s, i] is start (a number, or an array of one per
+    shot) times, for each qubit q, kicks[q, s] if bit q of i is set, else
+    root: by one _shot_table over the m lowest qubits (at least half of
+    them, and each with 2**q < shots), then, if m < n, by one over the
+    rest; a multiply by each table costs less than building their product."""
+    n, shots = kicks.shape
+    m = max(min(n, (shots - 1).bit_length()), (n + 1) // 2)
+    v = psi.reshape(shots, 2 ** (n - m), 2**m)
+    v *= _shot_table(kicks[:m], root, start).T[:, None, :]
+    if m < n:
+        v *= _shot_table(kicks[m:], root, 1.0).T[:, :, None]
+
+
+def _shot_table(kicks: np.ndarray, root: float, start) -> np.ndarray:
+    """The (2**k, shots) table, for kicks (k, shots), whose entry [i, s] is
+    start (as in _scale_diagonal) times, for each j, kicks[j, s] if bit j
+    of i is set, else root: built by doubling along the shot axis, so that
+    every pass multiplies rows of one entry per shot."""
+    table = np.empty((2 ** len(kicks), kicks.shape[1]), dtype=complex)
+    table[0] = start
+    for j, kick in enumerate(kicks):
+        np.multiply(table[:2**j], kick, out=table[2**j:2 ** (j + 1)])
+        if root != 1.0:
+            table[:2**j] *= root
+    return table
 
 
 _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]],
@@ -473,42 +544,13 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     half (dark2) and the dark half times (1 - p) plus the bright half (the
     next qubit's weighted populations).  Until a shot jumps its state is
     one real diagonal scale, sqrt(1 - p) per dark bit; only a shot that
-    jumps takes the per-qubit rule (_t1_in_turn).
+    jumps takes the per-qubit rule (_t1_in_turn).  This is the noise
+    interval of _noise_interval with no dephasing.
     """
     _spin_register(state)
     if dt < 0 or not t1 > 0:
         raise ValueError(f"need dt >= 0 and t1 > 0, got dt={dt}, t1={t1}")
-    p = 1.0 - math.exp(-dt / t1)
-    if p == 0.0:
-        return state
-    n = state.n
-    psi = state.psi = np.ascontiguousarray(state.psi)
-    shots = len(psi)
-    u = rng.random((n, shots))
-    pops = np.square(psi.real)
-    pops += np.square(psi.imag)
-    dark2, norms = np.empty((n, shots)), np.ones((n, shots))  # norms: before each qubit
-    for q in range(n):
-        halves = pops.reshape(shots, -1, 2)
-        dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
-        if q + 1 < n:
-            norms[q + 1] = norms[q] - p * dark2[q]
-            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
-    jump = u < p * dark2 / norms
-    # A shot that jumps redoes the decay qubit by qubit from the start: up
-    # to its first jump those are the same no-jump steps.
-    jumped = np.logical_or.reduce(jump).nonzero()[0]
-    sub = psi[jumped]  # a copy, taken before the scale
-    root, scale = math.sqrt(1.0 - p), np.ones(2)  # over psi's (real, imaginary) pairs
-    for _ in range(n):
-        scale = np.concatenate([scale * root, scale])
-    x = psi.view(float)
-    x *= scale
-    if jumped.size:
-        _t1_in_turn(sub, p, u[:, jumped])
-        psi[jumped] = sub
-    state.renormalize()
-    return state
+    return _noise_interval(state, dt, rng, t1, math.inf)
 
 
 def _t1_in_turn(psi, p, u):
@@ -813,34 +855,47 @@ def valid_bits(records) -> np.ndarray:
     return np.array(bits)
 
 
-def _apply_ms_event(state, e, targets, weights=None):
+def _ms_tables(events, n: int, crosstalk) -> dict:
+    """(targets, _ms_phase table) of the ideal MS of every bichromatic event
+    of events and of their branch bodies, keyed by (event targets, bus,
+    angle).  A radial gate under crosstalk acts on every ion, each weighted
+    by its largest crosstalk from the event's targets (1 on the targets)."""
+    tables = {}
+    for e in events:
+        if e.kind == "branch_point":
+            tables.update(_ms_tables(e.body, n, crosstalk))
+        elif e.kind == "bichromatic" and (e.targets, e.bus, e.angle) not in tables:
+            targets, weights = e.targets, np.ones(len(e.targets))
+            if crosstalk is not None and e.bus == "radial":
+                weights = np.max(crosstalk[:, list(e.targets)], axis=1)
+                weights[list(e.targets)] = 1.0
+                targets = range(n)
+            tables[e.targets, e.bus, e.angle] = targets, _ms_phase(n, targets, weights, e.angle)
+    return tables
+
+
+def _apply_ms_event(state, e, targets, phase):
     """Ideal MS of a bichromatic event run in the virtual frames f of its
     qubits: RZ(-f) MS RZ(f), the rule that shifts carrier phases by -f."""
     if e.frames:
         apply_rz(state, range(len(e.frames)), 1.0, scale=e.frames)
-    apply_ms_ideal(state, targets, e.angle, weights=weights)
+    _apply_ms_phase(state, targets, phase)
     if e.frames:
         apply_rz(state, range(len(e.frames)), -1.0, scale=e.frames)
 
 
-def _noise_interval(state, dt_s, noise, rng, t2, detunings_hz):
-    if dt_s <= 0:
-        return
-    apply_dephasing(state, dt_s, t2, rng, detuning_hz=detunings_hz)
-    apply_t1_decay(state, dt_s, rng, t1=noise.t1)
-
-
-def _run_events(events, state, noise, rng, crosstalk, t2,
+def _run_events(events, state, noise, rng, crosstalk, tables, t2,
                 detunings_hz, t_now, last, labels):
     """Apply events in time order to every shot of the batched state; return
     the time (ns) the state has idled to, from t_now.  A pulse acts at its
     centre, a MEASURE at its start, and one noise interval spans the time
     since the previous operation: dephasing, T1 decay and the gradient phase
     compose exactly over adjacent intervals, so the ensemble is that of
-    idling through every gap and pulse.  `last` holds the latest detected
+    idling through every gap and pulse.  An MS event reads its gate from
+    tables (_ms_tables of the events).  `last` holds the latest detected
     bits and counts per shot, `labels` those of each measurement label."""
     def idle(st, t_ns):
-        _noise_interval(st, (t_ns - t_now) * 1e-9, noise, rng, t2, detunings_hz)
+        _noise_interval(st, (t_ns - t_now) * 1e-9, rng, noise.t1, t2, detunings_hz)
 
     for e in sorted(events, key=lambda ev: ev.start):
         if e.kind in ("carrier", "ac_stark", "bichromatic"):
@@ -848,12 +903,7 @@ def _run_events(events, state, noise, rng, crosstalk, t2,
             idle(state, centre)
             t_now = max(t_now, centre)
             if e.kind == "bichromatic":
-                targets, weights = e.targets, None
-                if crosstalk is not None and e.bus == "radial":
-                    weights = np.max(crosstalk[:, list(e.targets)], axis=1)
-                    weights[list(e.targets)] = 1.0
-                    targets = range(state.n)
-                _apply_ms_event(state, e, targets, weights)
+                _apply_ms_event(state, e, *tables[e.targets, e.bus, e.angle])
                 apply_depolarizing(state, e.targets, noise.eps_2q, rng)
             else:
                 targets, scale = e.targets, None
@@ -877,7 +927,7 @@ def _run_events(events, state, noise, rng, crosstalk, t2,
                 body = [replace(b, start=b.start + e.start) for b in e.body]
                 sub = state.subset(fire)
                 sub_last = {k: v[fire] for k, v in last.items()}
-                t_end = _run_events(body, sub, noise, rng, crosstalk, t2,
+                t_end = _run_events(body, sub, noise, rng, crosstalk, tables, t2,
                                     detunings_hz, t_now, sub_last,
                                     {k: v[fire] for k, v in labels.items()})
                 # The body's virtual RZs become real ones on the shots that fired.
@@ -909,7 +959,11 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     trajectories.
 
     Each chunk of at most _CHUNK_BYTES of state is one batched state with
-    its own random stream keyed by (seed, chunk index).  A BRANCH runs its
+    its own random stream keyed by (seed, chunk index).  The phase table
+    of each distinct MS gate (_ms_tables) is built once per call, before
+    the first chunk, and every chunk and branch body reads it.  Between
+    two operations every shot idles through one noise interval
+    (_noise_interval): dephasing and T1 decay in one pass.  A BRANCH runs its
     body on the shots whose detected bits at the MEASURE it names match.
     MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
     A schedule without a top-level MEASURE is read out by one at its end.
@@ -934,12 +988,13 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     if positions_um is not None and np.shape(positions_um) != (n,):
         raise ValueError(f"positions_um must hold {n} positions, got shape "
                          f"{np.shape(positions_um)}")
-    detunings = (np.zeros(n) if positions_um is None else
+    detunings = (None if positions_um is None else
                  np.asarray(positions_um, dtype=float) * noise.gradient_for(qubit_kind))
     lam = noise.collision_rate * n * (schedule.duration_ns * 1e-9)
     events = schedule.events
     if not any(e.kind == "measure" for e in events):
         events += (Event(GLOBAL_CHANNEL, schedule.duration_ns, 0, "measure"),)
+    tables = _ms_tables(events, n, crosstalk)
     chunk = max(1, _CHUNK_BYTES // (2**n * 16))
     bits, counts, valid = [], [], []
     for c, start in enumerate(range(0, shots, chunk)):
@@ -950,7 +1005,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             state.psi[:] = 0.0
             state.psi[np.arange(size), basis.sum(axis=1)] = 1.0
         last = {}
-        _run_events(events, state, noise, rng, crosstalk, t2, detunings, 0, last, {})
+        _run_events(events, state, noise, rng, crosstalk, tables, t2, detunings, 0, last, {})
         bits += last["bits"].tolist()
         counts += last["counts"].tolist()
         valid += (rng.poisson(lam, size=size) == 0).tolist()
@@ -969,7 +1024,7 @@ def schedule_statevector(schedule: PulseSchedule, machine: MachineConfig) -> np.
         raise ValueError("statevector mode supports branch-free, measure-free schedules")
     state = RegisterState(machine.n_qubits)
     _run_events(schedule.events, state, _QUIET, np.random.default_rng(0), None,
-                math.inf, None, 0, {}, {})
+                _ms_tables(schedule.events, machine.n_qubits, None), math.inf, None, 0, {}, {})
     apply_rz(state, range(machine.n_qubits), 1.0, scale=schedule.frames)
     return state.psi[0]
 

@@ -223,17 +223,17 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
                          f"got {spec.shots}")
     eps = spec.noise.eps_1q
     shots_per_seq = spec.shots // RB_SEQUENCES
-    y, yerr = [], []
+    survived = []
     for i, n in enumerate(lengths):
-        k_total, n_total = 0, 0
+        k_total = 0
         for s in range(RB_SEQUENCES):
             rng = np.random.default_rng([spec.seed, i, s])
             cliffords = rng.integers(24, size=n)
             k_total += int(rng.binomial(shots_per_seq, _rb_survival(cliffords, eps)))
-            n_total += shots_per_seq
-        y.append(k_total / n_total)
-        yerr.append(float(binomial_se(k_total, n_total)))
-    ds = Dataset(np.array(lengths, dtype=float), np.array(y), np.array(yerr))
+        survived.append(k_total)
+    n_total = shots_per_seq * RB_SEQUENCES
+    ds = Dataset(np.array(lengths, dtype=float), np.array(survived) / n_total,
+                 binomial_se(survived, n_total))
     fit = fit_decay(ds, form="power", fixed_offset=0.5)
     p = fit["p"]
     r_clif = (1.0 - p) * (1.0 - 0.5)
@@ -408,12 +408,9 @@ def _parity_witness(spec: ExperimentSpec, prepared: eng.RegisterState, w: float,
         for law, key in zip(_parity_scan_laws(prepared, w, phases, spec.noise.eps_1q),
                             streams)]
     even_dark = (n - np.arange(n + 1)) % 2 == 0
-    par, err = [], []
-    for counts in scans:
-        k_even = int(counts[even_dark].sum())
-        par.append((2 * k_even - shots) / shots)
-        err.append(max(2.0 * float(binomial_se(k_even, shots)), 1e-9))
-    ds = Dataset(phases, np.array(par), np.array(err))
+    k_even = np.array([counts[even_dark].sum() for counts in scans])
+    ds = Dataset(phases, (2 * k_even - shots) / shots,
+                 np.maximum(2.0 * binomial_se(k_even, shots), 1e-9))
     fringe = fit_fringe(ds, float(n))
     k_pop = int(pop[0] + pop[n])
     p, se_p = k_pop / shots, float(binomial_se(k_pop, shots))

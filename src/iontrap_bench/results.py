@@ -88,14 +88,13 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
 
 def write_shot_records(path: str, records):
     """CSV export of dynamics-engine shot records:
-    shot,bits,counts_q0..counts_qN,valid"""
+    shot,bits,counts_q0..counts_qN,valid, one row template per record and
+    one write of all rows."""
     if not records:
         raise ValueError("no records to write")
     n = len(records[0].bits)
     header = "shot,bits," + ",".join(f"counts_q{q}" for q in range(n)) + ",valid\n"
+    row = "{}," + "{}" * n + ",{}" * n + ",{:d}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for r in records:
-            bits = "".join(str(b) for b in r.bits)
-            counts = ",".join(str(c) for c in r.counts)
-            fh.write(f"{r.shot},{bits},{counts},{int(r.valid)}\n")
+        fh.write(header + "".join(row.format(r.shot, *r.bits, *r.counts, r.valid)
+                                  for r in records))

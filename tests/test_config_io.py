@@ -238,3 +238,22 @@ def test_shot_record_csv(tmp_path):
     assert lines[2] == "1,01,1,148,0"
     with pytest.raises(ValueError):
         write_shot_records(str(path), [])
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_shot_record_csv_bytes_match_per_field_formatting(tmp_path, n):
+    """The row template writes the bytes of formatting each field on its
+    own, for numpy-int bits and counts and a False valid."""
+    from iontrap_bench.engine import ShotRecord
+    rng = np.random.default_rng(n)
+    bits = rng.integers(2, size=(30, n)).astype(np.int8)
+    counts = rng.poisson(20.0, size=(30, n))
+    recs = [ShotRecord(i, tuple(b), tuple(c), bool(i % 3))
+            for i, (b, c) in enumerate(zip(bits, counts))]
+    want = "shot,bits," + ",".join(f"counts_q{q}" for q in range(n)) + ",valid\n"
+    for r in recs:
+        want += (f"{r.shot},{''.join(str(b) for b in r.bits)},"
+                 f"{','.join(str(c) for c in r.counts)},{int(r.valid)}\n")
+    path = tmp_path / "shots.csv"
+    write_shot_records(str(path), recs)
+    assert path.read_bytes() == want.encode()

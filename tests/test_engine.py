@@ -1,5 +1,6 @@
 """Dynamics engine: propagators, noise trajectories, detection, scheduling."""
 
+import copy
 import math
 import time
 import tracemalloc
@@ -12,8 +13,9 @@ from scipy.stats import poisson
 
 from iontrap_bench import compiler as comp
 from iontrap_bench import engine as eng
-from oracles import (dephasing_channel, depolarizing_channel, detection_threshold_scan,
-                     ensemble_density, readout_flip_oracle, t1_channel, t1_decay_per_qubit)
+from oracles import (dephasing_channel, dephasing_per_qubit, depolarizing_channel,
+                     detection_threshold_scan, ensemble_density, readout_flip_oracle,
+                     t1_channel, t1_decay_per_qubit)
 
 PI = math.pi
 
@@ -130,6 +132,22 @@ def test_ms_commutes_with_global_x_rotation():
         eng.apply_rotation(b, range(n), 0.8, 0.0)
         eng.apply_ms_ideal(b, range(n), PI / 4)
         assert np.max(np.abs(a.psi - b.psi)) < 1e-10
+
+
+@pytest.mark.parametrize("n, targets", [(2, [0, 1]), (5, [3, 1]), (9, range(9)),
+                                        (14, [13, 0, 6])])
+def test_ms_phase_table_is_the_per_target_sum_bit_for_bit(n, targets):
+    """The table, expanded to the 2**n basis states, equals the weighted sum
+    m built over the basis one target at a time, in target order."""
+    targets = list(targets)
+    weights = np.random.default_rng(n).uniform(0.1, 1.0, len(targets))
+    idx, m = np.arange(2**n), np.zeros(2**n)
+    for q, w in zip(targets, weights):
+        m = m + w * np.where((idx >> q) & 1 == 0, 1.0, -1.0)
+    want = np.exp(-0.35j * (m**2 - float(np.sum(weights**2)))) * 2.0 ** -len(targets)
+    table = eng._ms_phase(n, targets, weights, 0.7)
+    assert table.size == 2 ** len(targets)
+    assert np.array_equal(np.broadcast_to(table, (2,) * n).reshape(-1), want)
 
 
 def test_ms_rejects_bad_targets():
@@ -335,6 +353,40 @@ def test_t1_matches_per_qubit_reference_over_many_shots(n, targets, t1, bright_f
     t1_decay_per_qubit(ref, targets, dt, ref_rng, t1=t1)
     np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("ramp", [False, True], ids=["no_ramp", "ramp"])
+@pytest.mark.parametrize("t2", [math.inf, 0.018], ids=["t2_inf", "t2"])
+@pytest.mark.parametrize("t1", [math.inf, 1.168, 1e-4, 1e-308],
+                         ids=["t1_inf", "t1", "jumps", "p_one"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12])
+def test_noise_interval_is_dephasing_then_t1_decay(n, t1, t2, ramp):
+    """One _noise_interval from one generator state gives the state (to
+    1e-12) and the generator state of apply_dephasing then apply_t1_decay,
+    and of the per-qubit references in the same order: at no decay, the
+    default lifetime, one short enough (p = 0.26) that shots jump, and
+    1e-308 (p = 1); without and with dephasing and a gradient ramp; and
+    at dt = 0, which does nothing and draws nothing."""
+    shots = 8 if n == 12 else 64
+    rng0 = np.random.default_rng(n)
+    start = eng.RegisterState(n, shots=shots)
+    start.psi = rng0.normal(size=start.psi.shape) + 1j * rng0.normal(size=start.psi.shape)
+    start.renormalize()
+    detuning = np.linspace(-40.0, 60.0, n) if ramp else None
+    for dt in (0.0, 3e-5):
+        fused, parts, ref = (copy.deepcopy(start) for _ in range(3))
+        rngs = [np.random.default_rng(17) for _ in range(3)]
+        eng._noise_interval(fused, dt, rngs[0], t1, t2, detuning)
+        eng.apply_dephasing(parts, dt, t2, rngs[1], detuning_hz=detuning)
+        eng.apply_t1_decay(parts, dt, rngs[1], t1=t1)
+        dephasing_per_qubit(ref, range(n), dt, t2, rngs[2], detuning_hz=detuning)
+        t1_decay_per_qubit(ref, range(n), dt, rngs[2], t1=t1)
+        for other, rng in zip((parts, ref), rngs[1:]):
+            np.testing.assert_allclose(fused.psi, other.psi, rtol=0.0, atol=1e-12)
+            assert rngs[0].bit_generator.state == rng.bit_generator.state
+        if dt == 0.0:
+            assert np.array_equal(fused.psi, start.psi)
+            assert rngs[0].bit_generator.state == np.random.default_rng(17).bit_generator.state
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
@@ -771,6 +823,46 @@ def test_run_schedule_chunks_keep_shot_order(monkeypatch):
     assert chunked != whole  # each chunk draws from its own stream
     for recs in (whole, chunked):
         assert sum(r.bits == (0, 1) for r in recs) >= 93
+
+
+def test_ms_tables_are_built_once_per_run_and_shared_by_every_chunk(monkeypatch):
+    """With at least four chunks, _ms_phase runs once per distinct MS event
+    (a repeated gate and a branch body's gate included) per run_schedule
+    call, and the records equal those of a run that builds every table
+    anew at each gate, as each chunk did before the tables were shared."""
+    machine = comp.MachineConfig(n_qubits=3)
+    ms = comp.MS(PI / 4, (0, 1), "radial")
+    sched = _compile([comp.R(PI / 2, 0.3, "all"), ms, comp.MS(0.5, "all"), ms,
+                      comp.MeasureAll("m0"),
+                      comp.Branch("m0", ((0, "bright"),), (comp.MS(PI / 4, (1, 2)),)),
+                      comp.MeasureAll("m1")], machine)
+    crosstalk = np.array([[1.0, 0.05, 0.0], [0.05, 1.0, 0.05], [0.0, 0.05, 1.0]])
+    noise = eng.NoiseConfig(eps_2q=0.05)
+    monkeypatch.setattr(eng, "_CHUNK_BYTES", 10 * 8 * 16)  # ten 3-qubit shots
+    calls, build = [], eng._ms_phase
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(eng, "_ms_phase", counted)
+    shared = eng.run_schedule(sched, machine, noise, 45, seed=2, crosstalk=crosstalk)
+    assert len(calls) == 3
+
+    gates = [e for e in sched.events if e.kind == "bichromatic"]
+    gates += [b for e in sched.events if e.kind == "branch_point" for b in e.body]
+    by_key, tables = {(e.targets, e.bus, e.angle): e for e in gates}, eng._ms_tables
+
+    class Anew(dict):
+        """Builds a gate's table at each use."""
+        def __getitem__(self, key):
+            return tables([by_key[key]], machine.n_qubits, crosstalk)[key]
+
+    monkeypatch.setattr(eng, "_ms_tables", lambda *args: Anew())
+    calls.clear()
+    anew = eng.run_schedule(sched, machine, noise, 45, seed=2, crosstalk=crosstalk)
+    assert len(calls) >= 3 * 5  # five chunks, three top-level gates each
+    assert anew == shared
 
 
 def test_collision_rate_statistics():

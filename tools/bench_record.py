@@ -7,11 +7,14 @@ setup_s, job_ref_p50 and peak_rss_mb, and one traced run gives the
 per-layer metrics (calls and self_s of each span, layer totals).  Each
 metric is summarized over the seeds by its median and quartiles, with
 the per-seed values kept.  Then the Tier-1 suite (wall time and its
-summary line), tools/sim_scaling.py, tools/ms_scaling.py and the source
-and test line counts.  Every run uses this checkout's src/ with one BLAS
-thread.  The file goes to --out (default: the checkout) and records the
-machine, the seeds and whether the working tree had uncommitted changes.
-Compare two records only if they were made on one host in one session.
+summary line), tools/sim_scaling.py, tools/engine_ops.py (each engine
+operation's time: run_schedule's noise interval is one private pass, so
+the traced apply_dephasing and apply_t1_decay spans no longer see it),
+tools/ms_scaling.py and the source and test line counts.  Every run
+uses this checkout's src/ with one BLAS thread.  The file goes to --out
+(default: the checkout) and records the machine, the seeds and whether
+the working tree had uncommitted changes.  Compare two records only if
+they were made on one host in one session.
 """
 
 import argparse
@@ -96,6 +99,7 @@ def main() -> int:
               "workloads": {w: record_workload(w, args.seeds, args.seconds) for w in WORKLOADS},
               "tier1": tier1(),
               "sim_scaling": json.loads(_run([sys.executable, "tools/sim_scaling.py"])),
+              "engine_ops": json.loads(_run([sys.executable, "tools/engine_ops.py"])),
               "ms_scaling": [json.loads(line) for line in
                              _run([sys.executable, "tools/ms_scaling.py"]).splitlines()],
               "loc": {"src": loc("src/iontrap_bench/*.py"), "tests": loc("tests/*.py")}}
