@@ -223,3 +223,122 @@ def test_thermal_start_still_closes(omega_cal):
         rho = st.spin_density()
         fids.append(w * float(np.real(tv.conj() @ rho @ tv)))
     assert sum(fids) / (0.9 + 0.09 + 0.009) > 0.998
+
+
+def _clear_gate_caches():
+    eng._ms_basis.cache_clear()
+    eng._ms_drive.cache_clear()
+
+
+def test_etas_as_list_array_or_tuple_give_bitwise_equal_states():
+    states = [_run(2 * PI * 50e3, t=100.5 * DT_MIN, etas=etas, n_max=4,
+                   leakage_threshold=1.0).psi
+              for etas in ([ETA, 0.07], np.array([ETA, 0.07]), (ETA, 0.07))]
+    assert _params(1e4, etas=np.array([ETA, 0.07])).etas == (ETA, 0.07)
+    assert all(s.tobytes() == states[0].tobytes() for s in states[1:])
+
+
+# Fock 0/1/2 and a batch of them at closure (q > 0), a gate shorter than
+# one tone period (q = 0), and the constant drive at tone 0.
+WARM_CASES = [
+    dict(fock_index=0), dict(fock_index=1), dict(fock_index=2),
+    dict(fock_index=[0, 1, 2], shots=3),
+    dict(fock_index=1, t=40.5 * DT_MIN, omega=2 * PI * 200e3, n_max=4),
+    dict(fock_index=1, t=40.5 * 2 * PI / (50 * NU), omega=2 * PI * 400e3, n_max=4,
+         delta=-NU, etas=(ETA, 0.07)),
+]
+
+
+@pytest.mark.parametrize("case", WARM_CASES)
+def test_warm_gate_is_bitwise_equal_to_cold(omega_cal, case):
+    case = dict(case)
+    shots, fock, n_max = case.pop("shots", None), case.pop("fock_index"), case.pop("n_max", 10)
+    params = eng.BichromaticParams(
+        omega_rabi=case.pop("omega", omega_cal), nu=NU, delta=case.pop("delta", DELTA),
+        etas=case.pop("etas", (ETA, ETA)), t=case.pop("t", T_GATE))
+    _clear_gate_caches()
+    runs = []
+    for _ in range(2):
+        st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=n_max), fock_index=fock,
+                               shots=shots)
+        runs.append(eng.apply_ms_bichromatic(st, params, leakage_threshold=1.0).psi)
+    assert eng._ms_basis.cache_info().hits >= 1 and eng._ms_drive.cache_info().hits == 1
+    assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def _counted_linalg(monkeypatch):
+    """Patch eigh and matrix_power to count their calls: {name: count}."""
+    counts = {"eigh": 0, "matrix_power": 0}
+    for name in counts:
+        func = getattr(np.linalg, name)
+
+        def counted(*args, _func=func, _name=name):
+            counts[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_gates_after_calibration_reuse_its_basis_and_period_power(monkeypatch):
+    delta = 2 * NU / 88  # the benchmark's middle detuning
+    t = 2 * PI / delta
+    _clear_gate_caches()
+    counts = _counted_linalg(monkeypatch)
+    gate, evals = eng.apply_ms_bichromatic, []
+
+    def counted(st, params, **kw):
+        evals.append(params)
+        return gate(st, params, **kw)
+
+    monkeypatch.setattr(eng, "apply_ms_bichromatic", counted)
+    omega = eng.calibrate_ms_rabi(ETA, delta, t, NU)
+    params = eng.BichromaticParams(omega_rabi=omega, nu=NU, delta=delta, etas=(ETA, ETA), t=t)
+    assert eng.ms_steps(params)[2] > 0
+    # One basis for the detuning: eta x once (the ions share eta), then H0.
+    assert counts == {"eigh": 2, "matrix_power": len(evals)}
+    for fock in (0, 1, 2):
+        gate(eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=10), fock_index=fock), params)
+    assert counts == {"eigh": 2, "matrix_power": len(evals)}
+
+
+def test_gate_at_another_detuning_in_between_rebuilds(monkeypatch):
+    _clear_gate_caches()
+    counts = _counted_linalg(monkeypatch)
+
+    def gate(delta):
+        st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=10))
+        return eng.apply_ms_bichromatic(st, eng.BichromaticParams(
+            omega_rabi=2 * PI * 12e3, nu=NU, delta=delta, etas=(ETA, ETA),
+            t=2 * PI / delta)).psi
+
+    first = gate(DELTA)
+    gate(2 * NU / 70)
+    assert counts == {"eigh": 4, "matrix_power": 2}
+    again = gate(DELTA)
+    assert counts == {"eigh": 6, "matrix_power": 3}
+    assert again.tobytes() == first.tobytes()
+
+
+def test_reused_gate_pieces_are_read_only(omega_cal):
+    params = _params(omega_cal)
+    n_steps = eng.ms_steps(params)[0]
+    pieces = (eng._ms_basis(params.etas, NU, T_GATE / n_steps, 2, 11)
+              + eng._ms_drive(params, 2, 11))
+    assert len(pieces) == 6 and all(p is not None for p in pieces)
+    for p in pieces:
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0.0
+
+
+def test_fock_leakage_raised_from_a_warm_map(omega_cal):
+    _clear_gate_caches()
+    leaks = []
+    for _ in range(2):
+        st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=1))
+        with pytest.raises(FockLeakage) as err:
+            eng.apply_ms_bichromatic(st, _params(5.0 * omega_cal))
+        leaks.append(err.value.leakage)
+    assert eng._ms_drive.cache_info().hits == 1
+    assert leaks[0] == leaks[1] > 1e-6

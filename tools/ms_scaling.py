@@ -10,8 +10,11 @@ is a cold `calibrate_ms_rabi` for a gate of 1, 4 or 16 closure times
 solved Rabi frequency.  All runs share one fresh Python process with one
 BLAS thread, importing the package from this checkout's src/.  Prints one
 JSON line per run: k, the closure times, the gate's step count, its whole
-tone periods q and single steps r (`engine.ms_steps`), the wall time and
-the machine.
+tone periods q and single steps r (`engine.ms_steps`), the calibration's
+time (calib_s), the gate's (gate_s), their sum (wall_s) and the machine.
+The gate reuses the eigenbasis and whole-period power that the
+calibration's last evaluation built at the same Rabi frequency, so
+gate_s is the per-state work alone.
 """
 
 import json
@@ -43,14 +46,16 @@ def run_all() -> None:
             t = closures * 2.0 * math.pi / delta
             t0 = time.perf_counter()
             omega = eng.calibrate_ms_rabi(ETA, delta, t, NU, n_max=N_MAX)
+            t1 = time.perf_counter()
             params = eng.BichromaticParams(omega_rabi=omega, nu=NU, delta=delta,
                                            etas=(ETA, ETA), t=t)
             eng.apply_ms_bichromatic(eng.RegisterState(2, phonon=eng.PhononMode(NU, N_MAX)),
                                      params)
-            wall = time.perf_counter() - t0
+            t2 = time.perf_counter()
             n_steps, _, q, r = eng.ms_steps(params)
             print(json.dumps({"k": k, "closure_times": closures, "n_steps": n_steps,
-                              "q": q, "r": r, "wall_s": round(wall, 4),
+                              "q": q, "r": r, "calib_s": round(t1 - t0, 4),
+                              "gate_s": round(t2 - t1, 4), "wall_s": round(t2 - t0, 4),
                               "machine": machine}, sort_keys=True), flush=True)
 
 
