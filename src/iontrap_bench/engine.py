@@ -7,7 +7,7 @@ readout act on that layout only and draw one random number per shot.
 Only the bichromatic gate's state carries a truncated phonon (Fock) axis.
 The bichromatic gate reuses what a call at the previous setting built:
 its Omega-free eigenbasis, keyed on (etas, nu, dt, n, fock_dim), and its
-drive and whole-period power, keyed on (params, n, fock_dim); each piece
+drive and whole-step product, keyed on (params, n, fock_dim); each piece
 keeps only the last key, so a calibration and the gates at its Omega
 share them while a new detuning rebuilds both.
 A layer of one-qubit gates is one dense pass per block of up to four
@@ -716,9 +716,9 @@ class BichromaticParams:
 def ms_steps(params: BichromaticParams) -> tuple:
     """(n_steps, m, q, r) of the bichromatic gate: n_steps midpoint steps of
     at most 1/_STEPS_PER_PERIOD of the faster of tone and mode period, m
-    steps per tone period, and q whole periods then r single steps before
-    the closing half step (q = 0 when a period is not a whole number of
-    steps)."""
+    steps per tone period, and the n_steps - 1 whole steps before the
+    closing half step as q whole periods and r steps more (q = 0 when a
+    period is not a whole number of steps)."""
     tone = params.nu + params.delta
     dt = 2.0 * math.pi / (_STEPS_PER_PERIOD * max(abs(tone), params.nu))
     # The tolerance keeps a ratio that rounds just above an integer, such as
@@ -743,10 +743,11 @@ def _frame(nu: float, t: float, ns: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _ms_basis(etas: tuple, nu: float, dt: float, n: int, fock_dim: int) -> tuple:
-    """(V, -i dt w, W, ns) of the bichromatic gate: H0 = V diag(w) V†, the
-    one-step map W = V† P(dt)† V and the mode levels ns, all read-only.
-    Omega-free, so every calibration evaluation and gate of one setting
-    shares them; only the last key is kept."""
+    """(V, -i dt w, W, Z', ns) of the bichromatic gate: H0 = V diag(w) V†,
+    the one-step map W = V† P(dt)† V, the spin parity Z' = V† Z V and the
+    mode levels ns, all read-only.  Omega-free, so every calibration
+    evaluation and gate of one setting shares them; only the last key is
+    kept."""
     a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1)
     x = a + a.T  # a + a†
     ns = np.arange(fock_dim, dtype=float)
@@ -765,26 +766,36 @@ def _ms_basis(etas: tuple, nu: float, dt: float, n: int, fock_dim: int) -> tuple
         h0 += np.kron((v * np.exp(1j * w)) @ v.conj().T, sp)  # fock-major, as psi
     w, v = np.linalg.eigh(h0 + h0.conj().T)
     step = v.conj().T @ (_frame(nu, -dt, ns, n) * v)  # W
-    return _read_only(v, -1j * dt * w[:, None], step, ns)
+    z = np.prod(1 - 2 * ((idx[:, None] >> np.arange(n)) & 1), axis=1)  # prod_j sigma_z^j
+    parity = v.conj().T @ (np.tile(z, fock_dim)[:, None] * v)  # Z'
+    return _read_only(v, -1j * dt * w[:, None], step, parity, ns)
 
 
 @lru_cache(maxsize=1)
 def _ms_drive(params: BichromaticParams, n: int, fock_dim: int) -> tuple:
-    """(drive, B^q) of the bichromatic gate: the drive at every step's
-    midpoint and the q-th power of the period map B (None when q = 0),
-    read-only.  Every call at one params, such as the gates at a
-    calibrated Omega, shares them; only the last key is kept."""
+    """(drive, M) of the bichromatic gate: the drive at every step's
+    midpoint and the product M = S_(N-1)...S_0 of all N = n_steps - 1
+    whole steps (None when q = 0), read-only.  M is built from half a
+    tone period when the period is an even number m of steps, else from
+    one period; see apply_ms_bichromatic.  Every call at one params, such
+    as the gates at a calibrated Omega, shares them; only the last key is
+    kept."""
     n_steps, m, q, _ = ms_steps(params)
     dt = params.t / n_steps
-    _, wdt, step, _ = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
+    _, wdt, step, parity, _ = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
     tone = params.nu + params.delta
     drive = 2.0 * params.omega_rabi * np.cos(tone * (np.arange(n_steps) + 0.5) * dt)
     if not q:
         return _read_only(drive) + (None,)
-    b = np.eye(len(wdt), dtype=complex)
-    for d in drive[:m]:
-        b = step @ (np.exp(d * wdt) * b)
-    return _read_only(drive, np.linalg.matrix_power(b, q))
+    half, flip = (m // 2, parity) if m % 2 == 0 else (m, None)
+    j, s = divmod(n_steps - 1, half)
+    p = np.eye(len(wdt), dtype=complex)
+    for k, d in enumerate(drive[:half]):
+        if k == s:
+            prefix = p  # P_s
+        p = step @ (np.exp(d * wdt) * p)
+    whole = prefix @ np.linalg.matrix_power(p if flip is None else flip @ p, j)
+    return _read_only(drive, flip @ whole if flip is not None and j % 2 else whole)
 
 
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
@@ -801,20 +812,32 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     and a step is a phase per eigenvector then a product with the
     constant W = V† P(dt)† V.
 
-    In V's basis step k is S_k = W diag(exp(-i dt drive_k w)), and the
-    drive repeats every tone period (Soerensen & Moelmer, PRA 62, 022311
-    (2000)).  When a period is a whole number m of steps (m = 1 for the
-    constant drive at tone 0), the period map B = S_{m-1}...S_0 is built
-    and its power B^q, by repeated squaring, takes every shot through
-    the q whole periods; the remaining steps run one at a time.
+    In V's basis step k is S_k = S(drive_k) = W diag(exp(-i dt drive_k w)).
+    The drive changes sign every half tone period (Soerensen & Moelmer,
+    PRA 62, 022311 (2000)), and the spin parity Z = prod_j sigma_z^j
+    anticommutes with H0 (sigma_z sigma+ sigma_z = -sigma+) and commutes
+    with P(t); so Z' = V† Z V has Z' diag(w) Z' = -diag(w), Z' W Z' = W and
+    S(-d) = Z' S(d) Z'.  When a period is a whole number m of steps, with
+    h = m/2 and flip = Z' when m is even, h = m and flip = 1 when it is
+    odd (m = 1 for the constant drive at tone 0), step i h + k is
+    flip^i S_k flip^i.  With the prefixes P_k = S_(k-1)...S_0, C = flip P_h
+    and N = n_steps - 1 = j h + s, the product of all N whole steps is
+    M = flip^j P_s C^j: h steps and one power by repeated squaring take
+    every shot through them.  A gate shorter than one period runs its
+    steps one at a time.
 
     Two pieces are reused from the previous call and rebuilt when their
-    key changes, only the last key of each being kept: V, w, W and the
+    key changes, only the last key of each being kept: V, w, W, Z' and the
     mode levels, keyed on (etas, nu, dt, n, fock_dim), and the drive and
-    B^q, keyed on (params, n, fock_dim).  A call at a setting met just
+    M, keyed on (params, n, fock_dim).  A call at a setting met just
     before does only the per-state work, in the same floating-point
     operations as a cold call, so its state is bitwise the same.
+
+    leakage_threshold is the largest population at the Fock cutoff a shot
+    may end with; a NaN or negative one is a ValueError.
     """
+    if not leakage_threshold >= 0:
+        raise ValueError(f"need leakage_threshold >= 0, got leakage_threshold={leakage_threshold}")
     if state.phonon is None:
         raise ValueError("phonon mode must be attached")
     n = state.n
@@ -822,17 +845,18 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     nmax = state.phonon.n_max
     if len(params.etas) != n:
         raise ValueError("one Lamb-Dicke parameter per addressed ion")
-    n_steps, m, q, _ = ms_steps(params)
+    n_steps, _, q, _ = ms_steps(params)
     dt = params.t / n_steps
-    v, wdt, step, ns = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
-    drive, bq = _ms_drive(params, n, fock_dim)
+    v, wdt, step, _, ns = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
+    drive, whole = _ms_drive(params, n, fock_dim)
 
     psi = state.psi.reshape(-1, fock_dim * 2**n).T  # one column per shot
     phi = v.conj().T @ (_frame(params.nu, -0.5 * dt, ns, n) * psi)
     if q:
-        phi = bq @ phi
-    for d in drive[q * m:-1]:
-        phi = step @ (np.exp(d * wdt) * phi)
+        phi = whole @ phi
+    else:
+        for d in drive[:-1]:
+            phi = step @ (np.exp(d * wdt) * phi)
     psi = _frame(params.nu, (n_steps - 0.5) * dt, ns, n) * (v @ (np.exp(drive[-1] * wdt) * phi))
 
     state.psi = psi.T.reshape(state.psi.shape)
@@ -859,7 +883,7 @@ def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
     rescales Omega by sqrt(pi/4 / chi) until chi is within _CALIB_TOL.
     Every evaluation is one apply_ms_bichromatic call; they share its
     eigenbasis (key (etas, nu, dt, n, fock_dim)), and the last one leaves
-    the drive and whole-period power of the returned Omega (key (params,
+    the drive and whole-step product of the returned Omega (key (params,
     n, fock_dim)) for the gates that follow.  Only the last key of each is
     kept.
     """

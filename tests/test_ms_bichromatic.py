@@ -126,6 +126,17 @@ def test_fock_leakage_detected(omega_cal):
     assert err.value.leakage > 1e-6
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1e-6])
+def test_nan_or_negative_leakage_threshold_rejected(omega_cal, threshold):
+    # A NaN threshold would pass every leak (leak > nan is False) and a
+    # negative one would fail a state with none; both are refused up front.
+    st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=1))
+    start = st.psi.copy()
+    with pytest.raises(ValueError, match="leakage_threshold"):
+        eng.apply_ms_bichromatic(st, _params(5.0 * omega_cal), leakage_threshold=threshold)
+    assert st.psi.tobytes() == start.tobytes()
+
+
 def test_requires_phonon_mode():
     st = eng.RegisterState(2)
     with pytest.raises(ValueError):
@@ -325,7 +336,7 @@ def test_reused_gate_pieces_are_read_only(omega_cal):
     n_steps = eng.ms_steps(params)[0]
     pieces = (eng._ms_basis(params.etas, NU, T_GATE / n_steps, 2, 11)
               + eng._ms_drive(params, 2, 11))
-    assert len(pieces) == 6 and all(p is not None for p in pieces)
+    assert len(pieces) == 7 and all(p is not None for p in pieces)
     for p in pieces:
         assert not p.flags.writeable
         with pytest.raises(ValueError):
@@ -342,3 +353,37 @@ def test_fock_leakage_raised_from_a_warm_map(omega_cal):
         leaks.append(err.value.leakage)
     assert eng._ms_drive.cache_info().hits == 1
     assert leaks[0] == leaks[1] > 1e-6
+
+
+@pytest.mark.parametrize("etas, n_max", [((0.095, 0.07), 4), ((0.095, 0.07, 0.05), 3)])
+def test_spin_parity_flips_h0_and_keeps_the_step_map(etas, n_max):
+    # Z' = V† Z V: Z' diag(w) Z' = -diag(w) and Z' W Z' = W, the two facts
+    # behind S(-d) = Z' S(d) Z'.
+    _, wdt, step, parity, _ = eng._ms_basis(etas, NU, DT_MIN, len(etas), n_max + 1)
+    w = np.diag((wdt[:, 0] / (-1j * DT_MIN)).real)
+    assert np.max(np.abs(parity @ w @ parity + w)) <= 1e-12
+    assert np.max(np.abs(parity @ step @ parity - step)) <= 1e-12
+    assert np.max(np.abs(parity @ parity - np.eye(len(w)))) <= 1e-12
+
+
+# (delta, steps per tone period m, n_steps): m = 50 with N = n_steps - 1
+# whole steps = j 25 + s for j even and odd, s = 0 and s > 0; m = 51, an
+# odd period built whole; and the constant drive at tone 0 (m = 1).
+WHOLE_STEP_CASES = [
+    (DELTA, 50, 301), (DELTA, 50, 326), (DELTA, 50, 300), (DELTA, 50, 325),
+    (NU * 50 / 51 - NU, 51, 160), (-NU, 1, 41)]
+
+
+@pytest.mark.parametrize("delta, m, n_steps", WHOLE_STEP_CASES)
+def test_whole_step_product_matches_the_step_loop(delta, m, n_steps):
+    etas = (0.095, 0.07)
+    dt = 2 * PI / (50 * max(abs(NU + delta), NU))
+    params = eng.BichromaticParams(omega_rabi=2 * PI * 200e3, nu=NU, delta=delta,
+                                   etas=etas, t=n_steps * dt)
+    assert eng.ms_steps(params)[:2] == (n_steps, m) and eng.ms_steps(params)[2] > 0
+    _, wdt, step, _, _ = eng._ms_basis(etas, NU, params.t / n_steps, 2, 5)
+    drive, whole = eng._ms_drive(params, 2, 5)
+    ref = np.eye(len(wdt), dtype=complex)
+    for d in drive[:-1]:  # every whole step, one at a time
+        ref = step @ (np.exp(d * wdt) * ref)
+    assert np.max(np.abs(whole - ref)) <= 1e-12
