@@ -10,16 +10,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as const
 
 from .errors import SolverError, ZigzagInstability
 
+# CODATA 2022 values, in SI units, as scipy.constants gives them; written
+# out so that importing the package does not load scipy.constants.
+ATOMIC_MASS = 1.66053906892e-27  # kg
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+EPSILON_0 = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J s
+
 # Singly charged Ca-40, with its optical qubit on the 729 nm S-D line.
-MASS_KG = 39.9625909 * const.atomic_mass
+MASS_KG = 39.9625909 * ATOMIC_MASS
 _K_729 = 2.0 * np.pi / (729.0 * 1e-9)  # qubit-laser wavevector, 1/m
 
 # Natural length scale of the axial potential: l^3 = e^2/(4 pi eps0 M w_ax^2)
-_COULOMB = const.e**2 / (4.0 * np.pi * const.epsilon_0)
+_COULOMB = ELEMENTARY_CHARGE**2 / (4.0 * np.pi * EPSILON_0)
 
 
 @dataclass(frozen=True)
@@ -183,10 +189,10 @@ def lamb_dicke_parameters(spectrum: ModeSpectrum) -> np.ndarray:
     mode-normalized eigenvector b.  Magnitudes are returned; sign
     information stays in the eigenvectors.
     """
-    zpf = np.sqrt(const.hbar / (2.0 * MASS_KG * spectrum.frequencies))
+    zpf = np.sqrt(HBAR / (2.0 * MASS_KG * spectrum.frequencies))
     return _K_729 * np.abs(spectrum.eigenvectors) * zpf[None, :]
 
 
 def single_ion_lamb_dicke(omega: float) -> float:
     """eta of a single ion at mode frequency omega (rad/s)."""
-    return _K_729 * np.sqrt(const.hbar / (2.0 * MASS_KG * omega))
+    return _K_729 * np.sqrt(HBAR / (2.0 * MASS_KG * omega))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
 from .results import RunManifest, write_json, write_results, write_shot_records
 
 
+@functools.cache  # built once: main may run many times in one process, at about 3 ms a build
 def _build_parser():
     p = argparse.ArgumentParser(prog="iontrap-bench",
                                 description="Trapped-ion pulse-level simulation bench")

@@ -20,11 +20,12 @@ follows the unnormalized unraveling (Plenio & Knight, RMP 70, 101
 from one pass over the populations, which the dephasing kicks keep; one
 per-shot diagonal then carries the kicks, the no-jump scale and the
 renormalization, and only shots that jump take the per-qubit rule.  The
-readout of a run (detect) draws photon counts and classifies them; measure, the
-sampler the experiments use, draws no counts and no bits: it convolves
-the law of the true number of bright ions with the threshold's per-ion
-error probabilities (DetectionModel.flip_probs, the law of those counts)
-and draws the histogram of the detected count as one multinomial.
+readout of a run (detect) draws photon counts and classifies them; the
+experiments read out through the law of those counts, the threshold's
+per-ion error probabilities (DetectionModel.flip_probs), and draw no
+counts: measure convolves the law of the true number of bright ions with
+it and draws the histogram of the detected count as one multinomial, and
+DetectionModel.read_dark is its one-ion case in closed form.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
 """
@@ -127,7 +128,7 @@ class DetectionModel:
         none longer than t1 or than _PANEL_SDS standard deviations of the
         counts at the threshold, over the window or its first
         _DECAY_SPAN lifetimes."""
-        from scipy.special import pdtr, pdtrc  # loaded here: only measure reads this law
+        from scipy.special import pdtr, pdtrc  # loaded on first use: only readout laws need it
         k = self.threshold - 1  # P(X >= threshold) = pdtrc(k, m), P(X < threshold) = pdtr(k, m)
         span = min(self.window, _DECAY_SPAN * self.t1)
         panels = min(_MAX_PANELS, max(
@@ -136,11 +137,21 @@ class DetectionModel:
         x, weights = np.polynomial.legendre.leggauss(40)
         width = span / panels
         t = width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))
-        decayed = (np.exp(-t / self.t1) / self.t1
+        decayed = (np.exp(-t / self.t1)
                    * pdtrc(k, self.dark_mean + self.bright_rate * (self.window - t)))
+        # The density's 1/t1 joins the panel width, so a tiny t1 cannot overflow the sum.
         e0 = (math.exp(-self.window / self.t1) * float(pdtrc(k, self.dark_mean))
-              + 0.5 * width * float(np.sum(weights * decayed)))
+              + 0.5 * (width / self.t1) * float(np.sum(weights * decayed)))
         return min(e0, 1.0), float(pdtr(k, self.bright_mean))
+
+    def read_dark(self, p_dark):
+        """The probability that one ion reads dark when it is dark with
+        probability p_dark (a float or an array of them): e1 + (1 - e0 -
+        e1) p_dark over the flip pair, detected_count_law([p_dark, 1 -
+        p_dark], e0, e1)[0] in closed form.  p_dark = 0 and 1 give e1 and
+        1 - e0; at e0 = e1 = 0 it returns p_dark itself."""
+        e0, e1 = self.flip_probs
+        return e1 + (1.0 - e0 - e1) * p_dark
 
     def sample_counts(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Photon counts for an array of projected bits (1 = bright S)."""
@@ -1060,8 +1071,16 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     if positions_um is not None and np.shape(positions_um) != (n,):
         raise ValueError(f"positions_um must hold {n} positions, got shape "
                          f"{np.shape(positions_um)}")
-    detunings = (None if positions_um is None else
-                 np.asarray(positions_um, dtype=float) * noise.gradient_for(qubit_kind))
+    detunings = None
+    if positions_um is not None:
+        gradient = noise.gradient_for(qubit_kind)
+        # Python floats: an overflow is inf (or nan at zero duration), with no warning.
+        ramp = (2.0 * math.pi * float(np.max(np.abs(positions_um))) * gradient
+                * (schedule.duration_ns * 1e-9))
+        if not math.isfinite(ramp):
+            raise ValueError(f"the gradient phase ramp over the schedule is not finite: "
+                             f"positions_um {list(positions_um)} at {gradient:g} Hz/um")
+        detunings = np.asarray(positions_um, dtype=float) * gradient
     lam = noise.collision_rate * n * (schedule.duration_ns * 1e-9)
     events = schedule.events
     if not any(e.kind == "measure" for e in events):

@@ -15,7 +15,12 @@ parity scan they share reduces that law to its bright count and draws
 the detected-count histogram with one engine.measure.  Heating samples
 its closed-form law: jump rates up r(n+1) and down r n keep a thermal
 ensemble thermal with mean nbar0 + r t, so each point draws Fock numbers
-from that thermal law.  Every run_* function is deterministic given
+from that thermal law.  One readout rule holds for every kind: a shot
+reads out through the detection model's flip pair (e0, e1), in
+run_schedule's photon counts (ramsey, gradient), in engine.measure (GHZ,
+gate decay) or, for one ion, in DetectionModel.read_dark of the
+probability that RB, thermometry, heating and the addressing scan draw
+with.  Every run_* function is deterministic given
 (spec, seed): each point draws from its own stream keyed by the seed and
 the point index, and aggregation is ordered.
 """
@@ -201,6 +206,14 @@ def _rb_survival(cliffords, eps) -> float:
     return 0.5 + 0.5 * (1.0 - eps) ** slots
 
 
+def _rb_dark_shots(cliffords, shots: int, noise: eng.NoiseConfig, rng) -> int:
+    """Shots of one sequence that read dark: one binomial draw of the
+    readout law (DetectionModel.read_dark) of its dark probability, one
+    minus its survival."""
+    p_dark = 1.0 - _rb_survival(cliffords, noise.eps_1q)
+    return int(rng.binomial(shots, noise.detection.read_dark(p_dark)))
+
+
 RB_SEQUENCES = 20  # random sequences per length; each gets shots // 20
 
 
@@ -213,7 +226,9 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     per-pulse fidelity follows from the 1.875 average Clifford cost.
     Every pulse slot, a pi pulse and the zero-angle identity slot alike,
     costs one noise.eps_1q, as every single-qubit pulse does in
-    run_schedule (simulate).
+    run_schedule (simulate).  A shot survives when it reads bright, through
+    the readout's flip pair (e0, e1), so survival decays to 0.5 + (e0 -
+    e1)/2, not to the fitted 0.5.
     """
     lengths = [int(n) for n in sequence_lengths]
     if len(set(lengths)) < 4 or max(lengths) > 100:
@@ -221,7 +236,6 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
     if spec.shots < RB_SEQUENCES:
         raise ValueError(f"rb needs shots >= {RB_SEQUENCES} (one per sequence), "
                          f"got {spec.shots}")
-    eps = spec.noise.eps_1q
     shots_per_seq = spec.shots // RB_SEQUENCES
     survived = []
     for i, n in enumerate(lengths):
@@ -229,7 +243,7 @@ def run_rb(spec: ExperimentSpec, sequence_lengths) -> ExperimentResult:
         for s in range(RB_SEQUENCES):
             rng = np.random.default_rng([spec.seed, i, s])
             cliffords = rng.integers(24, size=n)
-            k_total += int(rng.binomial(shots_per_seq, _rb_survival(cliffords, eps)))
+            k_total += shots_per_seq - _rb_dark_shots(cliffords, shots_per_seq, spec.noise, rng)
         survived.append(k_total)
     n_total = shots_per_seq * RB_SEQUENCES
     ds = Dataset(np.array(lengths, dtype=float), np.array(survived) / n_total,
@@ -262,18 +276,21 @@ def _sample_thermal_n(nbar: float, size, rng) -> np.ndarray:
     return rng.geometric(1.0 / (1.0 + nbar), size=size) - 1
 
 
-def estimate_nbar(ns: np.ndarray, rng) -> tuple:
+def estimate_nbar(ns: np.ndarray, rng, detection: eng.DetectionModel) -> tuple:
     """Sideband-ratio thermometry on a sampled phonon ensemble.
 
-    A pi pulse on the red (blue) sideband excites Fock n with probability
-    sin^2(pi/2 sqrt(n)) (sin^2(pi/2 sqrt(n+1))); the red trials draw first.
-    r = P_red/P_blue = nbar/(1+nbar) for a thermal state, for any pulse
-    area.  Returns (nbar_hat, stderr, flagged) where flagged marks an
-    undefined estimator (ratio >= 1).
+    A pi pulse on the red (blue) sideband excites Fock n to the dark D
+    state with probability sin^2(pi/2 sqrt(n)) (sin^2(pi/2 sqrt(n+1))),
+    and the shot reads dark with detection.read_dark of it; the red trials
+    draw first.  r = P_red/P_blue = nbar/(1+nbar) for a thermal state, for
+    any pulse area.  Under readout error the ratio is (e1 + c P_red) / (e1
+    + c P_blue), c = 1 - e0 - e1: e0 cancels and e1 biases it.  Returns
+    (nbar_hat, stderr, flagged) where flagged marks an undefined estimator
+    (ratio >= 1).
     """
-    shots = len(ns)
-    k_red = int(np.sum(rng.random(shots) < np.sin(math.pi / 2 * np.sqrt(ns)) ** 2))
-    k_blue = int(np.sum(rng.random(shots) < np.sin(math.pi / 2 * np.sqrt(ns + 1.0)) ** 2))
+    shots, read = len(ns), detection.read_dark
+    k_red = int(np.sum(rng.random(shots) < read(np.sin(math.pi / 2 * np.sqrt(ns)) ** 2)))
+    k_blue = int(np.sum(rng.random(shots) < read(np.sin(math.pi / 2 * np.sqrt(ns + 1.0)) ** 2)))
     if k_blue == 0:
         return 0.0, 1.0 / shots, k_red > 0
     p_r, p_b = k_red / shots, k_blue / shots
@@ -293,7 +310,7 @@ def run_sideband_thermometry(spec: ExperimentSpec, nbar_true: float) -> Experime
         raise ValueError(f"nbar_true must lie in [0, 2] for estimator validity, got {nbar_true}")
     rng = np.random.default_rng([spec.seed, 0])
     ns = _sample_thermal_n(nbar_true, spec.shots, rng)
-    nbar, se, flagged = estimate_nbar(ns, rng)
+    nbar, se, flagged = estimate_nbar(ns, rng, spec.noise.detection)
     ds = Dataset(np.array([0.0]), np.array([nbar]), np.array([max(se, 1e-12)]))
     return ExperimentResult({"points": ds}, {},
                             {"nbar": nbar, "nbar_err": se, "flagged": flagged,
@@ -333,7 +350,7 @@ def run_heating_scan(spec: ExperimentSpec, wait_times_s, frequencies_hz,
         for j, t in enumerate(waits):
             rng = np.random.default_rng([spec.seed, i, j])
             ns = _sample_thermal_n(nbar0 + rate_true * t, spec.shots, rng)
-            nbar, se, flagged = estimate_nbar(ns, rng)
+            nbar, se, flagged = estimate_nbar(ns, rng, noise.detection)
             if flagged:
                 raise FitFailure(f"thermometry undefined at f={f}, t={t}: {keys}")
             ys.append(nbar)
@@ -501,15 +518,18 @@ SCAN_HALF_WIDTH_WAISTS = 2.5  # profile and calibration scans span +-2.5 w0
 _SCAN_PULSE_AREA = math.pi / 2  # below pi, so excitation grows with Omega
 
 
-def _excited_counts(unit, center_um, positions_um, shots, stream) -> list:
-    """Excited shots per ion position under the beam centered at center_um;
-    the shots at position i draw from the stream (*stream, i)."""
+def _excited_counts(unit, center_um, positions_um, shots, stream,
+                    detection: eng.DetectionModel) -> list:
+    """Shots per ion position under the beam centered at center_um that
+    read excited (dark), one binomial of detection.read_dark of the
+    excitation probability; the shots at position i draw from the stream
+    (*stream, i)."""
     counts = []
     for i, x in enumerate(positions_um):
         rng = np.random.default_rng([*stream, i])
         g = relative_rabi(unit, center_um, float(x))
         p = math.sin(_SCAN_PULSE_AREA * g / 2.0) ** 2
-        counts.append(int(rng.binomial(shots, p)))
+        counts.append(int(rng.binomial(shots, detection.read_dark(p))))
     return counts
 
 
@@ -546,7 +566,8 @@ def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
     half_width = SCAN_HALF_WIDTH_WAISTS * unit.w0_um
     offsets = np.linspace(-half_width, half_width, n_points)
     ds, gauss = _fit_rabi_profile(
-        offsets, _excited_counts(unit, 0.0, offsets, spec.shots, [spec.seed]), spec.shots)
+        offsets, _excited_counts(unit, 0.0, offsets, spec.shots, [spec.seed],
+                                 spec.noise.detection), spec.shots)
     fits = {"gaussian": gauss}
     extra = {"w0_um": abs(gauss["waist"]), "w0_err_um": gauss.error("waist"),
              "kind": unit.kind}
@@ -561,7 +582,7 @@ def run_addressing_scan(spec: ExperimentSpec, unit: AddressingUnit,
             true_center = unit.slope_um_per_mhz * f_mhz
             scan = true_center + offsets
             k = np.array(_excited_counts(unit, true_center, scan, spec.shots,
-                                         [spec.seed, 100 + i]))
+                                         [spec.seed, 100 + i], spec.noise.detection))
             cal = fit_gaussian(Dataset(scan, k / spec.shots,
                                        np.maximum(binomial_se(k, spec.shots), 1e-6)))
             centers.append(cal["center"])

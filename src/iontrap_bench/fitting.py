@@ -7,10 +7,10 @@ weighted covariance.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitFailure
 
@@ -80,9 +80,12 @@ _MAX_EVALS = 20000  # model evaluations before curve_fit gives up
 
 
 def _curve(model, names, func, ds, p0, bounds=(-np.inf, np.inf)):
+    from scipy.optimize import OptimizeWarning, curve_fit  # loaded on first use: only fits need it
     try:
-        popt, pcov = curve_fit(func, ds.x, ds.y, p0=p0, sigma=ds.yerr,
-                               absolute_sigma=True, bounds=bounds, maxfev=_MAX_EVALS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)  # a singular covariance raises below
+            popt, pcov = curve_fit(func, ds.x, ds.y, p0=p0, sigma=ds.yerr,
+                                   absolute_sigma=True, bounds=bounds, maxfev=_MAX_EVALS)
     except RuntimeError as exc:
         raise FitFailure(f"{model} fit did not converge: {exc}")
     if not np.all(np.isfinite(pcov)):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import constants as const
 
+from iontrap_bench import chain as chain_mod
 from iontrap_bench.chain import (MASS_KG, IonChain, TrapConfig, axial_mode_spectrum,
                                  equilibrium_positions, lamb_dicke_parameters,
                                  length_scale_um, radial_mode_spectrum,
@@ -166,6 +167,14 @@ def test_24_ion_reference_trap_is_linear():
     chain = equilibrium_positions(24, trap)
     spec = radial_mode_spectrum(chain)  # must not raise
     assert spec.frequencies[0] > 0
+
+
+def test_codata_literals_equal_scipy_constants():
+    """The constants chain.py writes out are scipy's, so a CODATA update shows."""
+    assert chain_mod.ATOMIC_MASS == const.atomic_mass
+    assert chain_mod.ELEMENTARY_CHARGE == const.e
+    assert chain_mod.EPSILON_0 == const.epsilon_0
+    assert chain_mod.HBAR == const.hbar
 
 
 def test_lamb_dicke_single_ion_reference():

@@ -15,6 +15,7 @@ import pytest
 
 import iontrap_bench
 from iontrap_bench import cli
+from iontrap_bench import experiments as exp
 from iontrap_bench.cli import main
 from iontrap_bench.config import SCHEMA, config_digest, load_config
 
@@ -305,11 +306,15 @@ def test_fit_fringe_nonfinite_frequency_is_one_error_line(tmp_path, capfd, frequ
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    """Importing the CLI loads none of the scipy modules that only a fit,
+    a readout law or a test reads: scipy.stats, scipy.optimize and
+    scipy.constants."""
     src = os.path.dirname(os.path.dirname(iontrap_bench.__file__))
-    code = "import sys, iontrap_bench.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, iontrap_bench.cli; print([m for m in ('scipy.stats', "
+            "'scipy.optimize', 'scipy.constants') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -658,27 +663,40 @@ def test_every_cli_option_has_a_reader():
     assert unread == UNREAD_OPTIONS
 
 
-_EXTREMES = {float: ["inf", "-inf", "0", "-1", "1e308", "1e-308"], int: ["0", "-1", "40"]}
+# No value here sizes an allocation before its check: 40 qubits is refused
+# by the state cap before the state exists, and the circuit's one MS table
+# spans its two targets only.
+_EXTREMES = {float: ["inf", "-inf", "nan", "0", "-1", "1e300", "1e-300", "1e308", "1e-308"],
+             int: ["0", "-1", "40"], bool: ["false", "bogus"], str: ["bogus"]}
 
 
 @pytest.mark.parametrize("key", [k for k, (typ, _) in SCHEMA.items() if typ in _EXTREMES])
-def test_extreme_config_value_exits_cleanly(tmp_path, circuit_file, capsys, key):
-    """compile, simulate and experiment ramsey either succeed or print one
-    `error:` line for every extreme value of a numeric key."""
+def test_extreme_config_value_exits_cleanly(tmp_path, circuit_file, capfd, key):
+    """chain, compile, simulate and every experiment kind either succeed
+    or print one `error:` line for every extreme value of every key, and
+    print nothing else: capfd also catches what C code writes to the file
+    descriptors, and a Python warning, which the CLI would print, fails."""
     cfg, out = tmp_path / "x.cfg", str(tmp_path / "out")
-    runs = {"compile": ["compile", "--circuit", circuit_file, "--config", str(cfg),
+    runs = {"chain": ["chain", "--n", "3", "--config", str(cfg),
+                      "--out", os.path.join(out, "chain.csv")],
+            "compile": ["compile", "--circuit", circuit_file, "--config", str(cfg),
                         "--out", os.path.join(out, "schedule.json")],
             "simulate": ["simulate", "--circuit", circuit_file, "--config", str(cfg),
-                         "--shots", "20", "--out", out],
-            "ramsey": ["experiment", "ramsey", "--config", str(cfg), "--shots", "20",
-                       "--out", out]}
+                         "--shots", "20", "--out", out]}
+    runs.update((kind, ["experiment", kind, "--config", str(cfg), "--shots", "20",
+                        "--out", out]) for kind in exp.EXPERIMENT_KINDS)
     for value in _EXTREMES[SCHEMA[key][0]]:
         cfg.write_text(f"{key} = {value}\n")
         for name, argv in runs.items():
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), \
-                (name, value, err)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            captured = capfd.readouterr()
+            assert not caught, (name, value, [str(w.message) for w in caught])
+            assert captured.out == "", (name, value, captured.out)
+            assert code == 0 or (captured.err.startswith("error: ")
+                                 and captured.err.count("\n") == 1), (name, value, captured.err)
+            assert code == 1 or captured.err == "", (name, value, captured.err)
 
 
 @pytest.mark.parametrize("key, value", [("machine.t_ms_us", "inf"),

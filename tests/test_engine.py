@@ -582,11 +582,33 @@ def test_measure_draws_one_multinomial_of_the_detected_law():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_read_dark_is_the_one_ion_detected_count_law():
+    """read_dark(p) equals detected_count_law([p, 1 - p], e0, e1)[0] over
+    11 dark probabilities and 18 models, whose flip pairs span e0 from 0 to
+    0.42 and e1 from 6e-34 to 0.37; an array of p gives the same values."""
+    p = np.linspace(0.0, 1.0, 11)
+    for bright_rate in (5e5, 2e4, 5e3):
+        for dark_mean in (0.0, 1.0, 5.0):
+            for t1 in (math.inf, 1e-3):
+                det = eng.DetectionModel(bright_rate=bright_rate, dark_mean=dark_mean, t1=t1)
+                want = [eng.detected_count_law([q, 1.0 - q], *det.flip_probs)[0] for q in p]
+                assert [det.read_dark(q) for q in p] == pytest.approx(want, rel=1e-13, abs=1e-15)
+                assert np.array_equal(det.read_dark(p), [det.read_dark(q) for q in p])
+
+
 def test_flip_probs_of_a_mean_near_numpy_poisson_limit_are_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         e0, e1 = eng.DetectionModel(dark_mean=9.22e18).flip_probs
     assert 0.0 <= e0 <= 1.0 and 0.0 <= e1 <= 1.0
+
+
+def test_flip_probs_of_a_tiny_t1_read_every_dark_ion_as_a_decayed_one():
+    """At t1 = 1e-308 a dark ion decays at the window's start and counts
+    like a bright one, so e0 = 1 - e1; the density's 1/t1 does not
+    overflow the decay integral."""
+    e0, e1 = replace(RESOLVABLE, t1=1e-308).flip_probs
+    assert e0 == pytest.approx(1.0 - e1, rel=1e-9)
 
 
 @pytest.mark.parametrize("t1", [math.inf, 1e-3])
@@ -670,6 +692,19 @@ def test_run_schedule_rejects_inputs_that_do_not_fit(kwargs, schedule_qubits, ma
                      comp.MachineConfig(n_qubits=schedule_qubits))
     with pytest.raises(ValueError, match=match):
         eng.run_schedule(sched, machine, QUIET, **{"shots": 10, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("gradient", [1e307, 1e306])
+def test_run_schedule_rejects_a_gradient_phase_ramp_that_overflows(gradient):
+    """40 um at 1e307 Hz/um is an infinite detuning, and at 1e306 Hz/um a
+    finite one whose phase over the schedule is not; the run stops before
+    any draw, naming the positions and the gradient."""
+    machine = comp.MachineConfig(n_qubits=1)
+    sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MeasureAll("m0")], machine)
+    noise = replace(QUIET, gradient_compensated_hz_per_um=gradient)
+    with pytest.raises(ValueError, match=r"gradient phase ramp .* positions_um \[40.0\]"):
+        eng.run_schedule(sched, machine, noise, 10, seed=0, qubit_kind="ground",
+                         positions_um=[40.0])
 
 
 def test_run_schedule_pi_pulse_all_dark():

@@ -235,7 +235,7 @@ def test_thermometry_flags_undefined_ratio():
     # red excitation above blue cannot come from a thermal state
     rng = np.random.default_rng(0)
     ns = np.full(2000, 40)  # deep in the sideband-oscillation regime
-    nbar, se, flagged = exp.estimate_nbar(ns, rng)
+    nbar, se, flagged = exp.estimate_nbar(ns, rng, eng.DetectionModel())
     assert flagged or nbar > 2.0  # estimator refuses or is clearly invalid
 
 

@@ -1,6 +1,7 @@
 """Fitters: noiseless recovery, invariances, coverage, failure handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,14 @@ def test_coverage_power_law():
 
     cov = _coverage(make, fit_power_law, "alpha", 1.7, seed=4)
     assert 60.0 <= cov <= 76.0
+
+
+def test_a_singular_covariance_is_one_fit_failure_and_no_warning():
+    """A flat zero profile leaves the Gaussian's covariance undefined:
+    _curve raises FitFailure, and scipy's OptimizeWarning, which a CLI run
+    would print, is not emitted."""
+    x = np.linspace(-5.0, 5.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitFailure, match="covariance is singular"):
+            fit_gaussian(Dataset(x, np.zeros(41), np.full(41, 1e-6)))

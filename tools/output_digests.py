@@ -28,7 +28,12 @@ a run that reads a config file names it with `--config`:
   that the GHZ state's depolarizing weight reaches the outputs;
 - `experiment_ghz_eps1q` and `experiment_gate_decay_eps1q`: `experiment
   ghz` and `experiment gate_decay` with `noise.eps_1q = 0.05`, so that the
-  analysis pulses' depolarizing weight reaches the outputs.
+  analysis pulses' depolarizing weight reaches the outputs;
+- `experiment_rb_dim`, `experiment_addressing_scan_dim`,
+  `experiment_thermometry_dim` and `experiment_heating_dim`: those kinds
+  under DIM_READOUT, whose flip pair (e0, e1) is about (0.019, 0.082), RB
+  also at `noise.eps_1q = 0.002`, so that the one-ion readout law they
+  read their shots through reaches the outputs.
 
 Paths passed to the CLI are relative to that directory, so manifests hold
 no temporary name.  Prints one JSON line: "<run>/<file>" -> digest, and
@@ -75,6 +80,9 @@ MEASURE m0
 """
 EXPERIMENT_KINDS = ("ramsey", "gradient", "rb", "thermometry", "heating",
                     "ghz", "gate_decay", "addressing_scan")
+# A dim readout with no decay in the window.
+DIM_READOUT = ("noise.detection_bright_rate = 2e4", "noise.detection_dark_mean = 1",
+               "noise.t1_s = inf")
 
 
 def _write(workdir: str, name: str, text: str) -> str:
@@ -111,14 +119,18 @@ def runs(workdir: str) -> list:
                                    "--shots", "400", "--seed", "4", "--out", "simulate_noisy"]))
     out += [(f"experiment_{kind}", ["experiment", kind, "--out", f"experiment_{kind}"])
             for kind in EXPERIMENT_KINDS]
-    for name, kind, setting in (("rb_noisy", "rb", "eps_1q = 0.002"),
-                                ("gate_decay_noisy", "gate_decay", "eps_2q = 0.01"),
-                                ("gate_decay_dim", "gate_decay", "detection_bright_rate = 2e4"),
-                                ("ghz_dim", "ghz", "detection_bright_rate = 2e4"),
-                                ("ghz_noisy", "ghz", "eps_2q = 0.05"),
-                                ("ghz_eps1q", "ghz", "eps_1q = 0.05"),
-                                ("gate_decay_eps1q", "gate_decay", "eps_1q = 0.05")):
-        overlay = _write(workdir, f"{name}.cfg", f"noise.{setting}\n")
+    for name, kind, *lines in (
+            ("rb_noisy", "rb", "noise.eps_1q = 0.002"),
+            ("gate_decay_noisy", "gate_decay", "noise.eps_2q = 0.01"),
+            ("gate_decay_dim", "gate_decay", "noise.detection_bright_rate = 2e4"),
+            ("ghz_dim", "ghz", "noise.detection_bright_rate = 2e4"),
+            ("ghz_noisy", "ghz", "noise.eps_2q = 0.05"),
+            ("ghz_eps1q", "ghz", "noise.eps_1q = 0.05"),
+            ("gate_decay_eps1q", "gate_decay", "noise.eps_1q = 0.05"),
+            ("rb_dim", "rb", "noise.eps_1q = 0.002", *DIM_READOUT),
+            *((f"{kind}_dim", kind, *DIM_READOUT)
+              for kind in ("addressing_scan", "thermometry", "heating"))):
+        overlay = _write(workdir, f"{name}.cfg", "".join(line + "\n" for line in lines))
         out.append((f"experiment_{name}", ["experiment", kind, "--config", overlay,
                                            "--out", f"experiment_{name}"]))
     return out
