@@ -106,13 +106,13 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(*args.config)
     machine = build_machine(cfg)
-    records = eng.run_schedule(_compile_file(args.circuit, machine), machine,
-                               build_noise(cfg), args.shots, seed=args.seed)
-    bits = eng.valid_bits(records)
+    shots = eng.run_schedule(_compile_file(args.circuit, machine), machine,
+                             build_noise(cfg), args.shots, seed=args.seed)
+    bits = eng.valid_bits(shots)
     m = len(bits)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    write_shot_records(os.path.join(out, "shots.csv"), records)
+    write_shot_records(os.path.join(out, "shots.csv"), shots)
     pops = [{"qubit": q, "p_bright": k / m, "stderr": float(binomial_se(k, m))}
             for q, k in enumerate(bits.sum(axis=0).tolist())]
     summary = {

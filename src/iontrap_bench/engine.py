@@ -924,18 +924,45 @@ def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
 
 @dataclass(frozen=True)
 class ShotRecord:
+    """One row of a Shots: the shot's index, bits, counts and validity."""
     shot: int
     bits: tuple
     counts: tuple
     valid: bool
 
 
-def valid_bits(records) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Shots:
+    """The shots of one run_schedule call: detected bits (int8) and photon
+    counts (int64), each of shape (shots, n), and valid (bool, shape
+    (shots,)), False where a collision invalidated the shot.  len() is the
+    shot count; iterating yields one ShotRecord per shot, for callers that
+    read rows (the benchmark's checks), and builds every row it yields."""
+    bits: np.ndarray
+    counts: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.valid)
+
+    def __iter__(self):
+        return map(ShotRecord, range(len(self)), map(tuple, self.bits.tolist()),
+                   map(tuple, self.counts.tolist()), self.valid.tolist())
+
+
+def valid_bits(shots: Shots) -> np.ndarray:
     """Bits of the shots no collision invalidated, shape (valid shots, n)."""
-    bits = [r.bits for r in records if r.valid]
-    if not bits:
-        raise NoValidShots(f"no valid shots: collisions invalidated all {len(records)}")
-    return np.array(bits)
+    bits = shots.bits[shots.valid]
+    if not len(bits):
+        raise NoValidShots(f"no valid shots: collisions invalidated all {len(shots)}")
+    return bits
+
+
+def max_shots(n_qubits: int) -> int:
+    """The most shots run_schedule takes on n qubits: its Shots hold 9 n + 1
+    bytes a shot (int8 bits and int64 counts per qubit, one bool), and stay
+    within _MAX_STATE_BYTES, the cap on one state array."""
+    return _MAX_STATE_BYTES // (9 * n_qubits + 1)
 
 
 def _ms_tables(events, n: int, crosstalk) -> dict:
@@ -1037,12 +1064,14 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
                  noise: NoiseConfig, shots: int, seed: int,
                  crosstalk: np.ndarray = None, qubit_kind: str = "optical",
                  positions_um: np.ndarray = None, phonon: PhononMode = None,
-                 threads: int = 1) -> list:
+                 threads: int = 1) -> Shots:
     """Execute a validated schedule on the spins, all shots as batched
-    trajectories.
+    trajectories; return their Shots, in shot order.
 
-    Each chunk of at most _CHUNK_BYTES of state is one batched state with
-    its own random stream keyed by (seed, chunk index).  The phase table
+    shots runs from 1 to max_shots(n), checked before any chunk runs.  Each
+    chunk of at most _CHUNK_BYTES of state is one batched state with its own
+    random stream keyed by (seed, chunk index), and each field of the Shots
+    is the chunks' arrays joined in chunk order.  The phase table
     of each distinct MS gate (_ms_tables) is built once per call, before
     the first chunk, and every chunk and branch body reads it.  Between
     two operations every shot idles through one noise interval
@@ -1063,6 +1092,9 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     t2 = noise.t2(qubit_kind)  # also checks qubit_kind
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > max_shots(n):
+        raise ValueError(f"shots must be <= {max_shots(n)} on {n} qubits (the results' "
+                         f"memory cap), got {shots}")
     if schedule.n_qubits != n:
         raise ValueError(f"schedule is compiled for {schedule.n_qubits} qubits, "
                          f"the machine has {n}")
@@ -1097,10 +1129,10 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
             state.psi[np.arange(size), basis.sum(axis=1)] = 1.0
         last = {}
         _run_events(events, state, noise, rng, crosstalk, tables, t2, detunings, 0, last, {})
-        bits += last["bits"].tolist()
-        counts += last["counts"].tolist()
-        valid += (rng.poisson(lam, size=size) == 0).tolist()
-    return list(map(ShotRecord, range(len(valid)), map(tuple, bits), map(tuple, counts), valid))
+        bits.append(last["bits"])
+        counts.append(last["counts"])
+        valid.append(rng.poisson(lam, size=size) == 0)
+    return Shots(np.concatenate(bits), np.concatenate(counts), np.concatenate(valid))
 
 
 # Noise that never acts: no dephasing, decay or depolarizing.

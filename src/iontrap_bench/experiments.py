@@ -82,9 +82,9 @@ def _ramsey_circuit(wait_us: float, second_phase: float) -> tuple:
     )
 
 
-def _contrast(records) -> tuple:
+def _contrast(shots) -> tuple:
     """Contrast 2 P_dark - 1 of qubit 0 over valid shots, and its error."""
-    bits = eng.valid_bits(records)[:, 0]
+    bits = eng.valid_bits(shots)[:, 0]
     k = int(np.sum(bits == 0))
     n = len(bits)
     return 2.0 * (k / n) - 1.0, 2.0 * float(binomial_se(k, n))
@@ -99,9 +99,8 @@ def run_ramsey(spec: ExperimentSpec, qubit_kind: str, wait_times_s) -> Experimen
     y, yerr = [], []
     for i, w in enumerate(waits):
         sched = comp.compile_circuit(_ramsey_circuit(w * 1e6, 0.0), machine)
-        recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
-                                seed=spec.seed + i, qubit_kind=qubit_kind)
-        c, se = _contrast(recs)
+        c, se = _contrast(eng.run_schedule(sched, machine, spec.noise, spec.shots,
+                                           seed=spec.seed + i, qubit_kind=qubit_kind))
         y.append(c)
         yerr.append(se)
     ds = Dataset(waits, np.array(y), np.array(yerr))
@@ -130,10 +129,9 @@ def run_gradient_scan(spec: ExperimentSpec, positions_um) -> ExperimentResult:
     for i, z in enumerate(positions):
         quadratures = []
         for j, sched in enumerate(schedules):
-            recs = eng.run_schedule(sched, machine, spec.noise, spec.shots,
-                                    seed=spec.seed + 2 * i + j,
-                                    qubit_kind="ground", positions_um=[z])
-            quadratures.append(_contrast(recs))
+            quadratures.append(_contrast(eng.run_schedule(
+                sched, machine, spec.noise, spec.shots, seed=spec.seed + 2 * i + j,
+                qubit_kind="ground", positions_um=[z])))
         (c, se_c), (s, se_s) = quadratures
         f = math.atan2(s, c) / (2.0 * math.pi * spacing_s)
         r2 = max(c**2 + s**2, 1e-6)

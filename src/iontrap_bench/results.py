@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__
 from .config import config_digest
 from .fitting import Dataset
@@ -86,15 +88,23 @@ def write_results(out_dir: str, datasets: dict, fits: dict,
     return written
 
 
-def write_shot_records(path: str, records):
-    """CSV export of dynamics-engine shot records:
-    shot,bits,counts_q0..counts_qN,valid, one row template per record and
-    one write of all rows."""
-    if not records:
-        raise ValueError("no records to write")
-    n = len(records[0].bits)
+def write_shot_records(path: str, shots):
+    """CSV export of run_schedule's Shots: shot,bits,counts_q0..counts_qN,valid,
+    one row per shot.  The bits column is a byte view of the bits array;
+    every field goes, in row order, into one flat list that the row
+    template, repeated once per shot, formats in one call and one write."""
+    size, n = shots.bits.shape
+    if not size:
+        raise ValueError("no shots to write")
+    width = n + 3
+    fields = [None] * (size * width)
+    fields[0::width] = range(size)
+    bits = np.ascontiguousarray(shots.bits + 48, dtype=np.uint8).view(f"S{n}").ravel()
+    fields[1::width] = bits.astype(f"U{n}").tolist()
+    for q, col in enumerate(shots.counts.T.tolist()):
+        fields[2 + q::width] = col
+    fields[width - 1::width] = shots.valid.astype(np.uint8).tolist()
     header = "shot,bits," + ",".join(f"counts_q{q}" for q in range(n)) + ",valid\n"
-    row = "{}," + "{}" * n + ",{}" * n + ",{:d}\n"
+    row = "{},{}," + ",".join(["{}"] * n) + ",{}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "".join(row.format(r.shot, *r.bits, *r.counts, r.valid)
-                                  for r in records))
+        fh.write(header + (row * size).format(*fields))

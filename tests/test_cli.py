@@ -15,6 +15,7 @@ import pytest
 
 import iontrap_bench
 from iontrap_bench import cli
+from iontrap_bench import engine as eng
 from iontrap_bench import experiments as exp
 from iontrap_bench.cli import main
 from iontrap_bench.config import SCHEMA, config_digest, load_config
@@ -340,6 +341,22 @@ def test_simulate_zero_shots_is_one_error_line(tmp_path, circuit_file, capsys):
     assert main(["simulate", "--circuit", circuit_file, "--shots", "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "error: shots must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_simulate_shots_over_the_ceiling_is_one_error_line(tmp_path, circuit_file, capsys,
+                                                           monkeypatch):
+    """The ceiling is checked before any chunk builds its state."""
+    def no_state(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(eng, "RegisterState", no_state)
+    cap, out = eng.max_shots(2), tmp_path / "out"
+    assert main(["simulate", "--circuit", circuit_file, "--shots", str(cap + 1),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: shots must be <= {cap} on 2 qubits (the results' memory cap), "
+                   f"got {cap + 1}\n")
     assert not out.exists()
 
 

@@ -227,33 +227,33 @@ def test_summary_and_manifest_contents(tmp_path):
 
 
 def test_shot_record_csv(tmp_path):
-    from iontrap_bench.engine import ShotRecord
-    recs = [ShotRecord(0, (1, 0), (151, 3), True),
-            ShotRecord(1, (0, 1), (1, 148), False)]
+    from iontrap_bench.engine import Shots
+    shots = Shots(np.array([[1, 0], [0, 1]], dtype=np.int8), np.array([[151, 3], [1, 148]]),
+                  np.array([True, False]))
     path = tmp_path / "shots.csv"
-    write_shot_records(str(path), recs)
+    write_shot_records(str(path), shots)
     lines = path.read_text().splitlines()
     assert lines[0] == "shot,bits,counts_q0,counts_q1,valid"
     assert lines[1] == "0,10,151,3,1"
     assert lines[2] == "1,01,1,148,0"
     with pytest.raises(ValueError):
-        write_shot_records(str(path), [])
+        write_shot_records(str(path), Shots(*(a[:0] for a in (shots.bits, shots.counts,
+                                                                shots.valid))))
 
 
 @pytest.mark.parametrize("n", [1, 6, 12])
 def test_shot_record_csv_bytes_match_per_field_formatting(tmp_path, n):
-    """The row template writes the bytes of formatting each field on its
-    own, for numpy-int bits and counts and a False valid."""
-    from iontrap_bench.engine import ShotRecord
+    """The arrays write the bytes of formatting each field of their rows on
+    its own, for a False valid."""
+    from iontrap_bench.engine import Shots
     rng = np.random.default_rng(n)
     bits = rng.integers(2, size=(30, n)).astype(np.int8)
     counts = rng.poisson(20.0, size=(30, n))
-    recs = [ShotRecord(i, tuple(b), tuple(c), bool(i % 3))
-            for i, (b, c) in enumerate(zip(bits, counts))]
+    shots = Shots(bits, counts, np.arange(30) % 3 > 0)
     want = "shot,bits," + ",".join(f"counts_q{q}" for q in range(n)) + ",valid\n"
-    for r in recs:
+    for r in shots:
         want += (f"{r.shot},{''.join(str(b) for b in r.bits)},"
                  f"{','.join(str(c) for c in r.counts)},{int(r.valid)}\n")
     path = tmp_path / "shots.csv"
-    write_shot_records(str(path), recs)
+    write_shot_records(str(path), shots)
     assert path.read_bytes() == want.encode()

@@ -670,23 +670,36 @@ def _compile(instructions, machine):
     return comp.compile_circuit(instructions, machine)
 
 
+def _no_chunk_state(*args, **kwargs):
+    raise AssertionError("a chunk ran")
+
+
+def _same_shots(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in
+               ((a.bits, b.bits), (a.counts, b.counts), (a.valid, b.valid)))
+
+
 def test_run_schedule_empty_measures_bright():
     machine = comp.MachineConfig()
     sched = _compile([comp.PrepareAll(), comp.MeasureAll("m0")], machine)
-    recs = eng.run_schedule(sched, machine, QUIET, 200, seed=1)
-    assert all(r.bits == (1, 1) for r in recs)
-    assert all(r.valid for r in recs)
+    shots = eng.run_schedule(sched, machine, QUIET, 200, seed=1)
+    assert np.all(shots.bits == 1)
+    assert np.all(shots.valid)
 
 
 @pytest.mark.parametrize("kwargs, schedule_qubits, match", [
     ({"shots": 0}, 3, "shots must be >= 1"),
+    ({"shots": eng.max_shots(3) + 1}, 3, f"shots must be <= {eng.max_shots(3)} on 3 qubits"),
     ({"crosstalk": np.eye(2)}, 3, "crosstalk must be 3 x 3"),
     ({"positions_um": [0.0]}, 3, "positions_um must hold 3 positions"),
     ({"positions_um": [0.0, 1.0, 2.0, 3.0]}, 3, "positions_um must hold 3 positions"),
     ({}, 2, "schedule is compiled for 2 qubits, the machine has 3"),
-], ids=["zero_shots", "small_crosstalk", "short_positions", "long_positions",
-        "register_mismatch"])
-def test_run_schedule_rejects_inputs_that_do_not_fit(kwargs, schedule_qubits, match):
+], ids=["zero_shots", "shots_over_ceiling", "small_crosstalk", "short_positions",
+        "long_positions", "register_mismatch"])
+def test_run_schedule_rejects_inputs_that_do_not_fit(monkeypatch, kwargs, schedule_qubits,
+                                                     match):
+    """Each is refused before any chunk builds its state."""
+    monkeypatch.setattr(eng, "RegisterState", _no_chunk_state)
     machine = comp.MachineConfig(n_qubits=3)
     sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MeasureAll("m0")],
                      comp.MachineConfig(n_qubits=schedule_qubits))
@@ -710,8 +723,8 @@ def test_run_schedule_rejects_a_gradient_phase_ramp_that_overflows(gradient):
 def test_run_schedule_pi_pulse_all_dark():
     machine = comp.MachineConfig()
     sched = _compile([comp.R(PI, 0.0, "all"), comp.MeasureAll("m0")], machine)
-    recs = eng.run_schedule(sched, machine, QUIET, 200, seed=2)
-    dark = sum(r.bits == (0, 0) for r in recs)
+    bits = eng.run_schedule(sched, machine, QUIET, 200, seed=2).bits
+    dark = np.sum(np.all(bits == 0, axis=1))
     assert dark >= 198  # detection decay errors only
 
 
@@ -723,9 +736,9 @@ def test_run_schedule_branch_conditional_flip():
                       comp.MeasureAll("m0"),
                       comp.Branch("m0", ((0, "bright"),), body),
                       comp.MeasureAll("m1")], machine)
-    recs = eng.run_schedule(sched, machine, QUIET, 400, seed=3)
+    bits = eng.run_schedule(sched, machine, QUIET, 400, seed=3).bits
     # final measurement should be dark regardless of the branch outcome
-    dark = sum(r.bits == (0,) for r in recs)
+    dark = np.sum(bits[:, 0] == 0)
     assert dark >= 392
 
 
@@ -742,8 +755,8 @@ def test_branch_reads_the_measurement_it_names(middle):
     machine = comp.MachineConfig(n_qubits=1)
     sched = _compile([comp.PrepareAll(), comp.MeasureAll("m0"), *middle,
                       comp.MeasureAll("m2")], machine)
-    recs = eng.run_schedule(sched, machine, QUIET, 400, seed=5)
-    assert sum(r.bits == (1,) for r in recs) >= 392
+    bits = eng.run_schedule(sched, machine, QUIET, 400, seed=5).bits
+    assert np.sum(bits[:, 0] == 1) >= 392
 
 
 @pytest.mark.parametrize("rz_mode", ["virtual", "ac_stark"])
@@ -756,7 +769,7 @@ def test_rz_in_a_branch_body_acts_only_on_the_shots_that_fire(rz_mode):
                       comp.R(half, 0.0, (1,)),
                       comp.Branch("m0", ((0, "bright"),), (comp.RZ(PI, (1,)),)),
                       comp.R(half, 0.0, (1,)), comp.MeasureAll("m1")], machine)
-    bits = np.array([r.bits for r in eng.run_schedule(sched, machine, QUIET, 1000, seed=7)])
+    bits = eng.run_schedule(sched, machine, QUIET, 1000, seed=7).bits
     fired = bits[:, 0] == 1
     assert 400 < fired.sum() < 600
     assert bits[~fired, 1].mean() < 0.02
@@ -800,8 +813,7 @@ def test_ramsey_noise_matches_the_density_matrix_oracle():
     machine = comp.MachineConfig(n_qubits=1)
     sched = _compile([comp.R(PI / 2, 0.0, (0,)), comp.Delay(wait_us),
                       comp.R(PI / 2, 0.0, (0,)), comp.MeasureAll("m0")], machine)
-    recs = eng.run_schedule(sched, machine, noise, shots, seed=12)
-    p_dark = np.mean([r.bits[0] == 0 for r in recs])
+    p_dark = np.mean(eng.run_schedule(sched, machine, noise, shots, seed=12).bits[:, 0] == 0)
 
     pulse = machine.t_half_pi_us * 1e-6
     u = eng.rotation_matrix(PI / 2, 0.0)
@@ -822,9 +834,39 @@ def test_run_schedule_determinism_and_threads():
     noise = eng.NoiseConfig(eps_1q=0.01, eps_2q=0.01)
     a = eng.run_schedule(sched, machine, noise, 100, seed=7, threads=1)
     b = eng.run_schedule(sched, machine, noise, 100, seed=7, threads=4)
-    assert a == b
+    assert _same_shots(a, b)
     c = eng.run_schedule(sched, machine, noise, 100, seed=8)
-    assert a != c
+    assert not _same_shots(a, c)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_shots_are_arrays_of_the_stated_dtypes_and_shapes(n):
+    """bits int8 and counts int64 of shape (shots, n), valid bool of shape
+    (shots,): the 9 n + 1 bytes a shot that max_shots counts."""
+    machine = comp.MachineConfig(n_qubits=n)
+    sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.MeasureAll("m0")], machine)
+    shots = eng.run_schedule(sched, machine, eng.NoiseConfig(), 30, seed=3)
+    assert isinstance(shots, eng.Shots) and len(shots) == 30
+    assert (shots.bits.dtype, shots.bits.shape) == (np.int8, (30, n))
+    assert (shots.counts.dtype, shots.counts.shape) == (np.int64, (30, n))
+    assert (shots.valid.dtype, shots.valid.shape) == (np.bool_, (30,))
+    assert shots.bits.nbytes + shots.counts.nbytes + shots.valid.nbytes == 30 * (9 * n + 1)
+    assert eng.max_shots(n) == eng._MAX_STATE_BYTES // (9 * n + 1)
+
+
+def test_shots_iterate_as_the_rows_their_arrays_describe():
+    machine = comp.MachineConfig(n_qubits=3)
+    sched = _compile([comp.R(PI / 2, 0.0, "all"), comp.Delay(1000.0),
+                      comp.MeasureAll("m0")], machine)
+    noise = eng.NoiseConfig(collision_rate=100.0)  # about a quarter of the shots invalid
+    shots = eng.run_schedule(sched, machine, noise, 40, seed=6)
+    assert 0 < np.sum(shots.valid) < 40
+    rows = [eng.ShotRecord(i, tuple(int(b) for b in shots.bits[i]),
+                           tuple(int(c) for c in shots.counts[i]), bool(shots.valid[i]))
+            for i in range(40)]
+    assert list(shots) == rows
+    assert all(type(v) is int for r in shots for v in (r.shot, *r.bits, *r.counts))
+    assert np.array_equal(eng.valid_bits(shots), [r.bits for r in rows if r.valid])
 
 
 def test_eps_1q_is_charged_once_per_pulse_whatever_its_angle(monkeypatch):
@@ -852,12 +894,24 @@ def test_run_schedule_chunks_keep_shot_order(monkeypatch):
     sched = _compile([comp.R(PI, 0.0, (0,)), comp.MeasureAll("m0")], machine)
     whole = eng.run_schedule(sched, machine, QUIET, 95, seed=4)
     monkeypatch.setattr(eng, "_CHUNK_BYTES", 10 * 4 * 16)  # ten 2-qubit shots
+    readouts, detect = [], eng.detect
+
+    def recorded(*args):
+        readouts.append(detect(*args))
+        return readouts[-1]
+
+    monkeypatch.setattr(eng, "detect", recorded)
     chunked = eng.run_schedule(sched, machine, QUIET, 95, seed=4)
+    monkeypatch.setattr(eng, "detect", detect)
+    # One readout per chunk, joined in chunk order.
+    assert [len(bits) for bits, _ in readouts] == [10] * 9 + [5]
+    assert np.array_equal(chunked.bits, np.concatenate([bits for bits, _ in readouts]))
+    assert np.array_equal(chunked.counts, np.concatenate([counts for _, counts in readouts]))
     assert [r.shot for r in chunked] == list(range(95))
-    assert chunked == eng.run_schedule(sched, machine, QUIET, 95, seed=4)
-    assert chunked != whole  # each chunk draws from its own stream
-    for recs in (whole, chunked):
-        assert sum(r.bits == (0, 1) for r in recs) >= 93
+    assert _same_shots(chunked, eng.run_schedule(sched, machine, QUIET, 95, seed=4))
+    assert not _same_shots(chunked, whole)  # each chunk draws from its own stream
+    for shots in (whole, chunked):
+        assert np.sum(np.all(shots.bits == (0, 1), axis=1)) >= 93
 
 
 def test_ms_tables_are_built_once_per_run_and_shared_by_every_chunk(monkeypatch):
@@ -897,7 +951,7 @@ def test_ms_tables_are_built_once_per_run_and_shared_by_every_chunk(monkeypatch)
     calls.clear()
     anew = eng.run_schedule(sched, machine, noise, 45, seed=2, crosstalk=crosstalk)
     assert len(calls) >= 3 * 5  # five chunks, three top-level gates each
-    assert anew == shared
+    assert _same_shots(anew, shared)
 
 
 def test_collision_rate_statistics():
@@ -906,11 +960,11 @@ def test_collision_rate_statistics():
     sched = _compile([comp.Delay(500_000.0), comp.MeasureAll("m0")], machine)
     noise = eng.NoiseConfig(t2_optical=math.inf, t2_ground=math.inf, t1=math.inf)
     shots = 4000
-    recs = eng.run_schedule(sched, machine, noise, shots, seed=9)
+    valid = eng.run_schedule(sched, machine, noise, shots, seed=9).valid
     t_total = sched.duration_ns * 1e-9
     lam = noise.collision_rate * machine.n_qubits * t_total
     expect_invalid = (1.0 - math.exp(-lam)) * shots
-    invalid = sum(not r.valid for r in recs)
+    invalid = np.sum(~valid)
     sd = math.sqrt(expect_invalid)
     assert abs(invalid - expect_invalid) <= 3 * sd + 1
 
@@ -920,8 +974,7 @@ def test_spam_prep_flips():
     sched = _compile([comp.MeasureAll("m0")], machine)
     noise = eng.NoiseConfig(t2_optical=math.inf, t2_ground=math.inf,
                             t1=math.inf, spam_prep=0.2, collision_rate=0.0)
-    recs = eng.run_schedule(sched, machine, noise, 2000, seed=10)
-    dark_frac = np.mean([1 - b for r in recs for b in r.bits])
+    dark_frac = np.mean(eng.run_schedule(sched, machine, noise, 2000, seed=10).bits == 0)
     assert abs(dark_frac - 0.2) < 0.03
 
 
@@ -929,9 +982,9 @@ def test_crosstalk_scales_addressed_rotation():
     machine = comp.MachineConfig()
     sched = _compile([comp.R(PI, 0.0, (0,)), comp.MeasureAll("m0")], machine)
     x = np.array([[1.0, 0.1], [0.1, 1.0]])
-    recs = eng.run_schedule(sched, machine, QUIET, 3000, seed=11, crosstalk=x)
+    bits = eng.run_schedule(sched, machine, QUIET, 3000, seed=11, crosstalk=x).bits
     # spectator qubit 1 sees a pi*0.1 rotation: P_dark = sin^2(pi*0.1/2)
-    dark1 = np.mean([1 - r.bits[1] for r in recs])
+    dark1 = np.mean(bits[:, 1] == 0)
     assert abs(dark1 - math.sin(PI * 0.1 / 2) ** 2) < 0.03
 
 

@@ -376,5 +376,5 @@ def test_virtual_and_ac_stark_rz_give_the_same_bits(case, seed):
     for rz_mode in ("virtual", "ac_stark"):
         machine = comp.MachineConfig(n_qubits=n, rz_mode=rz_mode)
         schedule = comp.compile_circuit(instructions, machine)
-        bits.append([r.bits for r in eng.run_schedule(schedule, machine, NO_NOISE, 40, seed)])
-    assert bits[0] == bits[1]
+        bits.append(eng.run_schedule(schedule, machine, NO_NOISE, 40, seed).bits)
+    assert np.array_equal(bits[0], bits[1])
