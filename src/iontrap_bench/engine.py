@@ -1066,7 +1066,9 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
                  positions_um: np.ndarray = None, phonon: PhononMode = None,
                  threads: int = 1) -> Shots:
     """Execute a validated schedule on the spins, all shots as batched
-    trajectories; return their Shots, in shot order.
+    trajectories; return their Shots, in shot order: detected bits (int8)
+    and photon counts (int64) of shape (shots, n), and valid (bool) of
+    shape (shots,), False where a collision invalidated the shot.
 
     shots runs from 1 to max_shots(n), checked before any chunk runs.  Each
     chunk of at most _CHUNK_BYTES of state is one batched state with its own
