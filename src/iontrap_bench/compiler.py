@@ -23,6 +23,7 @@ _MAX_BRANCH_DEPTH = 1  # branch bodies may not branch again
 # Largest angle (rad), delay or machine duration (us): far past any run
 # (1e9 us is over 1000 s), yet a duration in ns stays far from float overflow.
 _MAX_OPERAND = 1e9
+MAX_QUBITS = 26  # the most whose one-shot state, 16 * 2**n bytes, fits engine's 1 GiB cap
 
 
 def addressed_channel(q: int) -> str:
@@ -90,8 +91,9 @@ class MachineConfig:
     rz_mode: str = "virtual"  # virtual | ac_stark
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be >= 1 and <= {MAX_QUBITS} (the memory cap "
+                             f"on a state), got {self.n_qubits}")
         if self.timing_grid_ns <= 0:
             raise ValueError("timing grid must be positive")
         if self.rz_mode not in ("virtual", "ac_stark"):

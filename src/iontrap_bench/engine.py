@@ -16,10 +16,11 @@ are the Hadamard layers of the ideal MS gate; run_schedule builds each
 MS gate's phase table once per call.  The idle noise, dephasing then T1,
 acts on every qubit of the register in one pass per interval.  T1
 follows the unnormalized unraveling (Plenio & Knight, RMP 70, 101
-(1998)): all its draws at once and every qubit's no-jump D population
-from one pass over the populations, which the dephasing kicks keep; one
-per-shot diagonal then carries the kicks, the no-jump scale and the
-renormalization, and only shots that jump take the per-qubit rule.  The
+(1998)) with all its draws at once: only shots with a uniform below the
+jump probability p take the jump test, each other shot's no-jump norm is
+one product with (1 - p) ** (dark bits), and one per-shot diagonal carries
+the kicks, the no-jump scale and the renormalization; only shots that jump
+take the per-qubit rule.  The
 readout of a run (detect) draws photon counts and classifies them; the
 experiments read out through the law of those counts, the threshold's
 per-ion error probabilities (DetectionModel.flip_probs), and draw no
@@ -44,6 +45,7 @@ from .compiler import (GLOBAL_CHANNEL, Event, MachineConfig, PulseSchedule,
 from .errors import FockLeakage, NoValidShots
 
 _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
+_JUMP_MARGIN = 1e-6  # on p of a T1 jump candidate; see apply_t1_decay
 _MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
 _SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
 _STEPS_PER_PERIOD = 50  # MS integrator steps per period of the faster of tone and mode
@@ -436,12 +438,14 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
     """One idle interval of dt seconds (none if dt <= 0) on every qubit of a
     spin register: apply_dephasing's kicks then apply_t1_decay's jumps, with
     their draws in that order (normals if t2 < inf, then uniforms if
-    p = 1 - exp(-dt/t1) > 0), in one pass.  The kicks keep the populations,
-    so one contraction of them gives the jump test; each shot that does not
-    jump is multiplied once by one per-shot diagonal, kick_q on the set bits
-    and sqrt(1 - p) on the clear bits of each qubit q, times 1/sqrt of the
-    no-jump squared norm the contraction ends with.  A shot that jumps takes
-    the kicks, then the per-qubit rule (_t1_in_turn), then renormalizes."""
+    p = 1 - exp(-dt/t1) > 0), in one pass.  The candidates of
+    apply_t1_decay take the contraction of their populations, which the
+    kicks keep, and it names the shots that jump.  Each other shot is
+    multiplied once by one per-shot diagonal, kick_q on the set bits and
+    sqrt(1 - p) on the clear bits of each qubit q, times 1/sqrt of its
+    no-jump squared norm, one product with weights that factor over the low
+    and high qubits.  A shot that jumps takes the kicks, then the per-qubit
+    rule (_t1_in_turn), then renormalizes."""
     if dt <= 0:
         return state
     n, shots = state.n, len(state.psi)
@@ -460,20 +464,25 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
         _scale_diagonal(psi, kicks, 1.0, 1.0)
         return state
     u = rng.random((n, shots))
-    pops = np.square(psi.real)
-    pops += np.square(psi.imag)
-    dark2 = np.empty((n, shots))
-    for q in range(n):
-        halves = pops.reshape(shots, -1, 2)
-        dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
-        pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]  # ends as (shots, 1)
-    loss = p * dark2
-    # The squared norm before each qubit, as a loop of subtractions would give it.
-    norms = np.subtract.accumulate(np.concatenate((np.ones((1, shots)), loss[:-1])))
-    jump = np.logical_or.reduce(u < loss / norms)
-    jumped = jump.nonzero()[0]
+    k, weights = (n + 1) // 2, (1.0 - p) ** np.arange(n + 1)  # by number of dark bits
+    norm2 = (np.square(psi.view(float)).reshape(shots, 2 ** (n - k), 2 ** (k + 1))
+             @ weights[_dark_counts(k)]) @ weights[_dark_counts(n - k)[::2]]
+    jumped = cand = np.logical_or.reduce(u < p * (1.0 + _JUMP_MARGIN)).nonzero()[0]
+    if cand.size:
+        cpsi = psi[cand]
+        pops = np.square(cpsi.real) + np.square(cpsi.imag)
+        dark2 = np.empty((n, cand.size))
+        for q in range(n):
+            halves = pops.reshape(cand.size, 2 ** (n - q - 1), 2)
+            dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
+            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
+        loss = p * dark2
+        # The squared norm before each qubit, as a loop of subtractions would give it.
+        norms = np.subtract.accumulate(np.concatenate((np.ones((1, cand.size)), loss[:-1])))
+        jumped = cand[np.logical_or.reduce(u[:, cand] * norms < loss)]  # no 0/0 at p = 1
+        norm2[jumped] = 1.0
     sub = state.subset(jumped)  # a copy, taken before the scale
-    _scale_diagonal(psi, kicks, math.sqrt(1.0 - p), 1.0 / np.sqrt(np.where(jump, 1.0, pops[:, 0])))
+    _scale_diagonal(psi, kicks, math.sqrt(1.0 - p), 1.0 / np.sqrt(norm2))
     if jumped.size:
         _scale_diagonal(sub.psi, kicks[:, jumped], 1.0, 1.0)
         _t1_in_turn(sub.psi, p, u[:, jumped])
@@ -486,9 +495,10 @@ def _scale_diagonal(psi: np.ndarray, kicks: np.ndarray, root: float, start):
     """Multiply psi, (shots, 2**n) and contiguous, in place by the per-shot
     diagonal whose entry [s, i] is start (a number, or an array of one per
     shot) times, for each qubit q, kicks[q, s] if bit q of i is set, else
-    root: by one _shot_table over the m lowest qubits (at least half of
-    them, and each with 2**q < shots), then, if m < n, by one over the
-    rest; a multiply by each table costs less than building their product."""
+    root (as root ** dark bits, so root = 0 needs no case of its own): by
+    one _shot_table over the m lowest qubits (at least half of them, and
+    each with 2**q < shots), then, if m < n, by one over the rest; a
+    multiply by each table costs less than building their product."""
     n, shots = kicks.shape
     m = max(min(n, (shots - 1).bit_length()), (n + 1) // 2)
     v = psi.reshape(shots, 2 ** (n - m), 2**m)
@@ -500,15 +510,25 @@ def _scale_diagonal(psi: np.ndarray, kicks: np.ndarray, root: float, start):
 def _shot_table(kicks: np.ndarray, root: float, start) -> np.ndarray:
     """The (2**k, shots) table, for kicks (k, shots), whose entry [i, s] is
     start (as in _scale_diagonal) times, for each j, kicks[j, s] if bit j
-    of i is set, else root: built by doubling along the shot axis, so that
-    every pass multiplies rows of one entry per shot."""
+    of i is set, else root: the kicks by doubling along the shot axis, so
+    that every pass multiplies rows of one entry per shot, then row i times
+    root ** (dark bits of i)."""
     table = np.empty((2 ** len(kicks), kicks.shape[1]), dtype=complex)
     table[0] = start
     for j, kick in enumerate(kicks):
         np.multiply(table[:2**j], kick, out=table[2**j:2 ** (j + 1)])
-        if root != 1.0:
-            table[:2**j] *= root
+    table *= (root ** np.arange(len(kicks) + 1))[_dark_counts(len(kicks))[::2], None]
     return table
+
+
+@lru_cache(maxsize=8)
+def _dark_counts(n: int) -> np.ndarray:
+    """The dark (clear) bits of each basis index i < 2**n, twice: the real
+    and imaginary slots of i in a float view of psi ([::2]: one per i)."""
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        counts = np.concatenate((counts + 1, counts))  # the next bit clear, then set
+    return _read_only(np.repeat(counts, 2))[0]
 
 
 _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]],
@@ -553,15 +573,19 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     state is renormalized once at the end.  One uniform per qubit and shot
     is drawn at once, qubit 0 first.
 
-    Before any jump, qubit q's dark2 is the sum of the populations with its
-    bit dark, each weighted by (1 - p) ** (number of lower qubits dark in
-    it).  The weights factor over the qubits, so contracting one qubit axis
-    at a time, lowest first, gives them all: per qubit a sum of the dark
-    half (dark2) and the dark half times (1 - p) plus the bright half (the
-    next qubit's weighted populations).  Until a shot jumps its state is
-    one real diagonal scale, sqrt(1 - p) per dark bit; only a shot that
-    jumps takes the per-qubit rule (_t1_in_turn).  This is the noise
-    interval of _noise_interval with no dephasing.
+    As dark2 <= norm2, only the candidates, the shots with a uniform below
+    p * (1 + _JUMP_MARGIN), can jump: the float ratio exceeds 1 by a few
+    ulps plus the norm's error over norm2 >= (1 - p) ** n, which passes
+    1e-6 only where a shot avoids candidacy with chance (1 - p) ** n.
+    Before any jump, qubit q's dark2 sums the populations with its bit
+    dark, each weighted by (1 - p) ** (number of lower qubits dark in it);
+    contracting one qubit axis at a time, lowest first, gives them all for
+    the candidates: per qubit a sum of the dark half (dark2) and the dark
+    half times (1 - p) plus the bright half.  Until a shot jumps its state
+    is one real diagonal scale, sqrt(1 - p) per dark bit, with squared norm
+    its populations times (1 - p) ** (dark bits); only a shot that jumps
+    takes the per-qubit rule (_t1_in_turn).  This is the noise interval of
+    _noise_interval with no dephasing.
     """
     _spin_register(state)
     if dt < 0 or not t1 > 0:
@@ -653,15 +677,12 @@ def detect(state: RegisterState, detection: DetectionModel,
 
 def bright_count_law(probs) -> np.ndarray:
     """P(k), k = 0..n: the law of the number of bright ions of an outcome
-    law over the 2**n basis states, one bincount over a popcount table."""
+    law over the 2**n basis states, one bincount over the dark-bit table."""
     probs = np.asarray(probs, dtype=float)
     n = probs.size.bit_length() - 1
     if probs.shape != (2**n,):
         raise ValueError(f"need an outcome law over 2**n basis states, got shape {probs.shape}")
-    bright = np.zeros(1, dtype=np.uint8)  # bright ions of each basis index, by doubling
-    for _ in range(n):
-        bright = np.concatenate([bright, bright + 1])
-    return np.bincount(bright, weights=probs, minlength=n + 1)
+    return np.bincount(n - _dark_counts(n)[::2], weights=probs, minlength=n + 1)
 
 
 def detected_count_law(count_law, e0: float, e1: float) -> np.ndarray:

@@ -360,6 +360,27 @@ def test_simulate_shots_over_the_ceiling_is_one_error_line(tmp_path, circuit_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate --circuit {circuit}", "machine.n_qubits = 40\n",
+     "n_qubits must be >= 1 and <= 26 (the memory cap on a state), got 40"),
+    ("experiment ghz --ghz-n 31", "", "need N <= 26 (the memory cap on a state), got 31"),
+    ("experiment ghz --ghz-n 24", "", "a state was built")], ids=["n_qubits", "ghz_n", "ghz_24"])
+def test_qubits_over_the_ceiling_are_one_error_line(tmp_path, circuit_file, capsys, monkeypatch,
+                                                     command, config, message):
+    """machine.n_qubits and --ghz-n are checked against the ceiling where
+    they enter, before any state is built; --ghz-n 24 passes the check."""
+    def no_state(*args, **kwargs):
+        raise MemoryError("a state was built")
+
+    monkeypatch.setattr(eng, "RegisterState", no_state)
+    cfg, out = tmp_path / "big.cfg", tmp_path / "out"
+    cfg.write_text(config)
+    argv = command.format(circuit=circuit_file).split()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, nbar, name", [("thermometry", "-1", "nbar_true"),
                                               ("thermometry", "nan", "nbar_true"),
                                               ("heating", "-1", "nbar0"),
@@ -728,8 +749,9 @@ def test_machine_duration_out_of_range_is_one_error_line(tmp_path, circuit_file,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n, message", [("0", "need N >= 2"), ("1", "need N >= 2"),
-                                        ("31", "state exceeds the memory cap")])
+@pytest.mark.parametrize("n, message", [
+    ("0", "need N >= 2"), ("1", "need N >= 2"),
+    ("31", "need N <= 26 (the memory cap on a state), got 31")])
 def test_ghz_register_size_out_of_range_is_one_error_line(tmp_path, capsys, n, message):
     out = tmp_path / "out"
     assert main(["experiment", "ghz", "--ghz-n", n, "--out", str(out)]) == 1

@@ -196,6 +196,13 @@ def test_machine_grid_representability():
         comp.MachineConfig(t_half_pi_us=15.0000031)
 
 
+def test_qubit_ceiling_is_the_largest_register_one_state_array_holds():
+    assert 16 * 2**comp.MAX_QUBITS == eng._MAX_STATE_BYTES
+    assert comp.MachineConfig(n_qubits=comp.MAX_QUBITS).n_qubits == 26
+    with pytest.raises(ValueError, match=r"n_qubits must be >= 1 and <= 26 .*, got 27"):
+        comp.MachineConfig(n_qubits=comp.MAX_QUBITS + 1)
+
+
 def test_validate_detects_violations():
     ev_off = comp.Event("a0", 7, 15000, "carrier", 1.0, 0.0, (), (0,), PI / 2)
     ev_bad = comp.Event("zz", 0, 100, "carrier", 1.0, 0.0, (), (0,), PI / 2)

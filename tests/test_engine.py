@@ -389,6 +389,71 @@ def test_noise_interval_is_dephasing_then_t1_decay(n, t1, t2, ramp):
             assert rngs[0].bit_generator.state == np.random.default_rng(17).bit_generator.state
 
 
+def test_noise_interval_tests_jumps_on_candidate_shots_only(monkeypatch):
+    """At p = 1e-3 over 20000 shots, some shots draw a uniform below p and
+    are tested, and only some of those jump: the state and generator
+    state are those of the per-qubit reference, to 1e-12."""
+    n, shots, t1 = 3, 20000, 1.0
+    dt = -t1 * math.log1p(-1e-3)
+    rng0, st = np.random.default_rng(4), eng.RegisterState(n, shots=shots)
+    st.psi = rng0.normal(size=st.psi.shape) + 1j * rng0.normal(size=st.psi.shape)
+    st.renormalize()
+    ref = copy.deepcopy(st)
+    jumpers, inner = [], eng._t1_in_turn
+    monkeypatch.setattr(eng, "_t1_in_turn", lambda psi, p, u: (jumpers.append(len(psi)),
+                                                               inner(psi, p, u)))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    below = np.logical_or.reduce(copy.deepcopy(rng).random((n, shots)) < 1e-3).sum()
+    eng._noise_interval(st, dt, rng, t1, math.inf)
+    t1_decay_per_qubit(ref, range(n), dt, ref_rng, t1=t1)
+    assert 0 < jumpers[0] < below
+    np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("t2", [math.inf, 0.018], ids=["t2_inf", "t2"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_all_dark_batch_at_p_one_jumps_without_a_warning(n, t2):
+    """Every shot in |D...D> at t1 = 1e-308 (p = 1) jumps on every qubit:
+    no 0/0 in the jump test or the no-jump norm, and the reference's state."""
+    st = eng.RegisterState(n, shots=50)
+    st.psi[:] = 0.0
+    st.psi[:, 0] = 1.0
+    ref = copy.deepcopy(st)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng._noise_interval(st, 3e-5, rng, 1e-308, t2)
+    dephasing_per_qubit(ref, range(n), 3e-5, t2, ref_rng)
+    t1_decay_per_qubit(ref, range(n), 3e-5, ref_rng, t1=1e-308)
+    np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.abs(st.psi[:, -1]), 1.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("t1", [1.168, 1e-4, 1e-308], ids=["t1", "jumps", "p_one"])
+def test_all_bright_batch_takes_only_the_kicks(t1):
+    """|S...S> has no D population, so no shot jumps and T1 leaves it be:
+    the interval is the dephasing kicks, with T1's uniforms still drawn."""
+    n, shots = 4, 200
+    st = eng.RegisterState(n, shots=shots)
+    ref = copy.deepcopy(st)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    eng._noise_interval(st, 3e-5, rng, t1, 0.018, np.linspace(-40.0, 60.0, n))
+    dephasing_per_qubit(ref, range(n), 3e-5, 0.018, ref_rng, np.linspace(-40.0, 60.0, n))
+    ref_rng.random((n, shots))
+    np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_dark_counts_count_the_clear_bits_of_each_slot(n):
+    counts = eng._dark_counts(n)
+    want = [n - bin(i).count("1") for i in range(2**n)]
+    assert counts.tolist() == [c for c in want for _ in range(2)]
+    assert not counts.flags.writeable
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("name", ["t1", "t2_optical", "t2_ground"])
 def test_noise_config_rejects_non_positive_lifetime(name, value):

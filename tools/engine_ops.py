@@ -10,7 +10,11 @@ and at n = 16 with 8 shots (one run_schedule chunk's sizes):
   run_schedule call;
 - `ms`: that MS from its table, the Hadamard layers and the phase;
 - `noise_interval`: one `_noise_interval` of 10 us with the default T1 and
-  optical T2 and a gradient detuning on every qubit;
+  optical T2 and a gradient detuning on every qubit (jump probability
+  p = 9e-6 a qubit, so almost no shot draws a uniform below p);
+- `noise_interval_long`: the same over 60 ms (p = 0.05), where most
+  shots at n = 16 take the jump test and many jump; its generator is
+  seeded afresh on each repeat, so every repeat draws the same jumps;
 - `depolarizing`: `apply_depolarizing` on every qubit at eps 0.05;
 - `project_bits` and `detect`.
 
@@ -52,6 +56,8 @@ def main() -> int:
             "ms": lambda st: eng._apply_ms_phase(st, range(n), table),
             "noise_interval": lambda st: eng._noise_interval(
                 st, 1e-5, rng, noise.t1, noise.t2_optical, detunings),
+            "noise_interval_long": lambda st: eng._noise_interval(
+                st, 0.06, np.random.default_rng(1), noise.t1, noise.t2_optical, detunings),
             "depolarizing": lambda st: eng.apply_depolarizing(st, range(n), 0.05, rng),
             "project_bits": lambda st: eng.project_bits(st, rng),
             "detect": lambda st: eng.detect(st, noise.detection, rng),
