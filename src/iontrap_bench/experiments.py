@@ -451,7 +451,7 @@ def run_ghz(spec: ExperimentSpec, n: int, analysis_phases,
     if n < 2:
         raise ValueError("need N >= 2")
     if n > comp.MAX_QUBITS:
-        raise ValueError(f"need N <= {comp.MAX_QUBITS} (the memory cap on a state), got {n}")
+        raise ValueError(f"state exceeds the memory cap: need N <= {comp.MAX_QUBITS}, got {n}")
     phases = np.asarray(analysis_phases, dtype=float)
     if phases.max() - phases.min() < 2.0 * math.pi / n * (1.0 - 1e-9):
         raise ValueError("phases must span at least one parity period")

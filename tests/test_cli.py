@@ -363,7 +363,7 @@ def test_simulate_shots_over_the_ceiling_is_one_error_line(tmp_path, circuit_fil
 @pytest.mark.parametrize("command, config, message", [
     ("simulate --circuit {circuit}", "machine.n_qubits = 40\n",
      "n_qubits must be >= 1 and <= 26 (the memory cap on a state), got 40"),
-    ("experiment ghz --ghz-n 31", "", "need N <= 26 (the memory cap on a state), got 31"),
+    ("experiment ghz --ghz-n 31", "", "state exceeds the memory cap: need N <= 26, got 31"),
     ("experiment ghz --ghz-n 24", "", "a state was built")], ids=["n_qubits", "ghz_n", "ghz_24"])
 def test_qubits_over_the_ceiling_are_one_error_line(tmp_path, circuit_file, capsys, monkeypatch,
                                                      command, config, message):
@@ -751,7 +751,7 @@ def test_machine_duration_out_of_range_is_one_error_line(tmp_path, circuit_file,
 
 @pytest.mark.parametrize("n, message", [
     ("0", "need N >= 2"), ("1", "need N >= 2"),
-    ("31", "need N <= 26 (the memory cap on a state), got 31")])
+    ("31", "state exceeds the memory cap: need N <= 26, got 31")])
 def test_ghz_register_size_out_of_range_is_one_error_line(tmp_path, capsys, n, message):
     out = tmp_path / "out"
     assert main(["experiment", "ghz", "--ghz-n", n, "--out", str(out)]) == 1

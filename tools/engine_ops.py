@@ -12,8 +12,8 @@ and at n = 16 with 8 shots (one run_schedule chunk's sizes):
 - `noise_interval`: one `_noise_interval` of 10 us with the default T1 and
   optical T2 and a gradient detuning on every qubit (jump probability
   p = 9e-6 a qubit, so almost no shot draws a uniform below p);
-- `noise_interval_long`: the same over 60 ms (p = 0.05), where most
-  shots at n = 16 take the jump test and many jump; its generator is
+- `noise_interval_long`: the same over 60 ms (p = 0.05), where 5 of the
+  8 shots at n = 16 take the jump test and 2 jump; its generator is
   seeded afresh on each repeat, so every repeat draws the same jumps;
 - `depolarizing`: `apply_depolarizing` on every qubit at eps 0.05;
 - `project_bits` and `detect`.
