@@ -16,16 +16,16 @@ are the Hadamard layers of the ideal MS gate; run_schedule builds each
 MS gate's phase table once per call.  The idle noise, dephasing then T1,
 acts on every qubit of the register in one pass per interval.  T1
 follows the unnormalized unraveling (Plenio & Knight, RMP 70, 101
-(1998)) with all its draws at once: only shots with a uniform below the
-jump probability p take the jump test, each other shot's no-jump norm is
-one product with (1 - p) ** (dark bits), and one per-shot diagonal carries
-the kicks, the no-jump scale and the renormalization; only shots that jump
-take the per-qubit rule.  The
-readout of a run (detect) draws photon counts and classifies them; the
-experiments read out through the law of those counts, the threshold's
-per-ion error probabilities (DetectionModel.flip_probs), and draw no
-counts: measure convolves the law of the true number of bright ions with
-it and draws the histogram of the detected count as one multinomial, and
+(1998)) with all its draws at once: only the candidates, the shots with
+a uniform below the jump probability p (plus a margin), take the
+per-qubit rule; each other shot's no-jump norm is one product with
+(1 - p) ** (dark bits), and one per-shot diagonal carries the kicks, the
+no-jump scale and the renormalization.  The readout of a run (detect)
+draws photon counts and classifies them; the experiments read out
+through the law of those counts, the threshold's per-ion error
+probabilities (DetectionModel.flip_probs), and draw no counts: measure
+convolves the law of the true number of bright ions with it and draws
+the histogram of the detected count as one multinomial, and
 DetectionModel.read_dark is its one-ion case in closed form.
 Basis convention: qubit 0 is the least significant bit of the amplitude
 index; bit 1 is the bright S ground state, bit 0 the dark D excited state.
@@ -387,19 +387,27 @@ def apply_ms_ideal(state: RegisterState, targets, chi: float):
     targets = _checked_targets(state, targets, chi)
     if len(set(targets)) != len(targets) or len(targets) < 2:
         raise ValueError("MS needs >= 2 distinct targets")
-    return _apply_ms_phase(state, targets, _ms_phase(state.n, targets, np.ones(len(targets)), chi))
+    phase = _ms_phase(state.n, targets, np.ones(len(targets)), chi)
+    return _apply_ms_phase(state, targets, phase, None)
 
 
-def _apply_ms_phase(state: RegisterState, targets, phase: np.ndarray) -> RegisterState:
+def _apply_ms_phase(state: RegisterState, targets, phase: np.ndarray, frames) -> RegisterState:
     """The MS gate whose Hadamard-frame phase table _ms_phase built, between
     Hadamards on the targets, as unnormalized butterflies sqrt(2) H: the
-    two layers' factor 2**-k scales the phase exactly."""
-    hadamards = [None] * state.n
+    two layers' factor 2**-k scales the phase exactly.  The gate runs in
+    the virtual frames f of the qubits (frames, one per qubit, or None for
+    none): RZ(-f) MS RZ(f), the rule that shifts carrier phases by -f.  On
+    a target the RZs join its Hadamards, sqrt(2) H RZ(f) and RZ(-f)
+    sqrt(2) H; on a qubit that is no target they cancel."""
+    first, second = [None] * state.n, [None] * state.n
     for q in targets:
-        hadamards[q] = _SQRT2_H
-    _apply_layer(state, hadamards)
+        first[q] = second[q] = _SQRT2_H
+        if frames is not None and frames[q]:
+            rz = rz_matrix(frames[q])
+            first[q], second[q] = _SQRT2_H @ rz, rz.conj() @ _SQRT2_H  # rz.conj() = RZ(-f)
+    _apply_layer(state, first)
     state.psi *= np.broadcast_to(phase, (2,) * state.n).reshape(-1)
-    return _apply_layer(state, hadamards)
+    return _apply_layer(state, second)
 
 
 def _ms_phase(n: int, targets, weights, chi: float) -> np.ndarray:
@@ -438,14 +446,15 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
     """One idle interval of dt seconds (none if dt <= 0) on every qubit of a
     spin register: apply_dephasing's kicks then apply_t1_decay's jumps, with
     their draws in that order (normals if t2 < inf, then uniforms if
-    p = 1 - exp(-dt/t1) > 0), in one pass.  The candidates of
-    apply_t1_decay take the contraction of their populations, which the
-    kicks keep, and it names the shots that jump.  Each other shot is
-    multiplied once by one per-shot diagonal, kick_q on the set bits and
-    sqrt(1 - p) on the clear bits of each qubit q, times 1/sqrt of its
-    no-jump squared norm, one product with weights that factor over the low
-    and high qubits.  A shot that jumps takes the kicks, then the per-qubit
-    rule (_t1_in_turn), then renormalizes."""
+    p = 1 - exp(-dt/t1) > 0), in one pass.  Only a candidate, a shot with
+    a uniform below p * (1 + _JUMP_MARGIN), can jump (apply_t1_decay): it
+    takes the kicks, then the per-qubit rule (_t1_in_turn), then
+    renormalizes.  Until a shot jumps its state is one real diagonal scale,
+    sqrt(1 - p) per dark bit, so each other shot is multiplied once by one
+    per-shot diagonal, kick_q on the set bits and sqrt(1 - p) on the clear
+    bits of each qubit q, times 1/sqrt of its no-jump squared norm: its
+    populations times (1 - p) ** (dark bits), one product with weights that
+    factor over the low and high qubits."""
     if dt <= 0:
         return state
     n, shots = state.n, len(state.psi)
@@ -467,27 +476,15 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
     k, weights = (n + 1) // 2, (1.0 - p) ** np.arange(n + 1)  # by number of dark bits
     norm2 = (np.square(psi.view(float)).reshape(shots, 2 ** (n - k), 2 ** (k + 1))
              @ weights[_dark_counts(k)]) @ weights[_dark_counts(n - k)[::2]]
-    jumped = cand = np.logical_or.reduce(u < p * (1.0 + _JUMP_MARGIN)).nonzero()[0]
-    if cand.size:
-        cpsi = psi[cand]
-        pops = np.square(cpsi.real) + np.square(cpsi.imag)
-        dark2 = np.empty((n, cand.size))
-        for q in range(n):
-            halves = pops.reshape(cand.size, 2 ** (n - q - 1), 2)
-            dark2[q] = np.add.reduce(halves[:, :, 0], axis=1)
-            pops = halves[:, :, 0] * (1.0 - p) + halves[:, :, 1]
-        loss = p * dark2
-        # The squared norm before each qubit, as a loop of subtractions would give it.
-        norms = np.subtract.accumulate(np.concatenate((np.ones((1, cand.size)), loss[:-1])))
-        jumped = cand[np.logical_or.reduce(u[:, cand] * norms < loss)]  # no 0/0 at p = 1
-        norm2[jumped] = 1.0
-    sub = state.subset(jumped)  # a copy, taken before the scale
+    cand = np.logical_or.reduce(u < p * (1.0 + _JUMP_MARGIN)).nonzero()[0]
+    norm2[cand] = 1.0
+    sub = state.subset(cand)  # a copy, taken before the scale
     _scale_diagonal(psi, kicks, math.sqrt(1.0 - p), 1.0 / np.sqrt(norm2))
-    if jumped.size:
-        _scale_diagonal(sub.psi, kicks[:, jumped], 1.0, 1.0)
-        _t1_in_turn(sub.psi, p, u[:, jumped])
+    if cand.size:
+        _scale_diagonal(sub.psi, kicks[:, cand], 1.0, 1.0)
+        _t1_in_turn(sub.psi, p, u[:, cand])
         sub.renormalize()
-        psi[jumped] = sub.psi
+        psi[cand] = sub.psi
     return state
 
 
@@ -577,15 +574,8 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     p * (1 + _JUMP_MARGIN), can jump: the float ratio exceeds 1 by a few
     ulps plus the norm's error over norm2 >= (1 - p) ** n, which passes
     1e-6 only where a shot avoids candidacy with chance (1 - p) ** n.
-    Before any jump, qubit q's dark2 sums the populations with its bit
-    dark, each weighted by (1 - p) ** (number of lower qubits dark in it);
-    contracting one qubit axis at a time, lowest first, gives them all for
-    the candidates: per qubit a sum of the dark half (dark2) and the dark
-    half times (1 - p) plus the bright half.  Until a shot jumps its state
-    is one real diagonal scale, sqrt(1 - p) per dark bit, with squared norm
-    its populations times (1 - p) ** (dark bits); only a shot that jumps
-    takes the per-qubit rule (_t1_in_turn).  This is the noise interval of
-    _noise_interval with no dephasing.
+    This is the noise interval of _noise_interval, which says how the
+    candidates and the other shots run, with no dephasing.
     """
     _spin_register(state)
     if dt < 0 or not t1 > 0:
@@ -597,15 +587,17 @@ def _t1_in_turn(psi, p, u):
     """The per-qubit rule on psi, (shots, 2**n), in place, with
     uniforms u (n, shots): each qubit in turn jumps (its D amplitudes
     replace its S ones and leave D empty; norm2 becomes dark2) or is scaled
-    by sqrt(1 - p) on D (norm2 loses p * dark2)."""
+    by sqrt(1 - p) on D (norm2 loses p * dark2).  Each qubit's D half is
+    multiplied once by a per-shot factor, 0 where the shot jumps, and
+    copied into S on the rows that jump, before the multiply."""
     norm2 = 1.0
     for q, uq in enumerate(u):
         v = psi.reshape(len(psi), -1, 2, 2**q)
         dark2 = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
         jump = uq < p * dark2 / norm2
-        mask = jump[:, None, None]
-        v[:, :, 1] = np.where(mask, v[:, :, 0], v[:, :, 1])
-        v[:, :, 0] = np.where(mask, 0.0, v[:, :, 0] * math.sqrt(1.0 - p))
+        rows = jump.nonzero()[0]
+        v[rows, :, 1] = v[rows, :, 0]
+        v[:, :, 0] *= np.where(jump, 0.0, math.sqrt(1.0 - p))[:, None, None]
         norm2 = np.where(jump, dark2, norm2 - p * dark2)
 
 
@@ -1005,16 +997,6 @@ def _ms_tables(events, n: int, crosstalk) -> dict:
     return tables
 
 
-def _apply_ms_event(state, e, targets, phase):
-    """Ideal MS of a bichromatic event run in the virtual frames f of its
-    qubits: RZ(-f) MS RZ(f), the rule that shifts carrier phases by -f."""
-    if e.frames:
-        apply_rz(state, range(len(e.frames)), 1.0, scale=e.frames)
-    _apply_ms_phase(state, targets, phase)
-    if e.frames:
-        apply_rz(state, range(len(e.frames)), -1.0, scale=e.frames)
-
-
 def _run_events(events, state, noise, rng, crosstalk, tables, t2,
                 detunings_hz, t_now, last, labels):
     """Apply events in time order to every shot of the batched state; return
@@ -1023,8 +1005,9 @@ def _run_events(events, state, noise, rng, crosstalk, tables, t2,
     since the previous operation: dephasing, T1 decay and the gradient phase
     compose exactly over adjacent intervals, so the ensemble is that of
     idling through every gap and pulse.  An MS event reads its gate from
-    tables (_ms_tables of the events).  `last` holds the latest detected
-    bits and counts per shot, `labels` those of each measurement label."""
+    tables (_ms_tables of the events) and runs it in the event's frames.
+    `last` holds the latest detected bits and counts per shot, `labels`
+    those of each measurement label."""
     def idle(st, t_ns):
         _noise_interval(st, (t_ns - t_now) * 1e-9, rng, noise.t1, t2, detunings_hz)
 
@@ -1034,7 +1017,7 @@ def _run_events(events, state, noise, rng, crosstalk, tables, t2,
             idle(state, centre)
             t_now = max(t_now, centre)
             if e.kind == "bichromatic":
-                _apply_ms_event(state, e, *tables[e.targets, e.bus, e.angle])
+                _apply_ms_phase(state, *tables[e.targets, e.bus, e.angle], e.frames)
                 apply_depolarizing(state, e.targets, noise.eps_2q, rng)
             else:
                 targets, scale = e.targets, None

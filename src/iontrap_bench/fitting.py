@@ -167,6 +167,8 @@ def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
     if not math.isfinite(frequency):
         raise ValueError(f"frequency must be finite, got {frequency}")
     ds = dataset
+    if len(ds.x) < 3:
+        raise ValueError("need >= 3 points")
     design = np.column_stack([np.ones_like(ds.x),
                               np.cos(frequency * ds.x),
                               np.sin(frequency * ds.x)])
@@ -213,8 +215,8 @@ def fit_power_law(dataset: Dataset) -> FitResult:
 def fit_linear(dataset: Dataset) -> FitResult:
     """Weighted linear regression y = slope x + intercept."""
     ds = dataset
-    if len(ds.x) < 2:
-        raise ValueError("need >= 2 points")
+    if len(np.unique(ds.x)) < 2:
+        raise ValueError("need >= 2 distinct x values")
     coef, cov, chisq = _weighted_solve(np.column_stack([ds.x, np.ones_like(ds.x)]), ds)
     return FitResult("linear", ("slope", "intercept"), coef,
                      np.sqrt(np.diag(cov)), cov, chisq, True)

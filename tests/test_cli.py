@@ -295,6 +295,21 @@ def test_fit_rejects_empty_or_nonfinite_points(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model, text, message", [
+    ("fringe", "x,y,yerr\n0,0.5,0.1\n1,0.7,0.1\n", "need >= 3 points"),
+    ("linear", "x,y,yerr\n1,0.5,0.1\n1,0.7,0.1\n1,0.3,0.1\n", "need >= 2 distinct x values"),
+    ("power_law", "x,y,yerr\n1,0.5,0.1\n1,0.7,0.1\n1,0.3,0.1\n",
+     "need >= 2 distinct x values"),
+], ids=["fringe_2_rows", "linear_one_x", "power_law_one_x"])
+def test_underdetermined_fit_is_one_error_line(tmp_path, capsys, model, text, message):
+    data = tmp_path / "points.csv"
+    data.write_text(text)
+    assert main(["fit", "--model", model, "--data", str(data), "--frequency", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("frequency", ["nan", "inf"])
 def test_fit_fringe_nonfinite_frequency_is_one_error_line(tmp_path, capfd, frequency):
     data = tmp_path / "points.csv"

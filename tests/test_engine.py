@@ -390,9 +390,10 @@ def test_noise_interval_is_dephasing_then_t1_decay(n, t1, t2, ramp):
 
 
 def test_noise_interval_tests_jumps_on_candidate_shots_only(monkeypatch):
-    """At p = 1e-3 over 20000 shots, some shots draw a uniform below p and
-    are tested, and only some of those jump: the state and generator
-    state are those of the per-qubit reference, to 1e-12."""
+    """At p = 1e-3 over 20000 shots, the per-qubit rule receives exactly
+    the candidates, the shots that draw a uniform below p (1 + the jump
+    margin): the state and generator state are those of the per-qubit
+    reference, to 1e-12."""
     n, shots, t1 = 3, 20000, 1.0
     dt = -t1 * math.log1p(-1e-3)
     rng0, st = np.random.default_rng(4), eng.RegisterState(n, shots=shots)
@@ -403,10 +404,12 @@ def test_noise_interval_tests_jumps_on_candidate_shots_only(monkeypatch):
     monkeypatch.setattr(eng, "_t1_in_turn", lambda psi, p, u: (jumpers.append(len(psi)),
                                                                inner(psi, p, u)))
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    below = np.logical_or.reduce(copy.deepcopy(rng).random((n, shots)) < 1e-3).sum()
+    p = 1.0 - math.exp(-dt / t1)
+    below = np.logical_or.reduce(
+        copy.deepcopy(rng).random((n, shots)) < p * (1.0 + eng._JUMP_MARGIN)).sum()
     eng._noise_interval(st, dt, rng, t1, math.inf)
     t1_decay_per_qubit(ref, range(n), dt, ref_rng, t1=t1)
-    assert 0 < jumpers[0] < below
+    assert 0 < below < shots and jumpers == [below]
     np.testing.assert_allclose(st.psi, ref.psi, rtol=0.0, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -100,6 +100,20 @@ def test_fringe_rejects_a_nonfinite_frequency(frequency):
         fit_fringe(_ds(x, 0.5 + 0.5 * np.cos(x)), frequency=frequency)
 
 
+@pytest.mark.parametrize("fit, x, message", [
+    (lambda d: fit_fringe(d, frequency=3.0), [0.0], "need >= 3 points"),
+    (lambda d: fit_fringe(d, frequency=3.0), [0.0, 1.0], "need >= 3 points"),
+    (fit_linear, [2.0], "need >= 2 distinct x values"),
+    (fit_linear, [1.0, 1.0, 1.0], "need >= 2 distinct x values"),
+    (fit_power_law, [1.0, 1.0, 1.0], "need >= 2 distinct x values"),
+], ids=["fringe_1", "fringe_2", "linear_1", "linear_one_x", "power_law_one_x"])
+def test_underdetermined_fit_is_rejected(fit, x, message):
+    """A fit with fewer distinct points than its parameters raises, rather
+    than report an exact fit with converged true."""
+    with pytest.raises(ValueError, match=message):
+        fit(_ds(x, np.linspace(0.3, 0.7, len(x)), err=0.05))
+
+
 def test_binomial_se_values_and_extremes():
     assert binomial_se(50, 100) == pytest.approx(0.05)
     assert binomial_se(0, 100) > 0

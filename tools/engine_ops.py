@@ -13,14 +13,14 @@ and at n = 16 with 8 shots (one run_schedule chunk's sizes):
   optical T2 and a gradient detuning on every qubit (jump probability
   p = 9e-6 a qubit, so almost no shot draws a uniform below p);
 - `noise_interval_long`: the same over 60 ms (p = 0.05), where 5 of the
-  8 shots at n = 16 take the jump test and 2 jump; its generator is
-  seeded afresh on each repeat, so every repeat draws the same jumps;
+  8 shots at n = 16 take the jump test and 2 jump;
 - `depolarizing`: `apply_depolarizing` on every qubit at eps 0.05;
 - `project_bits` and `detect`.
 
 Each figure is the least of its repeats, in seconds, with one BLAS thread
 and the package imported from this checkout's src/.  The state is copied
-before each repeat, outside the timed call.  Prints one JSON line: the
+and the op's generator seeded afresh before each repeat, outside the
+timed call, so every repeat, and every checkout, times the same draws.  Prints one JSON line: the
 figures per size and the machine.
 """
 
@@ -45,22 +45,22 @@ def main() -> int:
     noise = eng.NoiseConfig()
     sizes = {}
     for n, shots, repeats in SIZES:
-        rng = np.random.default_rng(0)
-        psi = rng.normal(size=(shots, 2**n)) + 1j * rng.normal(size=(shots, 2**n))
+        state_rng = np.random.default_rng(0)
+        psi = state_rng.normal(size=(shots, 2**n)) + 1j * state_rng.normal(size=(shots, 2**n))
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         table = eng._ms_phase(n, range(n), np.ones(n), math.pi / 4)
         detunings = np.linspace(-20.0, 20.0, n)
         ops = {
-            "layer_1q": lambda st: eng.apply_rotation(st, range(n), math.pi / 2, 0.3),
-            "ms_table": lambda st: eng._ms_phase(n, range(n), np.ones(n), math.pi / 4),
-            "ms": lambda st: eng._apply_ms_phase(st, range(n), table),
-            "noise_interval": lambda st: eng._noise_interval(
+            "layer_1q": lambda st, rng: eng.apply_rotation(st, range(n), math.pi / 2, 0.3),
+            "ms_table": lambda st, rng: eng._ms_phase(n, range(n), np.ones(n), math.pi / 4),
+            "ms": lambda st, rng: eng._apply_ms_phase(st, range(n), table, None),
+            "noise_interval": lambda st, rng: eng._noise_interval(
                 st, 1e-5, rng, noise.t1, noise.t2_optical, detunings),
-            "noise_interval_long": lambda st: eng._noise_interval(
-                st, 0.06, np.random.default_rng(1), noise.t1, noise.t2_optical, detunings),
-            "depolarizing": lambda st: eng.apply_depolarizing(st, range(n), 0.05, rng),
-            "project_bits": lambda st: eng.project_bits(st, rng),
-            "detect": lambda st: eng.detect(st, noise.detection, rng),
+            "noise_interval_long": lambda st, rng: eng._noise_interval(
+                st, 0.06, rng, noise.t1, noise.t2_optical, detunings),
+            "depolarizing": lambda st, rng: eng.apply_depolarizing(st, range(n), 0.05, rng),
+            "project_bits": lambda st, rng: eng.project_bits(st, rng),
+            "detect": lambda st, rng: eng.detect(st, noise.detection, rng),
         }
         times = {}
         for name, op in ops.items():
@@ -68,8 +68,9 @@ def main() -> int:
             for _ in range(repeats):
                 state = eng.RegisterState(n, shots=shots)
                 state.psi = psi.copy()
+                op_rng = np.random.default_rng(1)
                 t0 = time.perf_counter()
-                op(state)
+                op(state, op_rng)
                 best = min(best, time.perf_counter() - t0)
             times[name] = float(f"{best:.3g}")
         sizes[f"{n}/{shots}"] = times
