@@ -13,15 +13,15 @@ and at n = 16 with 8 shots (one run_schedule chunk's sizes):
   optical T2 and a gradient detuning on every qubit (jump probability
   p = 9e-6 a qubit, so almost no shot draws a uniform below p);
 - `noise_interval_long`: the same over 60 ms (p = 0.05), where 5 of the
-  8 shots at n = 16 take the jump test and 2 jump;
+  8 shots at n = 16 are candidates and take the per-qubit rule, and 2 jump;
 - `depolarizing`: `apply_depolarizing` on every qubit at eps 0.05;
 - `project_bits` and `detect`.
 
 Each figure is the least of its repeats, in seconds, with one BLAS thread
 and the package imported from this checkout's src/.  The state is copied
 and the op's generator seeded afresh before each repeat, outside the
-timed call, so every repeat, and every checkout, times the same draws.  Prints one JSON line: the
-figures per size and the machine.
+timed call, so every repeat, and every checkout, times the same draws.
+Prints one JSON line: the figures per size and the machine.
 """
 
 import json
