@@ -16,11 +16,11 @@ are the Hadamard layers of the ideal MS gate; run_schedule builds each
 MS gate's phase table once per call.  The idle noise, dephasing then T1,
 acts on every qubit of the register in one pass per interval.  T1
 follows the unnormalized unraveling (Plenio & Knight, RMP 70, 101
-(1998)) with all its draws at once: only the candidates, the shots with
-a uniform below the jump probability p (plus a margin), take the
-per-qubit rule; each other shot's no-jump norm is one product with
-(1 - p) ** (dark bits), and one per-shot diagonal carries the kicks, the
-no-jump scale and the renormalization.  The readout of a run (detect)
+(1998)) with all its draws at once: one per-shot diagonal carries the
+kicks and the no-jump scale, sqrt(1 - p) per dark bit for the jump
+probability p; only the candidates, the shots with a uniform below p,
+take the per-qubit rule in its place, and one renormalization of every
+shot closes the interval.  The readout of a run (detect)
 draws photon counts and classifies them; the experiments read out
 through the law of those counts, the threshold's per-ion error
 probabilities (DetectionModel.flip_probs), and draw no counts: measure
@@ -45,7 +45,6 @@ from .compiler import (GLOBAL_CHANNEL, Event, MachineConfig, PulseSchedule,
 from .errors import FockLeakage, NoValidShots
 
 _MAX_STATE_BYTES = 1 << 30  # largest state array RegisterState allocates
-_JUMP_MARGIN = 1e-6  # on p of a T1 jump candidate; see apply_t1_decay
 _MAX_JUMP_PROB = 0.02  # largest jump probability of one heating step
 _SENSITIVITY_RATIO = 5.6 / 28.0  # optical vs ground-state field sensitivity
 _STEPS_PER_PERIOD = 50  # MS integrator steps per period of the faster of tone and mode
@@ -447,14 +446,13 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
     spin register: apply_dephasing's kicks then apply_t1_decay's jumps, with
     their draws in that order (normals if t2 < inf, then uniforms if
     p = 1 - exp(-dt/t1) > 0), in one pass.  Only a candidate, a shot with
-    a uniform below p * (1 + _JUMP_MARGIN), can jump (apply_t1_decay): it
-    takes the kicks, then the per-qubit rule (_t1_in_turn), then
-    renormalizes.  Until a shot jumps its state is one real diagonal scale,
-    sqrt(1 - p) per dark bit, so each other shot is multiplied once by one
-    per-shot diagonal, kick_q on the set bits and sqrt(1 - p) on the clear
-    bits of each qubit q, times 1/sqrt of its no-jump squared norm: its
-    populations times (1 - p) ** (dark bits), one product with weights that
-    factor over the low and high qubits."""
+    a uniform below p, can jump (apply_t1_decay): it takes the kicks, then
+    the per-qubit rule (_t1_in_turn).  Until a shot jumps its state is one
+    real diagonal scale, sqrt(1 - p) per dark bit, so every other shot is
+    multiplied once by one per-shot diagonal, kick_q on the set bits and
+    sqrt(1 - p) on the clear bits of each qubit q.  The candidates are
+    written back over their scaled rows, and one renormalize brings every
+    shot to norm 1."""
     if dt <= 0:
         return state
     n, shots = state.n, len(state.psi)
@@ -470,62 +468,56 @@ def _noise_interval(state: RegisterState, dt: float, rng: np.random.Generator,
     np.cos(phase, out=kicks.real)
     np.sin(phase, out=kicks.imag)
     if p == 0.0:
-        _scale_diagonal(psi, kicks, 1.0, 1.0)
+        _scale_diagonal(psi, kicks, 1.0)
         return state
     u = rng.random((n, shots))
-    k, weights = (n + 1) // 2, (1.0 - p) ** np.arange(n + 1)  # by number of dark bits
-    norm2 = (np.square(psi.view(float)).reshape(shots, 2 ** (n - k), 2 ** (k + 1))
-             @ weights[_dark_counts(k)]) @ weights[_dark_counts(n - k)[::2]]
-    cand = np.logical_or.reduce(u < p * (1.0 + _JUMP_MARGIN)).nonzero()[0]
-    norm2[cand] = 1.0
-    sub = state.subset(cand)  # a copy, taken before the scale
-    _scale_diagonal(psi, kicks, math.sqrt(1.0 - p), 1.0 / np.sqrt(norm2))
+    cand = np.logical_or.reduce(u < p).nonzero()[0]
+    sub = psi[cand]  # a copy, taken before the scale
+    _scale_diagonal(psi, kicks, math.sqrt(1.0 - p))
     if cand.size:
-        _scale_diagonal(sub.psi, kicks[:, cand], 1.0, 1.0)
-        _t1_in_turn(sub.psi, p, u[:, cand])
-        sub.renormalize()
-        psi[cand] = sub.psi
+        _scale_diagonal(sub, kicks[:, cand], 1.0)
+        _t1_in_turn(sub, p, u[:, cand])
+        psi[cand] = sub
+    state.renormalize()
     return state
 
 
-def _scale_diagonal(psi: np.ndarray, kicks: np.ndarray, root: float, start):
+def _scale_diagonal(psi: np.ndarray, kicks: np.ndarray, root: float):
     """Multiply psi, (shots, 2**n) and contiguous, in place by the per-shot
-    diagonal whose entry [s, i] is start (a number, or an array of one per
-    shot) times, for each qubit q, kicks[q, s] if bit q of i is set, else
-    root (as root ** dark bits, so root = 0 needs no case of its own): by
-    one _shot_table over the m lowest qubits (at least half of them, and
-    each with 2**q < shots), then, if m < n, by one over the rest; a
-    multiply by each table costs less than building their product."""
+    diagonal whose entry [s, i] is, for each qubit q, kicks[q, s] if bit q
+    of i is set, else root: by one _shot_table over the m lowest qubits (at
+    least half of them, and each with 2**q < shots), then, if m < n, by one
+    over the rest; a multiply by each table costs less than building their
+    product."""
     n, shots = kicks.shape
     m = max(min(n, (shots - 1).bit_length()), (n + 1) // 2)
     v = psi.reshape(shots, 2 ** (n - m), 2**m)
-    v *= _shot_table(kicks[:m], root, start).T[:, None, :]
+    v *= _shot_table(kicks[:m], root).T[:, None, :]
     if m < n:
-        v *= _shot_table(kicks[m:], root, 1.0).T[:, :, None]
+        v *= _shot_table(kicks[m:], root).T[:, :, None]
 
 
-def _shot_table(kicks: np.ndarray, root: float, start) -> np.ndarray:
-    """The (2**k, shots) table, for kicks (k, shots), whose entry [i, s] is
-    start (as in _scale_diagonal) times, for each j, kicks[j, s] if bit j
-    of i is set, else root: the kicks by doubling along the shot axis, so
-    that every pass multiplies rows of one entry per shot, then row i times
-    root ** (dark bits of i)."""
+def _shot_table(kicks: np.ndarray, root: float) -> np.ndarray:
+    """The (2**k, shots) table, for kicks (k, shots), whose entry [i, s] is,
+    for each j, kicks[j, s] if bit j of i is set, else root: by doubling
+    along the shot axis, so that every pass multiplies rows of one entry
+    per shot; pass j writes the rows with bit j set, kicks[j] times the
+    rows below, then scales those by root."""
     table = np.empty((2 ** len(kicks), kicks.shape[1]), dtype=complex)
-    table[0] = start
+    table[0] = 1.0
     for j, kick in enumerate(kicks):
         np.multiply(table[:2**j], kick, out=table[2**j:2 ** (j + 1)])
-    table *= (root ** np.arange(len(kicks) + 1))[_dark_counts(len(kicks))[::2], None]
+        table[:2**j] *= root
     return table
 
 
 @lru_cache(maxsize=8)
 def _dark_counts(n: int) -> np.ndarray:
-    """The dark (clear) bits of each basis index i < 2**n, twice: the real
-    and imaginary slots of i in a float view of psi ([::2]: one per i)."""
+    """The dark (clear) bits of each basis index i < 2**n."""
     counts = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         counts = np.concatenate((counts + 1, counts))  # the next bit clear, then set
-    return _read_only(np.repeat(counts, 2))[0]
+    return _read_only(counts)[0]
 
 
 _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]],
@@ -566,16 +558,15 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
     renormalizing in between (the unnormalized unraveling: Dalibard, Castin
     & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)):
     norm2 tracks each shot's squared norm, qubit q jumps with probability
-    p * dark2 / norm2 for dark2 its unnormalized D population, and the
-    state is renormalized once at the end.  One uniform per qubit and shot
-    is drawn at once, qubit 0 first.
+    p * min(dark2 / norm2, 1) for dark2 its unnormalized D population, and
+    the state is renormalized once at the end.  One uniform per qubit and
+    shot is drawn at once, qubit 0 first.
 
-    As dark2 <= norm2, only the candidates, the shots with a uniform below
-    p * (1 + _JUMP_MARGIN), can jump: the float ratio exceeds 1 by a few
-    ulps plus the norm's error over norm2 >= (1 - p) ** n, which passes
-    1e-6 only where a shot avoids candidacy with chance (1 - p) ** n.
-    This is the noise interval of _noise_interval, which says how the
-    candidates and the other shots run, with no dephasing.
+    As dark2 <= norm2 (the cap holds a ratio that rounds above 1 at 1),
+    only the candidates, the shots with a uniform below p, can jump; every
+    other shot only scales D by sqrt(1 - p) per qubit.  This is the noise
+    interval of _noise_interval, which says how the candidates and the
+    other shots run, with no dephasing.
     """
     _spin_register(state)
     if dt < 0 or not t1 > 0:
@@ -587,14 +578,16 @@ def _t1_in_turn(psi, p, u):
     """The per-qubit rule on psi, (shots, 2**n), in place, with
     uniforms u (n, shots): each qubit in turn jumps (its D amplitudes
     replace its S ones and leave D empty; norm2 becomes dark2) or is scaled
-    by sqrt(1 - p) on D (norm2 loses p * dark2).  Each qubit's D half is
+    by sqrt(1 - p) on D (norm2 loses p * dark2), the jump probability
+    p * dark2 / norm2 capped at p, so that a shot with no uniform below p
+    never jumps.  The state is left unnormalized.  Each qubit's D half is
     multiplied once by a per-shot factor, 0 where the shot jumps, and
     copied into S on the rows that jump, before the multiply."""
     norm2 = 1.0
     for q, uq in enumerate(u):
         v = psi.reshape(len(psi), -1, 2, 2**q)
         dark2 = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
-        jump = uq < p * dark2 / norm2
+        jump = uq < p * np.minimum(dark2 / norm2, 1.0)
         rows = jump.nonzero()[0]
         v[rows, :, 1] = v[rows, :, 0]
         v[:, :, 0] *= np.where(jump, 0.0, math.sqrt(1.0 - p))[:, None, None]
@@ -674,7 +667,7 @@ def bright_count_law(probs) -> np.ndarray:
     n = probs.size.bit_length() - 1
     if probs.shape != (2**n,):
         raise ValueError(f"need an outcome law over 2**n basis states, got shape {probs.shape}")
-    return np.bincount(n - _dark_counts(n)[::2], weights=probs, minlength=n + 1)
+    return np.bincount(n - _dark_counts(n), weights=probs, minlength=n + 1)
 
 
 def detected_count_law(count_law, e0: float, e1: float) -> np.ndarray:
@@ -1098,6 +1091,8 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     t2 = noise.t2(qubit_kind)  # also checks qubit_kind
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if shots > max_shots(n):
         raise ValueError(f"shots must be <= {max_shots(n)} on {n} qubits (the results' "
                          f"memory cap), got {shots}")

@@ -651,6 +651,17 @@ def test_nan_noise_value_is_one_error_line(tmp_path, circuit_file, capsys, argv,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["experiment", "rb"],
+                                  ["experiment", "ramsey"]], ids=["simulate", "rb", "ramsey"])
+def test_negative_seed_is_one_error_line(tmp_path, circuit_file, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv = argv + ["--circuit", circuit_file]
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_rb_with_fewer_shots_than_sequences_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "rb", "--shots", "5", "--out", str(out)]) == 1

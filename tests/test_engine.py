@@ -391,9 +391,8 @@ def test_noise_interval_is_dephasing_then_t1_decay(n, t1, t2, ramp):
 
 def test_noise_interval_tests_jumps_on_candidate_shots_only(monkeypatch):
     """At p = 1e-3 over 20000 shots, the per-qubit rule receives exactly
-    the candidates, the shots that draw a uniform below p (1 + the jump
-    margin): the state and generator state are those of the per-qubit
-    reference, to 1e-12."""
+    the candidates, the shots that draw a uniform below p: the state and
+    generator state are those of the per-qubit reference, to 1e-12."""
     n, shots, t1 = 3, 20000, 1.0
     dt = -t1 * math.log1p(-1e-3)
     rng0, st = np.random.default_rng(4), eng.RegisterState(n, shots=shots)
@@ -406,7 +405,7 @@ def test_noise_interval_tests_jumps_on_candidate_shots_only(monkeypatch):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     p = 1.0 - math.exp(-dt / t1)
     below = np.logical_or.reduce(
-        copy.deepcopy(rng).random((n, shots)) < p * (1.0 + eng._JUMP_MARGIN)).sum()
+        copy.deepcopy(rng).random((n, shots)) < p).sum()
     eng._noise_interval(st, dt, rng, t1, math.inf)
     t1_decay_per_qubit(ref, range(n), dt, ref_rng, t1=t1)
     assert 0 < below < shots and jumpers == [below]
@@ -452,9 +451,40 @@ def test_all_bright_batch_takes_only_the_kicks(t1):
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_dark_counts_count_the_clear_bits_of_each_slot(n):
     counts = eng._dark_counts(n)
-    want = [n - bin(i).count("1") for i in range(2**n)]
-    assert counts.tolist() == [c for c in want for _ in range(2)]
+    assert counts.tolist() == [n - bin(i).count("1") for i in range(2**n)]
     assert not counts.flags.writeable
+
+
+def test_t1_rule_caps_a_dark_ratio_that_rounds_above_one():
+    """One shot whose D population sums just above 1 by rounding, at
+    p = 0.5 and a uniform equal to p: p * dark2 / norm2 rounds above p, the
+    cap holds it at p, so the shot does not jump and D takes sqrt(1 - p)."""
+    amp = np.nextafter(1.0, 2.0)
+    psi = np.array([[amp, 0.0]], dtype=complex)  # index 0: qubit 0 dark
+    assert 0.5 * abs(amp) ** 2 > 0.5
+    eng._t1_in_turn(psi, 0.5, np.array([[0.5]]))
+    assert psi.tolist() == [[amp * math.sqrt(0.5), 0.0]]
+
+
+@pytest.mark.parametrize("shots", [1, 5, 300])
+@pytest.mark.parametrize("n", [1, 3, 6, 7])
+@pytest.mark.parametrize("root", [0.0, 0.37, 1.0])
+def test_scale_diagonal_is_the_product_over_the_bits(root, n, shots):
+    """Entry [s, i] is scaled by kicks[q, s] for each set bit q of i and by
+    root for each clear one, over the one-table split (300 shots, or
+    n = 1) and the two-table one (1 shot at n >= 3, 5 at n >= 6); root = 0
+    leaves only the all-bright entry."""
+    rng = np.random.default_rng(n * shots)
+    kicks = np.exp(1j * rng.normal(size=(n, shots)))
+    psi = rng.normal(size=(shots, 2**n)) + 1j * rng.normal(size=(shots, 2**n))
+    want = psi.copy()
+    for i in range(2**n):
+        for q in range(n):
+            want[:, i] *= kicks[q] if i >> q & 1 else root
+    eng._scale_diagonal(psi, kicks, root)
+    np.testing.assert_allclose(psi, want, rtol=0.0, atol=1e-13)
+    if root == 0.0:
+        assert not psi[:, :-1].any()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])

@@ -15,6 +15,10 @@ a run that reads a config file names it with `--config`:
 - `simulate_noisy`: `simulate` of COMPILE_CIRCUIT on 3 qubits with SPAM,
   1-qubit and MS depolarizing on (400 shots, seed 4), so that the SPAM
   start, the depolarizing channel and a branch body run;
+- `simulate_idle`: `simulate` of IDLE_CIRCUIT on 4 qubits (400 shots,
+  seed 5), whose two 50 ms waits give a T1 jump probability of about
+  0.042 a qubit, so that about 16% of the shots of each wait take the
+  per-qubit jump rule on a multi-qubit register;
 - every `experiment` kind at its CLI defaults, where every noise eps is 0;
 - `experiment_rb_noisy` and `experiment_gate_decay_noisy`: `experiment rb`
   with a `--config` of `noise.eps_1q = 0.002` and `experiment
@@ -78,6 +82,15 @@ MS 0.7853981633974483 all
 R 1.5707963267948966 0.0 all
 MEASURE m0
 """
+# A Ramsey-like sequence on every ion around an MS gate, with two long waits.
+IDLE_CIRCUIT = """PREPARE
+R 1.5707963267948966 0 all
+DELAY 50000
+MS 0.7853981633974483 all
+DELAY 50000
+R 1.5707963267948966 0.5 all
+MEASURE m0
+"""
 EXPERIMENT_KINDS = ("ramsey", "gradient", "rb", "thermometry", "heating",
                     "ghz", "gate_decay", "addressing_scan")
 # A dim readout with no decay in the window.
@@ -107,7 +120,8 @@ def runs(workdir: str) -> list:
         cfg = _write(workdir, f"{mode}.cfg", f"machine.n_qubits = 3\nmachine.rz_mode = {mode}\n")
         out.append((f"compile_{mode}", ["compile", "--circuit", circuit, "--config", cfg,
                                         "--out", f"compile_{mode}/schedule.json"]))
-    for name, text, n, shots, seed in (("bell", BELL, 2, 100, 11), ("ghz_12", GHZ, 12, 200, 3)):
+    for name, text, n, shots, seed in (("bell", BELL, 2, 100, 11), ("ghz_12", GHZ, 12, 200, 3),
+                                       ("idle", IDLE_CIRCUIT, 4, 400, 5)):
         circ = _write(workdir, f"{name}.circ", text)
         cfg = _write(workdir, f"{name}.cfg", f"machine.n_qubits = {n}\n")
         out.append((f"simulate_{name}", ["simulate", "--circuit", circ, "--config", cfg,
