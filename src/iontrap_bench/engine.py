@@ -5,11 +5,12 @@ Castin & Moelmer, PRL 68, 580 (1992)) on a spin register of shape
 (shots, 2**n), a single state being one shot; the noise channels and the
 readout act on that layout only and draw one random number per shot.
 Only the bichromatic gate's state carries a truncated phonon (Fock) axis.
-The bichromatic gate reuses what a call at the previous setting built:
-its Omega-free eigenbasis, keyed on (etas, nu, dt, n, fock_dim), and its
-drive and whole-step product, keyed on (params, n, fock_dim); each piece
-keeps only the last key, so a calibration and the gates at its Omega
-share them while a new detuning rebuilds both.
+The bichromatic gate at a setting is one matrix, and applying it is one
+product per shot.  A call reuses what the call at the previous setting
+built: its Omega-free eigenbasis, keyed on (etas, nu, dt, n, fock_dim),
+and its gate matrix, keyed on (params, n, fock_dim); each piece keeps
+only the last key, so a calibration and the gates at its Omega share
+them while a new detuning rebuilds both.
 A layer of one-qubit gates is one dense pass per block of up to four
 qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
 are the Hadamard layers of the ideal MS gate; run_schedule builds each
@@ -789,22 +790,19 @@ def _ms_basis(etas: tuple, nu: float, dt: float, n: int, fock_dim: int) -> tuple
 
 
 @lru_cache(maxsize=1)
-def _ms_drive(params: BichromaticParams, n: int, fock_dim: int) -> tuple:
-    """(drive, M) of the bichromatic gate: the drive at every step's
-    midpoint and the product M = S_(N-1)...S_0 of all N = n_steps - 1
-    whole steps (None when q = 0), read-only.  M is built from half a
-    tone period when the period is an even number m of steps, else from
-    one period; see apply_ms_bichromatic.  Every call at one params, such
-    as the gates at a calibrated Omega, shares them; only the last key is
-    kept."""
+def _ms_gate(params: BichromaticParams, n: int, fock_dim: int) -> np.ndarray:
+    """G, the whole bichromatic gate at params as one read-only matrix;
+    see apply_ms_bichromatic.  Every call at one params, such as the gates
+    at a calibrated Omega, shares it; only the last key is kept."""
     n_steps, m, q, _ = ms_steps(params)
     dt = params.t / n_steps
-    _, wdt, step, parity, _ = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
+    v, wdt, step, parity, ns = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
     tone = params.nu + params.delta
     drive = 2.0 * params.omega_rabi * np.cos(tone * (np.arange(n_steps) + 0.5) * dt)
     if not q:
-        return _read_only(drive) + (None,)
-    half, flip = (m // 2, parity) if m % 2 == 0 else (m, None)
+        half, flip = max(n_steps - 1, 1), None
+    else:
+        half, flip = (m // 2, parity) if m % 2 == 0 else (m, None)
     j, s = divmod(n_steps - 1, half)
     p = np.eye(len(wdt), dtype=complex)
     for k, d in enumerate(drive[:half]):
@@ -812,7 +810,11 @@ def _ms_drive(params: BichromaticParams, n: int, fock_dim: int) -> tuple:
             prefix = p  # P_s
         p = step @ (np.exp(d * wdt) * p)
     whole = prefix @ np.linalg.matrix_power(p if flip is None else flip @ p, j)
-    return _read_only(drive, flip @ whole if flip is not None and j % 2 else whole)
+    whole = flip @ whole if flip is not None and j % 2 else whole
+    gate = (v @ (np.exp(drive[-1] * wdt) * whole)) @ v.conj().T
+    gate *= _frame(params.nu, (n_steps - 0.5) * dt, ns, n)
+    gate *= _frame(params.nu, -0.5 * dt, ns, n).T
+    return _read_only(gate)[0]
 
 
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
@@ -837,18 +839,20 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     S(-d) = Z' S(d) Z'.  When a period is a whole number m of steps, with
     h = m/2 and flip = Z' when m is even, h = m and flip = 1 when it is
     odd (m = 1 for the constant drive at tone 0), step i h + k is
-    flip^i S_k flip^i.  With the prefixes P_k = S_(k-1)...S_0, C = flip P_h
-    and N = n_steps - 1 = j h + s, the product of all N whole steps is
-    M = flip^j P_s C^j: h steps and one power by repeated squaring take
-    every shot through them.  A gate shorter than one period runs its
-    steps one at a time.
+    flip^i S_k flip^i; a gate shorter than one period takes h = N and
+    flip = 1.  With the prefixes P_k = S_(k-1)...S_0, C = flip P_h and
+    N = n_steps - 1 = j h + s, the product of all N whole steps is
+    M = flip^j P_s C^j: h steps and one power by repeated squaring.  The
+    gate is G = P((N + 1/2) dt) V exp(-i drive_N dt w) M V† P(-dt/2), and
+    every shot takes one product with it.
 
     Two pieces are reused from the previous call and rebuilt when their
-    key changes, only the last key of each being kept: V, w, W, Z' and the
-    mode levels, keyed on (etas, nu, dt, n, fock_dim), and the drive and
-    M, keyed on (params, n, fock_dim).  A call at a setting met just
-    before does only the per-state work, in the same floating-point
-    operations as a cold call, so its state is bitwise the same.
+    key changes, only the last key of each being kept: the eigenbasis (V,
+    w, W, Z' and the mode levels), keyed on (etas, nu, dt, n, fock_dim),
+    and the gate matrix G, keyed on (params, n, fock_dim).  A call at a
+    setting met just before does only the per-state product, in the same
+    floating-point operations as a cold call, so its state is bitwise the
+    same.
 
     leakage_threshold is the largest population at the Fock cutoff a shot
     may end with; a NaN or negative one is a ValueError.
@@ -862,20 +866,7 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     nmax = state.phonon.n_max
     if len(params.etas) != n:
         raise ValueError("one Lamb-Dicke parameter per addressed ion")
-    n_steps, _, q, _ = ms_steps(params)
-    dt = params.t / n_steps
-    v, wdt, step, _, ns = _ms_basis(params.etas, params.nu, dt, n, fock_dim)
-    drive, whole = _ms_drive(params, n, fock_dim)
-
-    psi = state.psi.reshape(-1, fock_dim * 2**n).T  # one column per shot
-    phi = v.conj().T @ (_frame(params.nu, -0.5 * dt, ns, n) * psi)
-    if q:
-        phi = whole @ phi
-    else:
-        for d in drive[:-1]:
-            phi = step @ (np.exp(d * wdt) * phi)
-    psi = _frame(params.nu, (n_steps - 0.5) * dt, ns, n) * (v @ (np.exp(drive[-1] * wdt) * phi))
-
+    psi = _ms_gate(params, n, fock_dim) @ state.psi.reshape(-1, fock_dim * 2**n).T
     state.psi = psi.T.reshape(state.psi.shape)
     leak = float(np.max(np.sum(np.abs(state.psi[..., nmax, :]) ** 2, axis=-1)))
     if leak > leakage_threshold:
@@ -900,9 +891,8 @@ def calibrate_ms_rabi(eta: float, delta: float, t: float, nu: float,
     rescales Omega by sqrt(pi/4 / chi) until chi is within _CALIB_TOL.
     Every evaluation is one apply_ms_bichromatic call; they share its
     eigenbasis (key (etas, nu, dt, n, fock_dim)), and the last one leaves
-    the drive and whole-step product of the returned Omega (key (params,
-    n, fock_dim)) for the gates that follow.  Only the last key of each is
-    kept.
+    the gate matrix of the returned Omega (key (params, n, fock_dim)) for
+    the gates that follow.  Only the last key of each is kept.
     """
     if not all(math.isfinite(v) and v > 0 for v in (eta, delta, t, nu)):
         raise ValueError(f"need finite eta, delta, t, nu > 0, got "

@@ -172,6 +172,9 @@ def fit_fringe(dataset: Dataset, frequency: float) -> FitResult:
     design = np.column_stack([np.ones_like(ds.x),
                               np.cos(frequency * ds.x),
                               np.sin(frequency * ds.x)])
+    if np.linalg.matrix_rank(design[:, :2] / ds.yerr[:, None]) < 2:
+        raise ValueError(f"frequency={frequency} leaves cos(f x) constant across x: "
+                         "the amplitude cannot be told from the offset")
     coef, cov, chisq = _weighted_solve(design, ds)
     off, a, b = coef
     amp = math.hypot(a, b)

@@ -321,6 +321,15 @@ def test_fit_fringe_nonfinite_frequency_is_one_error_line(tmp_path, capfd, frequ
     assert captured.err == f"error: frequency must be finite, got {frequency}\n"
 
 
+def test_fit_fringe_frequency_without_a_fringe_is_one_error_line(tmp_path, capfd):
+    data = tmp_path / "points.csv"
+    data.write_text("x,y,yerr\n0,0.1,0.01\n1,0.2,0.01\n2,0.3,0.01\n3,0.25,0.01\n")
+    assert main(["fit", "--model", "fringe", "--data", str(data), "--frequency", "0"]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: frequency=0.0 ")
+
+
 def test_cli_import_leaves_out_scipy_stats():
     """Importing the CLI loads none of the scipy modules that only a fit,
     a readout law or a test reads: scipy.stats, scipy.optimize and

@@ -100,6 +100,15 @@ def test_fringe_rejects_a_nonfinite_frequency(frequency):
         fit_fringe(_ds(x, 0.5 + 0.5 * np.cos(x)), frequency=frequency)
 
 
+@pytest.mark.parametrize("frequency", [0.0, 2 * math.pi])
+def test_fringe_rejects_a_frequency_that_leaves_no_fringe(frequency):
+    # On integer x, cos(f x) is 1 at every point: the offset and amplitude
+    # columns coincide, so their split, and any error on it, is arbitrary.
+    with pytest.raises(ValueError, match="frequency=.*amplitude cannot be told from the offset"):
+        fit_fringe(_ds([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.25], err=0.01),
+                   frequency=frequency)
+
+
 @pytest.mark.parametrize("fit, x, message", [
     (lambda d: fit_fringe(d, frequency=3.0), [0.0], "need >= 3 points"),
     (lambda d: fit_fringe(d, frequency=3.0), [0.0, 1.0], "need >= 3 points"),

@@ -180,7 +180,7 @@ def _matches_oracle(etas, n0, t, n_steps, delta=DELTA, omega=2 * PI * 200e3, n_m
 def test_gate_matches_per_step_expm_oracle(etas, n0):
     # About 300 steps with strong tones: the state leaves its start and
     # reaches the Fock cutoff.  No tone period ends on a step boundary of
-    # 301 steps, so every step runs one at a time.
+    # 301 steps, so the gate matrix is built one step at a time.
     _matches_oracle(etas, n0, 300.5 * DT_MIN, 301)
 
 
@@ -238,7 +238,7 @@ def test_thermal_start_still_closes(omega_cal):
 
 def _clear_gate_caches():
     eng._ms_basis.cache_clear()
-    eng._ms_drive.cache_clear()
+    eng._ms_gate.cache_clear()
 
 
 def test_etas_as_list_array_or_tuple_give_bitwise_equal_states():
@@ -273,7 +273,7 @@ def test_warm_gate_is_bitwise_equal_to_cold(omega_cal, case):
         st = eng.RegisterState(2, phonon=eng.PhononMode(NU, n_max=n_max), fock_index=fock,
                                shots=shots)
         runs.append(eng.apply_ms_bichromatic(st, params, leakage_threshold=1.0).psi)
-    assert eng._ms_basis.cache_info().hits >= 1 and eng._ms_drive.cache_info().hits == 1
+    assert eng._ms_gate.cache_info().hits == 1
     assert runs[0].tobytes() == runs[1].tobytes()
 
 
@@ -335,8 +335,8 @@ def test_reused_gate_pieces_are_read_only(omega_cal):
     params = _params(omega_cal)
     n_steps = eng.ms_steps(params)[0]
     pieces = (eng._ms_basis(params.etas, NU, T_GATE / n_steps, 2, 11)
-              + eng._ms_drive(params, 2, 11))
-    assert len(pieces) == 7 and all(p is not None for p in pieces)
+              + (eng._ms_gate(params, 2, 11),))
+    assert len(pieces) == 6 and all(p is not None for p in pieces)
     for p in pieces:
         assert not p.flags.writeable
         with pytest.raises(ValueError):
@@ -351,7 +351,7 @@ def test_fock_leakage_raised_from_a_warm_map(omega_cal):
         with pytest.raises(FockLeakage) as err:
             eng.apply_ms_bichromatic(st, _params(5.0 * omega_cal))
         leaks.append(err.value.leakage)
-    assert eng._ms_drive.cache_info().hits == 1
+    assert eng._ms_gate.cache_info().hits == 1
     assert leaks[0] == leaks[1] > 1e-6
 
 
@@ -368,22 +368,34 @@ def test_spin_parity_flips_h0_and_keeps_the_step_map(etas, n_max):
 
 # (delta, steps per tone period m, n_steps): m = 50 with N = n_steps - 1
 # whole steps = j 25 + s for j even and odd, s = 0 and s > 0; m = 51, an
-# odd period built whole; and the constant drive at tone 0 (m = 1).
+# odd period built whole; the constant drive at tone 0 (m = 1); and a
+# detuning whose period is no whole number of steps (q = 0), the
+# benchmark's middle one moved by 1.3% over its closure time.
 WHOLE_STEP_CASES = [
     (DELTA, 50, 301), (DELTA, 50, 326), (DELTA, 50, 300), (DELTA, 50, 325),
-    (NU * 50 / 51 - NU, 51, 160), (-NU, 1, 41)]
+    (NU * 50 / 51 - NU, 51, 160), (-NU, 1, 41),
+    (1.013 * 2 * NU / 88, None, 2251)]
 
 
 @pytest.mark.parametrize("delta, m, n_steps", WHOLE_STEP_CASES)
 def test_whole_step_product_matches_the_step_loop(delta, m, n_steps):
+    # The gate matrix against every step run one at a time, the closing
+    # half step and the frames P((N + 1/2) dt) and P(-dt/2) included.
     etas = (0.095, 0.07)
-    dt = 2 * PI / (50 * max(abs(NU + delta), NU))
+    t = (2 * PI / (2 * NU / 88) if m is None
+         else n_steps * 2 * PI / (50 * max(abs(NU + delta), NU)))
     params = eng.BichromaticParams(omega_rabi=2 * PI * 200e3, nu=NU, delta=delta,
-                                   etas=etas, t=n_steps * dt)
-    assert eng.ms_steps(params)[:2] == (n_steps, m) and eng.ms_steps(params)[2] > 0
-    _, wdt, step, _, _ = eng._ms_basis(etas, NU, params.t / n_steps, 2, 5)
-    drive, whole = eng._ms_drive(params, 2, 5)
+                                   etas=etas, t=t)
+    steps, period, q, _ = eng.ms_steps(params)
+    assert steps == n_steps and (q > 0 and period == m if m else q == 0)
+    dt = t / n_steps
+    v, wdt, step, _, ns = eng._ms_basis(etas, NU, dt, 2, 5)
+    drive = 2 * params.omega_rabi * np.cos((NU + delta) * (np.arange(n_steps) + 0.5) * dt)
     ref = np.eye(len(wdt), dtype=complex)
     for d in drive[:-1]:  # every whole step, one at a time
         ref = step @ (np.exp(d * wdt) * ref)
-    assert np.max(np.abs(whole - ref)) <= 1e-12
+    ref = v @ (np.exp(drive[-1] * wdt) * ref) @ v.conj().T
+    levels = np.repeat(ns, 4)  # mode level of each row, fock-major as psi
+    ref = (np.exp(-1j * NU * (n_steps - 0.5) * dt * levels)[:, None] * ref
+           * np.exp(0.5j * NU * dt * levels))
+    assert np.max(np.abs(eng._ms_gate(params, 2, 5) - ref)) <= 1e-12

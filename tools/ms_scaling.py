@@ -13,11 +13,11 @@ JSON line per run: k, the closure times, the gate's step count, its whole
 tone periods q and steps past them r (`engine.ms_steps`), the
 calibration's gate evaluations (evals) and time (calib_s), the gate's
 time (gate_s), their sum (wall_s) and the machine.  Each evaluation
-builds the product of the gate's whole steps from half a tone period and
-one power by repeated squaring, so calib_s / evals is the cost of one
-such build.  The gate reuses the eigenbasis and whole-step product that
-the calibration's last evaluation built at the same Rabi frequency, so
-gate_s is the per-state work alone.
+builds the gate matrix, whose product of whole steps comes from half a
+tone period and one power by repeated squaring, so calib_s / evals is
+the cost of one such build.  The gate reuses the matrix that the
+calibration's last evaluation built at the same Rabi frequency, so
+gate_s is one matrix product with the state.
 """
 
 import json
