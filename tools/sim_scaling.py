@@ -18,7 +18,10 @@ where its default threshold moves up with the blocks freed and keeps
 them in the heap.  Without it the peak RSS moved by about 4 MB with
 allocator placement alone (54.3 -> 58.1 MB at n = 12 across a change
 that cut an 8 MB allocation to 0.4 MB); with it the two trees agreed
-within 0.2 MB, so a change to this figure is the program's own.
+within 0.2 MB, so a change to this figure is the program's own.  The
+setting costs wall time, since each such block is mapped and zeroed
+afresh: one n = 18 run took 10.7-11.4 s against 7.4-9.0 s without it.
+Compare wall times only between lines with the same "env".
 """
 
 import json
