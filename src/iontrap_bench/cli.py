@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -16,12 +15,12 @@ from . import chain as chain_mod
 from . import compiler as comp
 from . import engine as eng
 from . import experiments as exp
-from .config import (build_addressing, build_machine, build_noise, build_trap,
-                     config_digest, load_config)
+from .config import build_addressing, build_machine, build_noise, build_trap, load_config
 from .errors import IonTrapBenchError
-from .fitting import (Dataset, binomial_se, fit_decay, fit_fringe, fit_gaussian,
-                      fit_linear, fit_power_law)
-from .results import RunManifest, write_json, write_results, write_shot_records
+from .fitting import (binomial_se, fit_decay, fit_fringe, fit_gaussian, fit_linear,
+                      fit_power_law)
+from .results import (RunManifest, fmt, read_points, write_json, write_results, write_run,
+                      write_shot_records, write_text)
 
 
 @functools.cache  # built once: main may run many times in one process, at about 3 ms a build
@@ -66,31 +65,16 @@ def _build_parser():
     return p
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _emit(text: str, path: str = None) -> int:
-    """Write text to path, creating its directory, or to stdout."""
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_chain(args) -> int:
+def cmd_chain(args):
     chain = chain_mod.equilibrium_positions(args.n, build_trap(load_config(*args.config)))
     lines = ["ion_index,position_um"]
-    lines += [f"{i},{_fmt(z)}" for i, z in enumerate(chain.positions)]
+    lines += [f"{i},{fmt(z)}" for i, z in enumerate(chain.positions)]
     lines.append("mode_index,freq_hz,direction")
     for direction, modes in (("axial", chain_mod.axial_mode_spectrum(chain)),
                              ("radial", chain_mod.radial_mode_spectrum(chain))):
-        lines += [f"{i},{_fmt(w / (2 * math.pi))},{direction}"
+        lines += [f"{i},{fmt(w / (2 * math.pi))},{direction}"
                   for i, w in enumerate(modes.frequencies)]
-    return _emit("\n".join(lines) + "\n", args.out)
+    write_text(args.out, "\n".join(lines) + "\n")
 
 
 def _compile_file(path: str, machine) -> comp.PulseSchedule:
@@ -98,12 +82,12 @@ def _compile_file(path: str, machine) -> comp.PulseSchedule:
         return comp.compile_circuit(comp.parse_circuit(fh.read()), machine)
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args):
     schedule = _compile_file(args.circuit, build_machine(load_config(*args.config)))
-    return _emit(schedule.to_json() + "\n", args.out)
+    write_json(args.out, schedule.to_dict())
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = load_config(*args.config)
     machine = build_machine(cfg)
     shots = eng.run_schedule(_compile_file(args.circuit, machine), machine,
@@ -115,17 +99,10 @@ def cmd_simulate(args) -> int:
     write_shot_records(os.path.join(out, "shots.csv"), shots)
     pops = [{"qubit": q, "p_bright": k / m, "stderr": float(binomial_se(k, m))}
             for q, k in enumerate(bits.sum(axis=0).tolist())]
-    summary = {
-        "shots": args.shots,
-        "valid_shots": m,
-        "populations": pops,
-        "provenance": {"seed": args.seed, "config_digest": config_digest(cfg)},
-    }
-    write_json(os.path.join(out, "summary.json"), summary)
     manifest = RunManifest(args.seed, cfg, inputs=(args.circuit, *args.config),
-                           outputs=("shots.csv", "summary.json"), command="simulate")
-    write_json(os.path.join(out, "manifest.json"), manifest.to_dict())
-    return 0
+                           command="simulate")
+    write_run(out, {"shots": args.shots, "valid_shots": m, "populations": pops}, manifest,
+              ["shots.csv"])
 
 
 def _ghz_phases(n: int) -> np.ndarray:
@@ -134,7 +111,7 @@ def _ghz_phases(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi / max(n, 1), 16)
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args):
     cfg = load_config(*args.config)
     machine = build_machine(cfg)
     noise = build_noise(cfg)
@@ -171,7 +148,6 @@ def cmd_experiment(args) -> int:
                            command=f"experiment {args.kind}")
     write_results(args.out or ".", result.datasets, result.fits, manifest,
                   extra=result.extra)
-    return 0
 
 
 _FIT_DISPATCH = {
@@ -185,29 +161,9 @@ _FIT_DISPATCH = {
 }
 
 
-def _read_points(path: str) -> Dataset:
-    """x, y, yerr of a points CSV: a header and rows of finite numbers."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), 1)
-                 if line.strip()]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: no data rows")
-    width = lines[0][1].count(",") + 1
-    for i, line in lines[1:]:
-        if line.count(",") + 1 != width:
-            raise ValueError(f"{path}: line {i} has {line.count(',') + 1} "
-                             f"columns, the header has {width}")
-    rows = np.genfromtxt([line for _, line in lines], delimiter=",", names=True)
-    columns = [np.atleast_1d(rows[c]) for c in ("x", "y", "yerr")]
-    if not all(np.isfinite(c).all() for c in columns):
-        raise ValueError(f"{path}: x, y and yerr must all be finite numbers")
-    return Dataset(*columns)
-
-
-def cmd_fit(args) -> int:
-    fit = _FIT_DISPATCH[args.model](_read_points(args.data), args)
-    text = json.dumps({"fit": fit.as_dict()}, indent=1, sort_keys=True) + "\n"
-    return _emit(text, args.out and os.path.join(args.out, "summary.json"))
+def cmd_fit(args):
+    fit = _FIT_DISPATCH[args.model](read_points(args.data), args)
+    write_json(args.out and os.path.join(args.out, "summary.json"), {"fit": fit.as_dict()})
 
 
 def main(argv=None) -> int:
@@ -220,10 +176,11 @@ def main(argv=None) -> int:
         "fit": cmd_fit,
     }[args.command]
     try:
-        return handler(args)
+        handler(args)
     except (IonTrapBenchError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ continuation, whose virtual Z rotations move no frame outside it.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -164,17 +163,9 @@ class PulseSchedule:
     def duration_ns(self) -> int:
         return max((e.end for e in self.events), default=0)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "events": [e.to_dict() for e in self.events],
-                "frames": list(self.frames),
-                "grid_ns": self.grid_ns,
-                "n_qubits": self.n_qubits,
-            },
-            indent=1,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {"events": [e.to_dict() for e in self.events], "frames": list(self.frames),
+                "grid_ns": self.grid_ns, "n_qubits": self.n_qubits}
 
 
 # ---------------------------------------------------------------------------

@@ -1066,7 +1066,7 @@ def run_schedule(schedule: PulseSchedule, machine: MachineConfig,
     two operations every shot idles through one noise interval
     (_noise_interval): dephasing and T1 decay in one pass.  A BRANCH runs its
     body on the shots whose detected bits at the MEASURE it names match.
-    MS events are ideal gates plus depolarizing (see apply_ms_bichromatic).
+    MS events are ideal gates plus depolarizing (see _ms_tables).
     A schedule without a top-level MEASURE is read out by one at its end.
     crosstalk is n x n and positions_um has one entry per qubit, for the
     machine's n qubits, which must be the schedule's; qubit_kind is

@@ -160,6 +160,26 @@ def test_compile_schedule_json_is_pinned(tmp_path, rz_mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["compile", "fit"])
+def test_stdout_is_the_bytes_out_writes(tmp_path, capsys, command):
+    """Without --out, compile and fit print exactly the bytes they write with it."""
+    circ, cfg, data = tmp_path / "c.circ", tmp_path / "m.cfg", tmp_path / "points.csv"
+    circ.write_text(COMPILE_CIRCUIT)
+    cfg.write_text("machine.n_qubits = 3\n")
+    data.write_text("x,y,yerr\n" + "".join(f"{x},{3.1 * x - 0.2},0.01\n" for x in range(9)))
+    argv, out, written = {
+        "compile": (["compile", "--circuit", str(circ), "--config", str(cfg)],
+                    tmp_path / "schedule.json", tmp_path / "schedule.json"),
+        "fit": (["fit", "--model", "linear", "--data", str(data)],
+                tmp_path / "fit", tmp_path / "fit" / "summary.json"),
+    }[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == written.read_bytes()
+
+
 def test_simulate_deterministic_across_threads(tmp_path, circuit_file):
     outs = {}
     for name, threads in (("t1", "1"), ("t4", "4"), ("t1b", "1")):

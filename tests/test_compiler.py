@@ -217,7 +217,7 @@ def test_validate_detects_violations():
 
 def test_schedule_json_roundtrip_keys():
     sched = compile_([comp.R(PI / 2, 0.0, "all"), comp.MS(PI / 4, (0, 1))])
-    data = json.loads(sched.to_json())
+    data = json.loads(json.dumps(sched.to_dict()))
     assert set(data) == {"events", "frames", "grid_ns", "n_qubits"}
     assert data["grid_ns"] == 10
     assert data["events"][0]["channel"] == "g"
