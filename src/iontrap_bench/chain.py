@@ -83,39 +83,38 @@ class ModeSpectrum:
     eigenvectors: np.ndarray  # n x n orthonormal, column j = mode j
 
 
-def _scaled_gradient(u: np.ndarray) -> np.ndarray:
+def _separations(u: np.ndarray) -> np.ndarray:
+    """The matrix u_i - u_j, inf on the diagonal (so 1/d^k is 0 there)."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _scaled_gradient(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Gradient of V(u) = sum u^2/2 + sum_{i<j} 1/|u_i-u_j| (dimensionless)."""
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    inv2 = np.sign(d) / d**2
-    return u - inv2.sum(axis=1)
+    return u - (np.sign(d) / d**2).sum(axis=1)
 
 
-def _inverse_cubed_distances(u: np.ndarray) -> np.ndarray:
-    """The matrix 1/|u_i-u_j|^3, zero on the diagonal."""
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    return 1.0 / np.abs(d) ** 3
-
-
-def _scaled_hessian(u: np.ndarray) -> np.ndarray:
+def _scaled_hessian(d: np.ndarray) -> np.ndarray:
     """Hessian of the dimensionless axial potential."""
-    inv3 = _inverse_cubed_distances(u)
+    inv3 = 1.0 / np.abs(d) ** 3
     h = -2.0 * inv3
     np.fill_diagonal(h, 1.0 + 2.0 * inv3.sum(axis=1))
     return h
 
 
-def _force_floor(u: np.ndarray) -> float:
+def _force_floor(u: np.ndarray, d: np.ndarray) -> float:
     """Roundoff floor of _scaled_gradient: n eps times the largest sum of the
     absolute terms of one component, |u_i| + sum_j 1/(u_i-u_j)^2."""
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
     return len(u) * np.finfo(float).eps * np.max(np.abs(u) + (1.0 / d**2).sum(axis=1))
 
 
 _FORCE_TOL = 1e-13  # scaled force residual that ends the Newton iteration
-_NEWTON_STEPS = 200  # iterations before the solver settles for _force_floor
+_NEWTON_STEPS = 200  # iterations before the solver gives up
+# The most ions whose chain and spectra fit engine's 1 GiB cap on one state:
+# eigh and its LAPACK workspace peak at 5.4 float64 n x n arrays (ru_maxrss,
+# n = 1500, fixed mmap threshold; tracemalloc, blind to that workspace, reads 4).
+MAX_IONS = 4985
 
 
 def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
@@ -123,12 +122,12 @@ def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
 
     Damped Newton iteration on the dimensionless potential, initial guess
     from uniform spacing, until the force residual (scaled units) is below
-    _FORCE_TOL.  From about 57 ions on, roundoff keeps the residual above
-    that, and after _NEWTON_STEPS steps a residual below _force_floor is
-    accepted; n = 1..100 all solve.
+    _FORCE_TOL or, where larger (from about 44 ions on), _force_floor: the
+    roundoff of the force's own terms.  Chains of up to 1000 ions take at
+    most ten steps; a solve that needs _NEWTON_STEPS raises SolverError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_IONS:
+        raise ValueError(f"n must be >= 1 and <= {MAX_IONS} (the memory cap), got {n}")
     if n == 1:
         return IonChain(np.zeros(1), trap)
 
@@ -136,11 +135,11 @@ def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
     span = 2.018 * n**0.559
     u = np.linspace(-span / 2, span / 2, n)
     for _ in range(_NEWTON_STEPS):
-        g = _scaled_gradient(u)
-        if np.max(np.abs(g)) < _FORCE_TOL:
+        d = _separations(u)
+        g = _scaled_gradient(u, d)
+        if np.max(np.abs(g)) < max(_FORCE_TOL, _force_floor(u, d)):
             break
-        h = _scaled_hessian(u)
-        step = np.linalg.solve(h, g)
+        step = np.linalg.solve(_scaled_hessian(d), g)
         # Damping: never let an ion cross its neighbor.
         alpha = 1.0
         while alpha > 1e-6:
@@ -150,15 +149,14 @@ def equilibrium_positions(n: int, trap: TrapConfig = TrapConfig()) -> IonChain:
             alpha *= 0.5
         u = u - alpha * step
     else:
-        if np.max(np.abs(_scaled_gradient(u))) >= _force_floor(u):
-            raise SolverError(f"equilibrium solver did not converge for n={n}")
+        raise SolverError(f"equilibrium solver did not converge for n={n}")
     u -= u.mean()
     return IonChain(u * length_scale_um(trap.omega_ax), trap)
 
 
 def axial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
     """Axial modes: lowest is the COM mode at omega_ax."""
-    h = _scaled_hessian(chain.scaled_positions)
+    h = _scaled_hessian(_separations(chain.scaled_positions))
     evals, evecs = np.linalg.eigh(h)
     freqs = chain.trap.omega_ax * np.sqrt(evals)
     return ModeSpectrum(freqs, _fix_signs(evecs))
@@ -169,7 +167,7 @@ def radial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
 
     Raises ZigzagInstability when the linear configuration is unstable.
     """
-    h = _inverse_cubed_distances(chain.scaled_positions)
+    h = 1.0 / np.abs(_separations(chain.scaled_positions)) ** 3
     a = (chain.trap.omega_rad / chain.trap.omega_ax) ** 2
     np.fill_diagonal(h, a - h.sum(axis=1))
     evals, evecs = np.linalg.eigh(h)
@@ -184,12 +182,8 @@ def radial_mode_spectrum(chain: IonChain) -> ModeSpectrum:
 
 def _fix_signs(evecs: np.ndarray) -> np.ndarray:
     """Deterministic output: largest-magnitude component of each mode positive."""
-    out = evecs.copy()
-    for j in range(out.shape[1]):
-        k = np.argmax(np.abs(out[:, j]))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    top = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    return evecs * np.where(top < 0, -1.0, 1.0)
 
 
 def lamb_dicke_parameters(spectrum: ModeSpectrum) -> np.ndarray:

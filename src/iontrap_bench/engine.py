@@ -576,7 +576,7 @@ def apply_t1_decay(state: RegisterState, dt: float, rng: np.random.Generator,
 
 
 def _t1_in_turn(psi, p, u):
-    """The per-qubit rule on psi, (shots, 2**n), in place, with
+    """The per-qubit rule on psi, (shots, 2**n) and contiguous, in place, with
     uniforms u (n, shots): each qubit in turn jumps (its D amplitudes
     replace its S ones and leave D empty; norm2 becomes dark2) or is scaled
     by sqrt(1 - p) on D (norm2 loses p * dark2), the jump probability
@@ -587,7 +587,8 @@ def _t1_in_turn(psi, p, u):
     norm2 = 1.0
     for q, uq in enumerate(u):
         v = psi.reshape(len(psi), -1, 2, 2**q)
-        dark2 = np.sum(np.abs(v[:, :, 0]) ** 2, axis=(1, 2))
+        dark = psi.view(float).reshape(len(psi), -1, 2, 2 ** (q + 1))[:, :, 0]  # re, im of D
+        dark2 = np.einsum("sij,sij->s", dark, dark)
         jump = uq < p * np.minimum(dark2 / norm2, 1.0)
         rows = jump.nonzero()[0]
         v[rows, :, 1] = v[rows, :, 0]

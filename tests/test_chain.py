@@ -58,6 +58,22 @@ def test_force_residual_below_tolerance():
         assert np.max(np.abs(g)) < max(1e-12, floor)
 
 
+def test_large_chains_take_few_newton_steps(monkeypatch):
+    # One np.linalg.solve per Newton step; the residual reaches its roundoff
+    # floor in about seven steps, and the solver stops there.
+    solve, calls = np.linalg.solve, []
+
+    def counting_solve(h, g):
+        calls.append(len(g))
+        return solve(h, g)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for n in (57, 60, 100):
+        calls.clear()
+        equilibrium_positions(n)
+        assert 1 <= len(calls) <= 10
+
+
 def test_spacing_scaling_law():
     # Minimum spacing scales as omega_ax^(-2/3) at fixed N.
     t1 = TrapConfig(omega_ax=TWO_PI * 0.5e6)

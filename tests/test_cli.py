@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import iontrap_bench
+from iontrap_bench import chain as chain_mod
 from iontrap_bench import cli
 from iontrap_bench import engine as eng
 from iontrap_bench import experiments as exp
@@ -802,6 +803,15 @@ def test_machine_duration_out_of_range_is_one_error_line(tmp_path, circuit_file,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key.split('.')[1]} must lie in (0, 1e+09] us")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", str(chain_mod.MAX_IONS + 1), "20000"])
+def test_chain_size_out_of_range_is_one_error_line(tmp_path, capsys, n):
+    out = tmp_path / "chain.csv"
+    assert main(["chain", "--n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: n must be >= 1 and <= {chain_mod.MAX_IONS} "
+                                       f"(the memory cap), got {n}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, message", [

@@ -8,6 +8,10 @@ Runs, each in a fresh Python process importing the package from this
 checkout's src/, with one BLAS thread, inside one temporary directory;
 a run that reads a config file names it with `--config`:
 
+- `chain_10`: `chain --n 10` at `trap.f_ax_hz = 450e3` (the default
+  1 MHz trap buckles 10 ions into a zigzag), and `chain_57`: `chain --n 57`
+  at `trap.f_ax_hz = 1e5`, a chain long enough that the Newton solver stops
+  at its roundoff floor, both at `trap.f_rad_hz = 3e6`;
 - `compile` of COMPILE_CIRCUIT on 3 qubits, in both rz_modes;
 - `simulate` of criterion 11's Bell circuit (2 qubits, 100 shots, seed 11)
   and of a 12-ion GHZ circuit (200 shots, seed 3), the runs that
@@ -114,8 +118,12 @@ def _cli(workdir: str, *argv: str):
 
 def runs(workdir: str) -> list:
     """(run name, argv) of every CLI run; writes the inputs they read."""
-    circuit = _write(workdir, "compile.circ", COMPILE_CIRCUIT)
     out = []
+    for n, f_ax in ((10, "450e3"), (57, "1e5")):
+        trap = _write(workdir, f"chain_{n}.cfg", f"trap.f_ax_hz = {f_ax}\ntrap.f_rad_hz = 3e6\n")
+        out.append((f"chain_{n}", ["chain", "--n", str(n), "--config", trap,
+                                   "--out", f"chain_{n}/chain.csv"]))
+    circuit = _write(workdir, "compile.circ", COMPILE_CIRCUIT)
     for mode in ("virtual", "ac_stark"):
         cfg = _write(workdir, f"{mode}.cfg", f"machine.n_qubits = 3\nmachine.rz_mode = {mode}\n")
         out.append((f"compile_{mode}", ["compile", "--circuit", circuit, "--config", cfg,
