@@ -48,9 +48,7 @@ def _build_parser():
     e.add_argument("--nbar", type=float, default=0.02)
 
     f = sub.add_parser("fit", help="fit a points.csv dataset")
-    f.add_argument("--model", required=True,
-                   choices=("decay_exp", "rb", "gate", "gaussian", "fringe",
-                            "power_law", "linear"))
+    f.add_argument("--model", required=True, choices=_FIT_DISPATCH)
     f.add_argument("--data", required=True, help="CSV with x,y,yerr")
     f.add_argument("--frequency", type=float, default=1.0, help="fringe fixed frequency")
     for parser in (c, k, s, e):

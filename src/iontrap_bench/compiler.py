@@ -174,12 +174,15 @@ class PulseSchedule:
 
 def expand_targets(targets, n):
     """Target qubits of an instruction on an n-qubit register ("all" is
-    every qubit); raises UnsupportedTarget for a qubit out of range."""
+    every qubit); raises UnsupportedTarget for a qubit out of range and
+    ValueError for a qubit named twice."""
     if targets == "all":
         return tuple(range(n))
-    for t in targets:
+    for i, t in enumerate(targets):
         if not 0 <= t < n:
             raise UnsupportedTarget(f"target {t} out of range")
+        if t in targets[:i]:
+            raise ValueError(f"target {t} repeated in {tuple(targets)}")
     return tuple(targets)
 
 
@@ -245,8 +248,8 @@ class _Compiler:
             return
         if isinstance(ins, MS):
             targets = expand_targets(ins.targets, m.n_qubits)
-            if len(set(targets)) != len(targets) or len(targets) < 2:
-                raise ValueError("MS needs >= 2 distinct targets")
+            if len(targets) < 2:
+                raise ValueError("MS needs >= 2 targets")
             if ins.bus not in ("axial", "radial"):
                 raise ValueError("MS bus must be axial or radial")
             dur = m.grid_ns(m.t_ms_us * 1000.0)

@@ -4,13 +4,13 @@ Noise enters through Monte-Carlo wave-function trajectories (Dalibard,
 Castin & Moelmer, PRL 68, 580 (1992)) on a spin register of shape
 (shots, 2**n), a single state being one shot; the noise channels and the
 readout act on that layout only and draw one random number per shot.
-Only the bichromatic gate's state carries a truncated phonon (Fock) axis.
-The bichromatic gate at a setting is one matrix, and applying it is one
-product per shot.  A call reuses what the call at the previous setting
-built: its Omega-free eigenbasis, keyed on (etas, nu, dt, n, fock_dim),
-and its gate matrix, keyed on (params, n, fock_dim); each piece keeps
-only the last key, so a calibration and the gates at its Omega share
-them while a new detuning rebuilds both.
+Only the bichromatic gate's state carries a truncated phonon (Fock) axis,
+one state of shape (fock_dim, 2**n).  The bichromatic gate at a setting
+is one matrix, and applying it is one product.  A call reuses what the
+call at the previous setting built: its Omega-free eigenbasis, keyed on
+(etas, nu, dt, n, fock_dim), and its gate matrix, keyed on (params, n,
+fock_dim); each piece keeps only the last key, so a calibration and the
+gates at its Omega share them while a new detuning rebuilds both.
 A layer of one-qubit gates is one dense pass per block of up to four
 qubits (gate fusion: Haener & Steiger, SC'17, arXiv:1704.01127), and so
 are the Hadamard layers of the ideal MS gate; run_schedule builds each
@@ -250,37 +250,35 @@ class PhononMode:
 class RegisterState:
     """N-qubit state vector: psi is (shots, 2**n) for a spin register, one
     shot when shots is None; with the bichromatic gate's phonon mode it is
-    (fock_dim, 2**n), or (shots, fock_dim, 2**n) when shots is given, and
-    fock_index may be per shot.  The density-matrix helpers take a single
-    phonon state."""
+    one state, (fock_dim, 2**n), in Fock level fock_index, and takes no
+    shots.  The density-matrix helpers take a phonon state."""
 
     def __init__(self, n_qubits: int, phonon: PhononMode = None, fock_index=0,
                  shots: int = None):
         self.n = n_qubits
         self.phonon = phonon
-        batch = () if shots is None else (shots,)
-        shape = (batch + (self.fock_dim, 2**n_qubits) if phonon
-                 else (batch or (1,)) + (2**n_qubits,))
+        if phonon is not None and shots is not None:
+            raise ValueError(f"a state with a phonon mode is one state: need shots=None, "
+                             f"got shots={shots}")
+        if not (isinstance(fock_index, (int, np.integer)) and 0 <= fock_index < self.fock_dim):
+            raise ValueError(f"fock_index must be an integer in [0, {self.fock_dim - 1}], "
+                             f"got {fock_index!r}")
+        shape = (self.fock_dim if phonon else (1 if shots is None else shots), 2**n_qubits)
         if math.prod(shape) * 16 > _MAX_STATE_BYTES:
             raise MemoryError("state exceeds the memory cap")
         self.psi = np.zeros(shape, dtype=complex)
-        flat = self.psi.reshape(-1, self.fock_dim, 2**n_qubits)
-        flat[np.arange(len(flat)), fock_index, -1] = 1.0  # all-bright |S...S>
+        self.psi[fock_index if phonon else slice(None), -1] = 1.0  # all-bright |S...S>
 
     @property
     def fock_dim(self) -> int:
         return 1 if self.phonon is None else self.phonon.n_max + 1
 
-    @property
-    def batch_shape(self) -> tuple:
-        """(shots,) of a spin register; () for a single phonon state."""
-        return self.psi.shape[:-1] if self.phonon is None else self.psi.shape[:-2]
-
     def renormalize(self):
-        """Each shot (a single state: the whole state) to norm 1, in place
-        over one real row per shot, a float view of contiguous psi."""
+        """Each shot of a spin register, or the whole of a phonon state, to
+        norm 1, in place over one real row per shot, a float view of
+        contiguous psi."""
         self.psi = np.ascontiguousarray(self.psi)
-        rows = self.psi.reshape(self.batch_shape + (-1,)).view(float)
+        rows = self.psi.reshape(1 if self.phonon else len(self.psi), -1).view(float)
         rows *= (1.0 / np.sqrt(np.einsum("...i,...i->...", rows, rows)))[..., None]
 
     def subset(self, mask) -> "RegisterState":
@@ -598,10 +596,12 @@ def _t1_in_turn(psi, p, u):
 
 def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
                           rng: np.random.Generator):
-    """Heating as a jump unraveling of L_up = sqrt(rate) a†, L_dn = sqrt(rate) a.
+    """Heating as one jump trajectory of L_up = sqrt(rate) a†, L_dn =
+    sqrt(rate) a on a phonon state.
 
-    The ensemble mean occupation grows linearly: d<n>/dt = rate.  All shots
-    of a batch share the step, sized for the shot with the highest jump rate.
+    Each step keeps the jump probability rate (2 <n> + 1) step at most
+    _MAX_JUMP_PROB and draws one uniform.  The ensemble mean occupation
+    of many trajectories grows linearly: d<n>/dt = rate.
     """
     if state.phonon is None or rate <= 0.0 or dt <= 0.0:
         return state
@@ -609,25 +609,23 @@ def evolve_phonon_heating(state: RegisterState, dt: float, rate: float,
     ladder = np.sqrt(ns[1:])[:, None]
     t = 0.0
     while t < dt:
-        n_mean = np.dot((np.abs(state.psi) ** 2).sum(axis=-1), ns)
-        total_rate = rate * (2.0 * n_mean + 1.0)
-        step = min(dt - t, _MAX_JUMP_PROB / float(np.max(total_rate)))
+        psi = state.psi
+        pops = (np.abs(psi) ** 2).sum(axis=-1)
+        n_mean = float(np.dot(pops, ns))
+        step = min(dt - t, _MAX_JUMP_PROB / (rate * (2.0 * n_mean + 1.0)))
         p_up = rate * step * (n_mean + 1.0)
         p_dn = rate * step * n_mean
-        u = rng.random(state.batch_shape)
-        up = np.flatnonzero(u < p_up)
-        dn = np.flatnonzero((u >= p_up) & (u < p_up + p_dn))
-        psi = state.psi.reshape((-1,) + state.psi.shape[-2:])  # a single state is one shot
-        # A shot held wholly in the top level has no level to jump up to.
-        up = up[(np.abs(psi[up, :-1]) ** 2).sum(axis=(1, 2)) > 0.0]
-        raised, lowered = psi[up, :-1] * ladder, psi[dn, 1:] * ladder
-        # No-jump evolution under the effective non-Hermitian Hamiltonian.
-        psi *= np.exp(-0.5 * rate * step * (2.0 * ns + 1.0))[:, None]
-        psi[up] = 0.0
-        psi[up, 1:] = raised
-        psi[dn] = 0.0
-        psi[dn, :-1] = lowered
-        state.psi = psi.reshape(state.psi.shape)
+        u = rng.random()
+        # A state held wholly in the top level has no level to jump up to.
+        if u < p_up and pops[:-1].sum() > 0.0:
+            state.psi = np.zeros_like(psi)
+            state.psi[1:] = psi[:-1] * ladder
+        elif p_up <= u < p_up + p_dn:
+            state.psi = np.zeros_like(psi)
+            state.psi[:-1] = psi[1:] * ladder
+        else:
+            # No-jump evolution under the effective non-Hermitian Hamiltonian.
+            psi *= np.exp(-0.5 * rate * step * (2.0 * ns + 1.0))[:, None]
         state.renormalize()
         t += step
     return state
@@ -821,8 +819,8 @@ def _ms_gate(params: BichromaticParams, n: int, fock_dim: int) -> np.ndarray:
 def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
                          leakage_threshold: float = 1e-6):
     """Integrate the two-tone interaction Hamiltonian in the truncated
-    Fock space with a fixed-step midpoint exponential propagator, for one
-    state or every shot of a batch (each one leakage-checked).
+    Fock space with a fixed-step midpoint exponential propagator, on one
+    phonon state (fock_dim, 2**n), then check its leakage.
 
     With P(t) = diag(exp(-i nu t n)) on the mode, H(t) = drive(t) P H0 P†,
     drive(t) = 2 Omega cos((nu + delta) t) and the fixed
@@ -845,7 +843,7 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     N = n_steps - 1 = j h + s, the product of all N whole steps is
     M = flip^j P_s C^j: h steps and one power by repeated squaring.  The
     gate is G = P((N + 1/2) dt) V exp(-i drive_N dt w) M V† P(-dt/2), and
-    every shot takes one product with it.
+    the state takes one product with it.
 
     Two pieces are reused from the previous call and rebuilt when their
     key changes, only the last key of each being kept: the eigenbasis (V,
@@ -855,8 +853,8 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     floating-point operations as a cold call, so its state is bitwise the
     same.
 
-    leakage_threshold is the largest population at the Fock cutoff a shot
-    may end with; a NaN or negative one is a ValueError.
+    leakage_threshold is the largest population at the Fock cutoff the
+    state may end with; a NaN or negative one is a ValueError.
     """
     if not leakage_threshold >= 0:
         raise ValueError(f"need leakage_threshold >= 0, got leakage_threshold={leakage_threshold}")
@@ -867,9 +865,9 @@ def apply_ms_bichromatic(state: RegisterState, params: BichromaticParams,
     nmax = state.phonon.n_max
     if len(params.etas) != n:
         raise ValueError("one Lamb-Dicke parameter per addressed ion")
-    psi = _ms_gate(params, n, fock_dim) @ state.psi.reshape(-1, fock_dim * 2**n).T
-    state.psi = psi.T.reshape(state.psi.shape)
-    leak = float(np.max(np.sum(np.abs(state.psi[..., nmax, :]) ** 2, axis=-1)))
+    psi = state.psi
+    state.psi = (_ms_gate(params, n, fock_dim) @ psi.reshape(-1, 1)).reshape(psi.shape)
+    leak = float(np.sum(np.abs(state.psi[nmax]) ** 2))
     if leak > leakage_threshold:
         raise FockLeakage(f"Fock cutoff population {leak:.2e}", leakage=leak)
     return state

@@ -588,6 +588,20 @@ def test_malformed_circuit_line_is_one_error_line(tmp_path, capsys, line):
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("line, message", [
+    ("R 1.5707963 0 0,0", "target 0 repeated in (0, 0)"),
+    ("RZ 1 0,1,0", "target 0 repeated in (0, 1, 0)"),
+    ("MS 0.5 1,1", "target 1 repeated in (1, 1)")])
+def test_repeated_target_is_one_error_line(tmp_path, capsys, command, line, message):
+    """Every gate takes each qubit at most once: R on 0,0 would otherwise
+    compile to one global pulse that rotates qubit 0 twice."""
+    circuit = tmp_path / "repeat.circ"
+    circuit.write_text(f"{line}\n")
+    assert main([command, "--circuit", str(circuit), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "ramsey"])
 @pytest.mark.parametrize("key", ["noise.t1_s", "noise.t2_optical_s", "noise.t2_ground_s"])
 def test_zero_lifetime_is_one_error_line(tmp_path, circuit_file, capsys, command, key):

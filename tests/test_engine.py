@@ -530,12 +530,11 @@ SPIN_ONLY = {
 
 
 @pytest.mark.parametrize("channel", sorted(SPIN_ONLY))
-@pytest.mark.parametrize("shots", [None, 3], ids=["single", "batched"])
-def test_spin_channels_reject_a_phonon_state(channel, shots):
+def test_spin_channels_reject_a_phonon_state(channel):
     """The noise channels and the readout act on a (shots, 2**n) spin
     register; a state with a Fock axis is an error before any draw or
     change of the state."""
-    st = eng.RegisterState(2, phonon=eng.PhononMode(2 * PI * 1e6, n_max=3), shots=shots)
+    st = eng.RegisterState(2, phonon=eng.PhononMode(2 * PI * 1e6, n_max=3))
     eng.apply_rotation(st, [0, 1], PI / 2, 0.0)
     psi0, rng = st.psi.copy(), np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -545,13 +544,25 @@ def test_spin_channels_reject_a_phonon_state(channel, shots):
     assert np.array_equal(st.psi, psi0)
 
 
-@ENSEMBLES
-def test_heating_mean_growth(ensemble):
+@pytest.mark.parametrize("kwargs, message", [
+    *[(dict(fock_index=f), r"^fock_index must be an integer in \[0, 3\], got ")
+      for f in (-1, 4, [0, 1], 1.0)],
+    (dict(shots=3), r"one state: need shots=None, got shots=3$")],
+    ids=["below_0", "above_n_max", "list", "float", "shots"])
+def test_phonon_state_is_one_state_in_one_fock_level(kwargs, message):
+    """A phonon state is one state in a Fock level of 0..n_max: anything
+    else is a ValueError before any allocation (on 26 qubits an allocation
+    would meet the memory cap first)."""
+    with pytest.raises(ValueError, match=message):
+        eng.RegisterState(26, phonon=eng.PhononMode(2 * PI * 1e6, n_max=3), **kwargs)
+
+
+def test_heating_mean_growth():
     rate, dt, shots = 0.221, 1.0, 3000
     phonon = eng.PhononMode(2 * PI * 1.05e6, n_max=14)
-    psi = ensemble(lambda n_shots: eng.RegisterState(1, phonon=phonon, shots=n_shots),
-                   lambda st, rng: eng.evolve_phonon_heating(st, dt, rate, rng),
-                   shots, 16)
+    psi = np.stack([eng.evolve_phonon_heating(eng.RegisterState(1, phonon=phonon), dt, rate,
+                                              np.random.default_rng([16, s])).psi
+                    for s in range(shots)])
     np.testing.assert_allclose(np.linalg.norm(psi, axis=(1, 2)), 1.0, rtol=0.0, atol=1e-12)
     ns = (np.abs(psi) ** 2).sum(axis=-1) @ np.arange(phonon.n_max + 1)
     grown = float(np.mean(ns))

@@ -254,10 +254,12 @@ def test_heating_keeps_thermal_and_recovers_rate():
     nbar0, rate, t, shots = 0.02, 0.221, 1.0, 4000
     rng = np.random.default_rng(1)
     mode = eng.PhononMode(frequency=2 * PI * 1.05e6, n_max=12)
-    state = eng.RegisterState(1, phonon=mode, shots=shots,
-                              fock_index=exp._sample_thermal_n(nbar0, shots, rng))
-    eng.evolve_phonon_heating(state, t, rate, rng)
-    fock_pops = (np.abs(state.psi) ** 2).sum(axis=-1)
+    fock_pops = []
+    for n0 in exp._sample_thermal_n(nbar0, shots, rng):  # one trajectory per shot
+        state = eng.RegisterState(1, phonon=mode, fock_index=n0)
+        eng.evolve_phonon_heating(state, t, rate, rng)
+        fock_pops.append((np.abs(state.psi) ** 2).sum(axis=-1))
+    fock_pops = np.array(fock_pops)
     assert np.all(np.count_nonzero(fock_pops, axis=1) == 1)
     ns = np.argmax(fock_pops, axis=1)
     nbar = nbar0 + rate * t
